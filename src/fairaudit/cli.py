@@ -15,7 +15,7 @@ import csv
 import random
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .adversary import lipschitz_violations, reservoir_attack, swap_attack
@@ -51,8 +51,10 @@ from .report import (
     break_payload,
     break_text,
     build_report,
+    header,
+    increment_payload,
     increment_text,
-    matrix_payload,
+    matrices_payload,
     matrix_text,
     num_payload,
     num_text,
@@ -170,46 +172,33 @@ def export_csv(ds: Dataset, path: str) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-
-def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str) -> None:
-    if args.format == JSON:
-        sys.stdout.write(render(payload))
-    else:
-        sys.stdout.write(text)
-
-
-def _meta(args: argparse.Namespace) -> dict[str, Any]:
-    return {
-        "tool": {"name": "fairaudit", "version": __version__},
-        "eps": args.eps,
-    }
+#: What a command returns: exit code, JSON payload (without the header) and text.
+Output = tuple[int, dict[str, Any], str]
 
 
 def _schema_from_args(args: argparse.Namespace) -> CsvSchema:
     kwargs: dict[str, Any] = {}
-    if getattr(args, "positive_labels", None):
-        kwargs["positive_labels"] = tuple(
-            label.strip().lower() for label in args.positive_labels.split(",")
-        )
-    if getattr(args, "negative_labels", None):
-        kwargs["negative_labels"] = tuple(
-            label.strip().lower() for label in args.negative_labels.split(",")
-        )
-    if getattr(args, "groups", None):
+    for option in ("positive_labels", "negative_labels"):
+        if getattr(args, option):
+            labels = getattr(args, option).split(",")
+            kwargs[option] = tuple(label.strip().lower() for label in labels)
+    if args.groups:
         kwargs["groups"] = tuple(label.strip() for label in args.groups.split(","))
     return CsvSchema(**kwargs)
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def _load(args: argparse.Namespace) -> tuple[Dataset, GroupedConfusion]:
     ds = ingest_csv(args.input, _schema_from_args(args))
-    g = tabulate(ds)
-    budget = args.budget if args.find_break else None
-    report = build_report(g, args.eps, budget)
-    _emit(args, report.payload(), report.text())
-    return 0 if report.all_hold() else 1
+    return ds, tabulate(ds)
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> Output:
+    _, g = _load(args)
+    report = build_report(g, args.eps, args.budget if args.find_break else None)
+    return (0 if report.all_hold() else 1), report.payload(), report.text()
+
+
+def cmd_demo(args: argparse.Namespace) -> Output:
     before = GroupedConfusion(DEMO_BEFORE)
     increment = Increment(
         tuple(GroupShift(group, FN_TO_TP, 1) for group in before.groups)
@@ -217,32 +206,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
     after = apply_increment(before, increment)
     before_report = build_report(before, args.eps)
     after_report = build_report(after, args.eps)
-    suff_after = sufficiency(after, args.eps)
-    sep_after = separation(after, args.eps)
+    _, suff_after, sep_after = after_report.verdicts
+    fpr_gap = sep_after.component_gaps["fpr_gap"]
 
-    highlights = {
-        "ppv": {
-            group: num_payload(after[group].ppv) for group in after.groups
-        },
-        "ppv_gap": verdict_payload(suff_after)["component_gaps"]["ppv_gap"],
-        "fnr": {
-            group: num_payload(after[group].fnr) for group in after.groups
-        },
-        "fnr_gap": verdict_payload(sep_after)["component_gaps"]["fnr_gap"],
-        "fpr_gap": verdict_payload(sep_after)["component_gaps"]["fpr_gap"],
-    }
-    payload = {
-        **_meta(args),
-        "demo": "accuracy increment breaking sufficiency and separation",
-        "before": before_report.payload(),
-        "increment": [
-            {"group": s.group, "direction": s.direction, "count": s.count}
-            for s in increment.shifts
-        ],
-        "after": after_report.payload(),
-        "highlights": highlights,
-    }
-
+    highlights: dict[str, Any] = {"fpr_gap": num_payload(fpr_gap)}
     lines = [
         "demonstration: an accuracy increment that breaks sufficiency and separation",
         "",
@@ -255,29 +222,34 @@ def cmd_demo(args: argparse.Namespace) -> int:
         "highlights",
     ]
     p, q = after.groups
-    lines.append(
-        f"  ppv: {p} {num_text(after[p].ppv)} vs {q} {num_text(after[q].ppv)}, "
-        f"gap {num_text(suff_after.component_gaps['ppv_gap'])} -> sufficiency broken"
-    )
-    lines.append(
-        f"  fnr: {p} {num_text(after[p].fnr)} vs {q} {num_text(after[q].fnr)}, "
-        f"gap {num_text(sep_after.component_gaps['fnr_gap'])} -> separation broken"
-    )
-    lines.append(
-        f"  fpr: gap {num_text(sep_after.component_gaps['fpr_gap'])} (unchanged)"
-    )
+    for rate, verdict in (("ppv", suff_after), ("fnr", sep_after)):
+        gap = verdict.component_gaps[f"{rate}_gap"]
+        highlights[rate] = {
+            group: num_payload(getattr(after[group], rate)) for group in after.groups
+        }
+        highlights[f"{rate}_gap"] = num_payload(gap)
+        lines.append(
+            f"  {rate}: {p} {num_text(getattr(after[p], rate))} vs "
+            f"{q} {num_text(getattr(after[q], rate))}, "
+            f"gap {num_text(gap)} -> {verdict.measure} broken"
+        )
+    lines.append(f"  fpr: gap {num_text(fpr_gap)} (unchanged)")
     lines.append("")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    payload = {
+        "demo": "accuracy increment breaking sufficiency and separation",
+        "before": before_report.payload(),
+        "increment": increment_payload(increment),
+        "after": after_report.payload(),
+        "highlights": highlights,
+    }
+    return 0, payload, "\n".join(lines)
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    ds = ingest_csv(args.input, _schema_from_args(args))
-    g = tabulate(ds)
+def cmd_attack(args: argparse.Namespace) -> Output:
+    ds, g = _load(args)
     if args.kind == "reservoir":
         result = reservoir_attack(g, args.group, args.z_max, args.eps)
-        payload = {
-            **_meta(args),
+        payload: dict[str, Any] = {
             "attack": "reservoir",
             "target_group": args.group,
             "plan": {
@@ -285,12 +257,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 "z_plus": result.plan.z_plus,
                 "z_minus": result.plan.z_minus,
             },
-            "before": {grp: matrix_payload(result.before[grp]) for grp in g.groups},
-            "after": {grp: matrix_payload(result.after[grp]) for grp in g.groups},
-            "separation_before": verdict_payload(result.separation_before),
-            "separation_after": verdict_payload(result.separation_after),
-            "independence_before": verdict_payload(result.independence_before),
-            "independence_after": verdict_payload(result.independence_after),
+            "before": matrices_payload(result.before),
+            "after": matrices_payload(result.after),
         }
         lines = [
             f"reservoir attack on group {args.group!r}",
@@ -301,18 +269,17 @@ def cmd_attack(args: argparse.Namespace) -> int:
             lines.append(
                 f"  {grp}: {matrix_text(result.before[grp])} -> {matrix_text(result.after[grp])}"
             )
-        lines.append(f"  before {verdict_text(result.separation_before)}")
-        lines.append(f"  after  {verdict_text(result.separation_after)}")
-        lines.append(f"  before {verdict_text(result.independence_before)}")
-        lines.append(f"  after  {verdict_text(result.independence_after)}")
+        for measure in ("separation", "independence"):
+            for stage in ("before", "after"):
+                verdict = getattr(result, f"{measure}_{stage}")
+                payload[f"{measure}_{stage}"] = verdict_payload(verdict)
+                lines.append(f"  {stage:6} {verdict_text(verdict)}")
         lines.append("")
-        _emit(args, payload, "\n".join(lines))
-        return 0
+        return 0, payload, "\n".join(lines)
 
     result = swap_attack(ds, args.group)
-    before_g = tabulate(result.before)
     after_g = tabulate(result.after)
-    matrices_unchanged = before_g.matrices == after_g.matrices
+    matrices_unchanged = tabulate(result.before).matrices == after_g.matrices
     lipschitz = lipschitz_violations(result.after, args.scale)
     swapped = set(result.swapped_pair)
     pair_flagged = any(
@@ -320,20 +287,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
         for violation in lipschitz.violations
     )
     payload = {
-        **_meta(args),
         "attack": "swap",
         "group": args.group,
         "swapped_pair": list(result.swapped_pair),
         "score_gap": result.score_gap,
         "matrices_unchanged": matrices_unchanged,
-        "matrices": {grp: matrix_payload(after_g[grp]) for grp in after_g.groups},
+        "matrices": matrices_payload(after_g),
         "verdicts_after": {
             v.measure: verdict_payload(v)
-            for v in (
-                independence(after_g, args.eps),
-                sufficiency(after_g, args.eps),
-                separation(after_g, args.eps),
-            )
+            for v in (m(after_g, args.eps) for m in (independence, sufficiency, separation))
         },
         "lipschitz": {
             "scale": args.scale,
@@ -366,12 +328,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if len(lipschitz.violations) > 10:
         lines.append(f"    ... and {len(lipschitz.violations) - 10} more")
     lines.append("")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0, payload, "\n".join(lines)
 
 
 def _run_ci_suite(rng: random.Random, k: int, count: int, eps: float) -> dict[str, Any]:
-    non_vacuous = vacuous = failures = 0
+    statuses = []
     for i in range(count):
         h = None
         if k == 1:
@@ -385,66 +346,62 @@ def _run_ci_suite(rng: random.Random, k: int, count: int, eps: float) -> dict[st
             instance = random_chain_instance(rng) if i % 2 == 0 else random_pair_ci_instance(rng)
         else:
             instance = random_product_instance(rng, POSITIVITY_FLOOR)
-        verdict = check_ci_property(k, instance, h, eps)
-        if verdict.status == "vacuous":
-            vacuous += 1
-        else:
-            non_vacuous += 1
-            if verdict.status == "fail":
-                failures += 1
+        statuses.append(check_ci_property(k, instance, h, eps).status)
+    vacuous = statuses.count("vacuous")
     out: dict[str, Any] = {
         "instances": count,
-        "non_vacuous": non_vacuous,
+        "non_vacuous": count - vacuous,
         "vacuous": vacuous,
-        "failures": failures,
+        "failures": statuses.count("fail"),
     }
     if k == 5:
         out["positivity_floor"] = POSITIVITY_FLOOR
     return out
 
 
-def cmd_check_props(args: argparse.Namespace) -> int:
+def _run_grouped_suite(
+    rng: random.Random,
+    count: int,
+    generate: Callable[[random.Random], GroupedConfusion],
+    ok: Callable[[GroupedConfusion], bool],
+) -> dict[str, int]:
+    failures = sum(not ok(generate(rng)) for _ in range(count))
+    return {"instances": count, "failures": failures}
+
+
+def _joint_iff_is(g: GroupedConfusion, eps: float, expected: bool) -> bool:
+    """Both sides of the joint-independence equivalence equal ``expected``."""
+    verdict = check_joint_independence_iff(g, eps)
+    return verdict.suff_and_sep == verdict.joint_independent == expected
+
+
+def cmd_check_props(args: argparse.Namespace) -> Output:
     rng = random.Random(args.seed)
     count = args.count
     eps = args.eps
 
     ci_suites = {str(k): _run_ci_suite(rng, k, count, eps) for k in range(1, 6)}
-
-    perfect_failures = 0
-    for _ in range(count):
-        if not check_conservativeness(random_perfect_grouped(rng), eps).holds:
-            perfect_failures += 1
-
-    proportional_failures = 0
-    for _ in range(count):
-        verdict = check_joint_independence_iff(random_proportional_grouped(rng), eps)
-        if not (verdict.suff_and_sep and verdict.joint_independent and verdict.equivalent):
-            proportional_failures += 1
-
-    nonproportional_failures = 0
-    for _ in range(count):
-        verdict = check_joint_independence_iff(random_nonproportional_grouped(rng), eps)
-        if verdict.suff_and_sep or verdict.joint_independent or not verdict.equivalent:
-            nonproportional_failures += 1
-
-    failures_total = (
-        sum(suite["failures"] for suite in ci_suites.values())
-        + perfect_failures
-        + proportional_failures
-        + nonproportional_failures
+    perfect = _run_grouped_suite(
+        rng, count, random_perfect_grouped, lambda g: check_conservativeness(g, eps).holds
+    )
+    proportional = _run_grouped_suite(
+        rng, count, random_proportional_grouped, lambda g: _joint_iff_is(g, eps, True)
+    )
+    nonproportional = _run_grouped_suite(
+        rng, count, random_nonproportional_grouped, lambda g: _joint_iff_is(g, eps, False)
+    )
+    failures_total = sum(
+        suite["failures"]
+        for suite in (*ci_suites.values(), perfect, proportional, nonproportional)
     )
     payload = {
-        **_meta(args),
         "seed": args.seed,
         "count": count,
         "ci_properties": ci_suites,
-        "perfect_predictor": {"instances": count, "failures": perfect_failures},
+        "perfect_predictor": perfect,
         "joint_independence": {
-            "proportional": {"instances": count, "failures": proportional_failures},
-            "nonproportional": {
-                "instances": count,
-                "failures": nonproportional_failures,
-            },
+            "proportional": proportional,
+            "nonproportional": nonproportional,
         },
         "failures_total": failures_total,
     }
@@ -452,47 +409,32 @@ def cmd_check_props(args: argparse.Namespace) -> int:
         f"property verification suites (seed = {args.seed}, {count} instances each, eps = {eps})",
         "",
     ]
-    for k in range(1, 6):
-        suite = ci_suites[str(k)]
-        extra = (
-            f", positivity floor {suite['positivity_floor']}" if k == 5 else ""
-        )
+    for k, suite in ci_suites.items():
+        extra = f", positivity floor {suite['positivity_floor']}" if k == "5" else ""
         lines.append(
             f"  conditional-independence property {k}: "
             f"{suite['non_vacuous']} non-vacuous, {suite['vacuous']} vacuous, "
             f"{suite['failures']} failures{extra}"
         )
-    lines.append(
-        f"  perfect predictor => sufficiency & separation: {perfect_failures} failures"
-    )
-    lines.append(
-        "  positive proportional tables (suff & sep <-> A indep (Y,R), both true): "
-        f"{proportional_failures} failures"
-    )
-    lines.append(
-        "  positive non-proportional tables (both sides false): "
-        f"{nonproportional_failures} failures"
-    )
+    for label, suite in (
+        ("perfect predictor => sufficiency & separation", perfect),
+        ("positive proportional tables (suff & sep <-> A indep (Y,R), both true)", proportional),
+        ("positive non-proportional tables (both sides false)", nonproportional),
+    ):
+        lines.append(f"  {label}: {suite['failures']} failures")
     lines.append("")
     lines.append(f"total failures: {failures_total}")
     lines.append("")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if failures_total == 0 else 1
+    return (0 if failures_total == 0 else 1), payload, "\n".join(lines)
 
 
-def cmd_counterexample(args: argparse.Namespace) -> int:
-    ds = ingest_csv(args.input, _schema_from_args(args))
-    g = tabulate(ds)
+def cmd_counterexample(args: argparse.Namespace) -> Output:
+    _, g = _load(args)
     witness = find_break(g, args.eps, args.budget)
-    payload = {
-        **_meta(args),
-        "command": "counterexample",
-        **break_payload(witness, args.budget, None),
-    }
+    payload = {"command": "counterexample", **break_payload(witness, args.budget, None)}
     lines = break_text(witness, args.budget, None)
     lines.append("")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0, payload, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +537,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(render({**header(args.eps), **payload}) if args.format == JSON else text)
+    return code
 
 
 if __name__ == "__main__":

@@ -38,15 +38,11 @@ FORMATS = (TEXT, JSON)
 # ---------------------------------------------------------------------------
 
 
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def num_payload(x: Fraction | float | None) -> Any:
     if x is None:
         return None
     if isinstance(x, Fraction):
-        return {"exact": fraction_str(x), "value": float(x)}
+        return {"exact": str(x), "value": float(x)}
     return {"exact": None, "value": float(x)}
 
 
@@ -54,7 +50,7 @@ def num_text(x: Fraction | float | None) -> str:
     if x is None:
         return "undefined"
     if isinstance(x, Fraction):
-        return f"{fraction_str(x)} ({float(x):.6f})"
+        return f"{x} ({float(x):.6f})"
     return f"{float(x):.6f}"
 
 
@@ -96,25 +92,20 @@ def matrix_text(m: ConfusionMatrix) -> str:
     return f"(a={m.a}, b={m.b}, c={m.c}, d={m.d})"
 
 
+def matrices_payload(g: GroupedConfusion) -> dict[str, dict[str, int]]:
+    return {group: matrix_payload(g[group]) for group in g.groups}
+
+
+#: The per-group rates reported, in display order.
+STATS = ("accuracy", "ppv", "npv", "fpr", "fnr")
+
+
 def stats_payload(s: GroupStats) -> dict[str, Any]:
-    return {
-        "accuracy": num_payload(s.accuracy),
-        "ppv": num_payload(s.ppv),
-        "npv": num_payload(s.npv),
-        "fpr": num_payload(s.fpr),
-        "fnr": num_payload(s.fnr),
-    }
+    return {name: num_payload(getattr(s, name)) for name in STATS}
 
 
 def stats_text(s: GroupStats) -> str:
-    parts = [
-        f"accuracy {num_text(s.accuracy)}",
-        f"ppv {num_text(s.ppv)}",
-        f"npv {num_text(s.npv)}",
-        f"fpr {num_text(s.fpr)}",
-        f"fnr {num_text(s.fnr)}",
-    ]
-    return "  ".join(parts)
+    return "  ".join(f"{name} {num_text(getattr(s, name))}" for name in STATS)
 
 
 def increment_payload(inc: Increment) -> list[dict[str, Any]]:
@@ -131,6 +122,11 @@ def increment_text(inc: Increment) -> str:
     )
 
 
+def header(eps: float) -> dict[str, Any]:
+    """The ``tool`` and ``eps`` keys every JSON payload starts from."""
+    return {"tool": {"name": "fairaudit", "version": __version__}, "eps": eps}
+
+
 def render(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -145,7 +141,6 @@ class FairnessReport:
     """Everything an audit run produces, ready to serialize."""
 
     eps: float
-    version: str
     grouped: GroupedConfusion
     verdicts: tuple[MeasureVerdict, MeasureVerdict, MeasureVerdict]
     perfect: bool
@@ -161,14 +156,13 @@ class FairnessReport:
     def payload(self) -> dict[str, Any]:
         g = self.grouped
         out: dict[str, Any] = {
-            "tool": {"name": "fairaudit", "version": self.version},
-            "eps": self.eps,
+            **header(self.eps),
             "input": {
                 "total_records": g.total,
                 "group_sizes": {group: g[group].n for group in g.groups},
                 "empty_groups": list(g.empty_groups),
             },
-            "matrices": {group: matrix_payload(g[group]) for group in g.groups},
+            "matrices": matrices_payload(g),
             "group_stats": {
                 group: stats_payload(g[group].stats()) for group in g.groups
             },
@@ -203,7 +197,7 @@ class FairnessReport:
     def text(self) -> str:
         g = self.grouped
         lines = [
-            f"fairness audit (fairaudit {self.version}, eps = {self.eps})",
+            f"fairness audit (fairaudit {__version__}, eps = {self.eps})",
             "",
             f"input: {g.total} records in {len(g.groups)} group(s)",
         ]
@@ -263,14 +257,8 @@ def break_payload(
         return out
     out["witness"] = {
         "increment": increment_payload(witness.increment),
-        "before": {
-            group: matrix_payload(witness.before[group])
-            for group in witness.before.groups
-        },
-        "after": {
-            group: matrix_payload(witness.after[group])
-            for group in witness.after.groups
-        },
+        "before": matrices_payload(witness.before),
+        "after": matrices_payload(witness.after),
         "accuracy_delta": {
             group: num_payload(delta)
             for group, delta in witness.accuracy_delta.items()
@@ -322,7 +310,6 @@ def build_report(
             note = str(exc)
     return FairnessReport(
         eps=eps,
-        version=__version__,
         grouped=g,
         verdicts=verdicts,
         perfect=perfect,
