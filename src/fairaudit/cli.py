@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -89,6 +90,14 @@ class CsvSchema:
     negative_labels: tuple[str, ...] = DEFAULT_NEGATIVE
     groups: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        shared = sorted(set(self.positive_labels) & set(self.negative_labels))
+        if shared:
+            raise InputError(
+                f"label encoding(s) {', '.join(map(repr, shared))} "
+                "listed as both positive and negative"
+            )
+
     def parse_label(self, raw: str, column: str, where: str) -> bool:
         value = raw.strip().lower()
         if value in self.positive_labels:
@@ -105,7 +114,7 @@ class CsvSchema:
 def ingest_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
     """Read a dataset from CSV, rejecting schema violations with locations."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -231,7 +240,7 @@ def cmd_demo(args: argparse.Namespace) -> Output:
         lines.append(
             f"  {rate}: {p} {num_text(getattr(after[p], rate))} vs "
             f"{q} {num_text(getattr(after[q], rate))}, "
-            f"gap {num_text(gap)} -> {verdict.measure} broken"
+            f"gap {num_text(gap)} -> {verdict.measure} {'holds' if verdict.holds else 'broken'}"
         )
     lines.append(f"  fpr: gap {num_text(fpr_gap)} (unchanged)")
     lines.append("")
@@ -442,10 +451,32 @@ def cmd_counterexample(args: argparse.Namespace) -> Output:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(raw: str) -> float:
+    """``--eps``: a finite number >= 0 (NaN would fail every verdict silently)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw!r}")
+    return value
+
+
+def _size(raw: str) -> int:
+    """``--count``, ``--budget`` and ``--z-max``: an integer >= 0."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--eps",
-        type=float,
+        type=_tolerance,
         default=EPS_DEFAULT,
         help="tolerance for verdicts (default 1e-9)",
     )
@@ -487,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also search for an accuracy increment that breaks sufficiency/separation",
     )
     audit.add_argument(
-        "--budget", type=int, default=2, help="total shift budget for --find-break"
+        "--budget", type=_size, default=2, help="total shift budget for --find-break"
     )
     audit.set_defaults(func=cmd_audit)
 
@@ -504,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("input", help="CSV file with id,group,y_true,y_pred[,score]")
     attack.add_argument("--group", required=True, help="attacked group label")
     attack.add_argument(
-        "--z-max", type=int, default=100, help="largest reservoir size to consider"
+        "--z-max", type=_size, default=100, help="largest reservoir size to consider"
     )
     attack.add_argument(
         "--scale", type=float, default=1.0, help="score scale for the Lipschitz metric"
@@ -518,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     props.add_argument("--seed", type=int, default=42)
     props.add_argument(
-        "--count", type=int, default=100, help="instances per suite (default 100)"
+        "--count", type=_size, default=100, help="instances per suite (default 100)"
     )
     _add_common(props)
     props.set_defaults(func=cmd_check_props)
@@ -528,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search for an accuracy increment breaking sufficiency/separation",
     )
     cx.add_argument("input", help="CSV file with id,group,y_true,y_pred[,score]")
-    cx.add_argument("--budget", type=int, default=2, help="total shift budget")
+    cx.add_argument("--budget", type=_size, default=2, help="total shift budget")
     _add_common(cx)
     _add_schema_options(cx)
     cx.set_defaults(func=cmd_counterexample)

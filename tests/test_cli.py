@@ -133,6 +133,22 @@ class TestIngest:
         with pytest.raises(InputError, match="not among declared"):
             ingest_csv(str(path), CsvSchema(groups=("p", "q")))
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffid,group,y_true,y_pred\n1,g,1,0\n", encoding="utf-8")
+        ds = ingest_csv(str(path))
+        assert ds.records[0].id == "1"
+        assert tabulate(ds)["g"] == ConfusionMatrix(0, 0, 1, 0)
+
+    def test_overlapping_encodings_rejected(self):
+        with pytest.raises(InputError, match="'0'"):
+            CsvSchema(positive_labels=("1", "0"))
+
+    def test_overlapping_encodings_exit_two(self, before_csv, capsys):
+        code, out = run_cli("audit", before_csv, "--positive-labels", "1,0")
+        assert (code, out) == (2, "")
+        assert "'0'" in capsys.readouterr().err
+
     def test_roundtrip_lossless(self, tmp_path, scored_csv):
         ds = ingest_csv(scored_csv)
         path = tmp_path / "again.csv"
@@ -198,6 +214,13 @@ class TestDemoCommand:
         assert "1/26" in out
         assert "sufficiency broken" in out
         assert "separation broken" in out
+
+    def test_loose_eps_reports_holds(self):
+        code, out = run_cli("demo", "--eps", "0.1")
+        assert code == 0
+        assert "gap 2/325 (0.006154) -> sufficiency holds" in out
+        assert "gap 1/26 (0.038462) -> separation holds" in out
+        assert "broken" not in out
 
     def test_byte_identical_reruns(self):
         assert run_cli("demo") == run_cli("demo")
@@ -317,6 +340,28 @@ class TestCounterexampleCommand:
         code, _ = run_cli("counterexample", after_csv)
         assert code == 2
         assert "sufficiency" in capsys.readouterr().err
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("demo", "--eps", "nan"),
+            ("demo", "--eps", "inf"),
+            ("demo", "--eps", "-0.1"),
+            ("check-props", "--count", "-3"),
+            ("counterexample", "data.csv", "--budget", "-1"),
+            ("audit", "data.csv", "--find-break", "--budget", "-1"),
+            ("attack", "reservoir", "data.csv", "--group", "q", "--z-max", "-1"),
+        ],
+    )
+    def test_rejected_with_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ">= 0" in captured.err
 
 
 class TestDeterminism:
