@@ -453,10 +453,7 @@ def cmd_counterexample(args: argparse.Namespace) -> Output:
 
 def _tolerance(raw: str) -> float:
     """``--eps``: a finite number >= 0 (NaN would fail every verdict silently)."""
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
+    value = float(raw)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw!r}")
     return value
@@ -464,12 +461,17 @@ def _tolerance(raw: str) -> float:
 
 def _size(raw: str) -> int:
     """``--count``, ``--budget`` and ``--z-max``: an integer >= 0."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
+    value = int(raw)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
+    return value
+
+
+def _scale(raw: str) -> float:
+    """``--scale``: a finite number > 0 (NaN would flag no pair, inf every pair)."""
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {raw!r}")
     return value
 
 
@@ -538,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--z-max", type=_size, default=100, help="largest reservoir size to consider"
     )
     attack.add_argument(
-        "--scale", type=float, default=1.0, help="score scale for the Lipschitz metric"
+        "--scale", type=_scale, default=1.0, help="score scale for the Lipschitz metric"
     )
     _add_common(attack)
     _add_schema_options(attack)

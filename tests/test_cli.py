@@ -363,6 +363,15 @@ class TestBadNumbers:
         assert captured.out == ""
         assert ">= 0" in captured.err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_scale_must_be_finite_and_positive(self, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "swap", "data.csv", "--group", "p", "--scale", scale])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite number > 0" in captured.err
+
 
 class TestDeterminism:
     def test_every_command_is_byte_identical(self, before_csv, scored_csv):
