@@ -142,8 +142,9 @@ def swap_attack(ds: Dataset, group: str) -> SwapAttackResult:
 
     Confusion matrices are unchanged cell for cell, so every group-fairness
     verdict is unchanged, yet the swapped pair violates the Lipschitz
-    condition whenever its scaled score gap is below 1. The attacked pair
-    maximizes the score gap, ties broken by id order.
+    condition whenever its scaled score gap is below 1. The attacked pair is
+    the lowest-scored false negative and the highest-scored true positive,
+    each tie broken by the smaller id, so it has the largest score gap.
     """
     members = [rec for rec in ds.records if rec.group == group]
     if not members:
@@ -153,25 +154,19 @@ def swap_attack(ds: Dataset, group: str) -> SwapAttackResult:
         raise PreconditionError(
             f"group {group!r} has unscored records: {sorted(unscored)}"
         )
-    scores = {rec.id: float(rec.score) for rec in members if rec.score is not None}
-    false_negatives = [rec for rec in members if rec.y and not rec.r]
-    true_positives = [rec for rec in members if rec.y and rec.r]
-    candidates = [
-        (scores[star.id] - scores[rec.id], rec.id, star.id)
-        for rec in false_negatives
-        for star in true_positives
-        if scores[star.id] > scores[rec.id]
-    ]
-    if not candidates:
+    false_negatives = [(float(rec.score), rec.id) for rec in members if rec.y and not rec.r]
+    true_positives = [(-float(rec.score), rec.id) for rec in members if rec.y and rec.r]
+    fn_score, x_id = min(false_negatives, default=(math.inf, None))
+    neg_tp_score, star_id = min(true_positives, default=(math.inf, None))
+    tp_score = -neg_tp_score
+    if tp_score <= fn_score:
         raise Infeasible(
             f"group {group!r} has no false negative with a higher-scored true positive"
         )
-    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-    gap, x_id, star_id = candidates[0]
     after = ds.with_predictions({x_id: True, star_id: False})
     return SwapAttackResult(
         swapped_pair=(x_id, star_id),
-        score_gap=gap,
+        score_gap=tp_score - fn_score,
         before=ds,
         after=after,
     )

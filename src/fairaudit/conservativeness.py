@@ -248,30 +248,67 @@ def apply_increment(g: GroupedConfusion, inc: Increment) -> GroupedConfusion:
     return GroupedConfusion(updated, g.empty_groups)
 
 
+def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Compositions of ``total`` into ``len(caps)`` parts with
+    ``1 <= part i <= caps[i]``, in lexicographic order.
+
+    ``room[i]`` is the most the parts from ``i`` on can hold. Every suffix is
+    filled with its smallest parts that fit in the room after them, and each
+    step raises the rightmost part whose suffix can give up one, so with
+    every cap at least 1 no step is wasted and the cost follows the output.
+    """
+    m = len(caps)
+    room = [0] * (m + 1)
+    for i in reversed(range(m)):
+        room[i] = room[i + 1] + caps[i]
+    if min(caps) < 1 or not m <= total <= room[0]:
+        return
+    parts = [0] * m
+
+    def fill(start: int, remaining: int) -> None:
+        for j in range(start, m):
+            parts[j] = max(1, remaining - room[j + 1])
+            remaining -= parts[j]
+
+    fill(0, total)
+    while True:
+        yield tuple(parts)
+        suffix = parts[-1]
+        for i in reversed(range(m - 1)):
+            if parts[i] < caps[i] and suffix > m - 1 - i:
+                parts[i] += 1
+                fill(i + 1, suffix - 1)
+                break
+            suffix += parts[i]
+        else:
+            return
+
+
 def _candidate_increments(g: GroupedConfusion, budget: int) -> Iterator[Increment]:
     """Feasible increments that shift every group, in deterministic order:
     smallest total shift first, then count vectors in lexicographic order by
-    group, then FN-to-TP before FP-to-TN per group."""
+    group, then FN-to-TP before FP-to-TN per group.
+
+    A group's count can be at most ``max(b, c)``, its cap: a larger count
+    has no feasible direction. Only count vectors within the caps are
+    generated, so the cost follows the feasible candidates, not budget^m,
+    and totals above the sum of the caps are never visited.
+    """
     groups = g.groups
-    m = len(groups)
-    for total in range(m, budget + 1):
-        for counts in itertools.product(range(1, total + 1), repeat=m):
-            if sum(counts) != total:
-                continue
-            for directions in itertools.product(DIRECTIONS, repeat=m):
-                feasible = True
-                for group, direction, count in zip(groups, directions, counts):
-                    source = g[group].c if direction == FN_TO_TP else g[group].b
-                    if count > source:
-                        feasible = False
-                        break
-                if feasible:
-                    yield Increment(
-                        tuple(
-                            GroupShift(group, direction, count)
-                            for group, direction, count in zip(groups, directions, counts)
-                        )
-                    )
+    matrices = [g[group] for group in groups]
+    caps = tuple(max(m.b, m.c) for m in matrices)
+    for total in range(len(caps), min(budget, sum(caps)) + 1):
+        for counts in _bounded_compositions(total, caps):
+            choices = [
+                [
+                    GroupShift(group, direction, count)
+                    for direction, source in ((FN_TO_TP, m.c), (FP_TO_TN, m.b))
+                    if count <= source
+                ]
+                for group, m, count in zip(groups, matrices, counts)
+            ]
+            for shifts in itertools.product(*choices):
+                yield Increment(shifts)
 
 
 def find_break(

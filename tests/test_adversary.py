@@ -1,5 +1,6 @@
 """Tests for the gerrymandering attacks and the Lipschitz violation scan."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -159,6 +160,22 @@ class TestSwapAttack:
         )
         result = swap_attack(ds, "p")
         assert result.swapped_pair == ("a-fn", "a-tp")
+
+    def test_lowest_scored_fn_wins_when_gaps_round_equal(self):
+        # 0.9 - 0.1 and 0.9 - nextafter(0.1, 1) round to the same float, so a
+        # pick by score gap with an id tie-break would take "a".
+        higher = math.nextafter(0.1, 1)
+        assert 0.9 - 0.1 == 0.9 - higher
+        ds = Dataset.from_records(
+            [
+                Record("z", "p", True, False, 0.1),
+                Record("a", "p", True, False, higher),
+                Record("t", "p", True, True, 0.9),
+            ]
+        )
+        result = swap_attack(ds, "p")
+        assert result.swapped_pair == ("z", "t")
+        assert result.score_gap == 0.9 - 0.1
 
     def test_no_false_negative_is_infeasible(self):
         ds = Dataset.from_records(
