@@ -92,11 +92,6 @@ class GroupStats:
     fnr: Fraction | None
 
 
-def stats(m: ConfusionMatrix) -> GroupStats:
-    """Functional alias for :meth:`ConfusionMatrix.stats`."""
-    return m.stats()
-
-
 @dataclass(frozen=True)
 class GroupedConfusion:
     """One confusion matrix per group, in a fixed group order.
@@ -233,19 +228,20 @@ def tabulate(ds: Dataset) -> GroupedConfusion:
 
 
 def to_joint(g: GroupedConfusion) -> FiniteJoint:
-    """Normalize grouped counts into a joint distribution over (A, Y, R).
+    """Grouped counts as a count joint over (A, Y, R).
 
-    Cell mass is count / grand total; counts are normalized exactly once.
+    Each cell holds its integer count and the denominator is the grand
+    total, so every mass, deviation and conditional rate on the joint is an
+    exact ``Fraction``.
     """
-    total = g.total
-    table: dict[tuple[str, str, str], float] = {}
+    table: dict[tuple[str, str, str], int] = {}
     for group, m in g.matrices.items():
-        table[(group, POS, POS)] = m.a / total
-        table[(group, NEG, POS)] = m.b / total
-        table[(group, POS, NEG)] = m.c / total
-        table[(group, NEG, NEG)] = m.d / total
+        table[(group, POS, POS)] = m.a
+        table[(group, NEG, POS)] = m.b
+        table[(group, POS, NEG)] = m.c
+        table[(group, NEG, NEG)] = m.d
     variables = (("A", g.groups), ("Y", (POS, NEG)), ("R", (POS, NEG)))
-    return FiniteJoint(variables=variables, table=table)
+    return FiniteJoint(variables=variables, table=table, denominator=g.total)
 
 
 def is_positive(g: GroupedConfusion) -> bool:

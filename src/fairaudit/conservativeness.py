@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .confusion import NEG, POS, ConfusionMatrix, GroupedConfusion, is_positive
-from .distributions import EPS_DEFAULT
+from .confusion import ConfusionMatrix, GroupedConfusion, is_positive, to_joint
+from .distributions import EPS_DEFAULT, ci_deviation
 from .errors import InputError, PreconditionError
 from .measures import (
     SEPARATION,
@@ -161,41 +161,15 @@ def check_conservativeness(
 # ---------------------------------------------------------------------------
 
 
-def _joint_independence_deviation(g: GroupedConfusion) -> Fraction:
-    """Exact deviation of A from the fused (Y, R) variable.
-
-    Computed by integer cross-multiplication on counts:
-    max |P(a, yr) - P(a) * P(yr)| with all probabilities count / total.
-    """
-    total = g.total
-    cells = {
-        group: {
-            (POS, POS): m.a,
-            (NEG, POS): m.b,
-            (POS, NEG): m.c,
-            (NEG, NEG): m.d,
-        }
-        for group, m in g.matrices.items()
-    }
-    worst = Fraction(0)
-    for yr in itertools.product((POS, NEG), repeat=2):
-        column = sum(group_cells[yr] for group_cells in cells.values())
-        for group, m in g.matrices.items():
-            dev = abs(Fraction(cells[group][yr], total) - Fraction(m.n * column, total * total))
-            if dev > worst:
-                worst = dev
-    return worst
-
-
 def check_joint_independence_iff(
     g: GroupedConfusion, eps: float = EPS_DEFAULT
 ) -> JointIndependenceVerdict:
     """On a strictly positive table, verify that sufficiency and separation
     hold together iff A is independent of the joint (Y, R) pair.
 
-    The independence side is evaluated exactly from integer counts, so the
-    two sides are compared as boolean verdicts at ``eps`` without any scale
-    mismatch between rate gaps and probability deviations.
+    The independence side is ``ci_deviation`` of A from the fused (Y, R)
+    variable on the count joint of ``g``, an exact ``Fraction``, so the two
+    sides are compared as boolean verdicts at ``eps`` without rounding.
     """
     if not is_positive(g):
         raise PreconditionError(
@@ -204,7 +178,7 @@ def check_joint_independence_iff(
     suff = sufficiency(g, eps)
     sep = separation(g, eps)
     suff_and_sep = bool(suff.holds) and bool(sep.holds)
-    deviation = _joint_independence_deviation(g)
+    deviation = ci_deviation(to_joint(g), "A", ("Y", "R"))
     joint_independent = deviation <= eps
     return JointIndependenceVerdict(
         suff_and_sep=suff_and_sep,

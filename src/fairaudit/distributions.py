@@ -1,15 +1,20 @@
 """Finite discrete joint distributions and conditional-independence checks.
 
-A :class:`FiniteJoint` is a sparse table of probability mass over named
-variables with finite domains. Independence and conditional independence are
-decided through a division-free deviation
+A :class:`FiniteJoint` is a sparse table of weights over named variables with
+finite domains; a cell's probability mass is its weight over the joint's
+``denominator``. A count joint holds integer counts over their total, so its
+masses and deviations are exact :class:`~fractions.Fraction` values; a float
+joint holds probabilities over the default denominator 1. Independence and
+conditional independence are decided through a division-free deviation
 
     dev(X, Y | Z) = max over z with P(z) > 0
                     of max over (x, y) of |P(x,y,z) * P(z) - P(x,z) * P(y,z)|
 
 which agrees with the textbook definition P(X | Y, Z) = P(X | Z) on the
 support of Z and is total: zero-mass conditioning cells are vacuously
-satisfied instead of dividing by zero.
+satisfied instead of dividing by zero. It is homogeneous of degree 2 in the
+weights, so it is computed on the weights and divided once by the squared
+denominator.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -26,8 +32,11 @@ from .errors import InputError
 #: Default tolerance for "exact" claims on rational inputs.
 EPS_DEFAULT = 1e-9
 
-#: Default tolerance for total probability mass at construction.
-MASS_TOL_DEFAULT = 1e-12
+#: Tolerance for total probability mass at construction.
+MASS_TOL = 1e-12
+
+#: Tolerance for the row sums given to :func:`compose_ci`.
+ROW_TOL = 1e-9
 
 PASS = "pass"
 FAIL = "fail"
@@ -45,14 +54,18 @@ class FiniteJoint:
 
     ``variables`` fixes the key layout: each key of ``table`` assigns one
     domain label per variable, in declaration order. Assignments missing
-    from ``table`` carry zero mass.
+    from ``table`` carry zero mass. A cell's mass is its weight over
+    ``denominator``: the total of a count table, 1 for probabilities.
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
     table: Mapping[tuple[str, ...], float]
-    mass_tol: float = MASS_TOL_DEFAULT
+    denominator: int = 1
 
     def __post_init__(self) -> None:
+        denominator = self.denominator
+        if not isinstance(denominator, int) or isinstance(denominator, bool) or denominator < 1:
+            raise InputError(f"denominator must be a positive integer, got {denominator!r}")
         variables = tuple((name, tuple(domain)) for name, domain in self.variables)
         object.__setattr__(self, "variables", variables)
         names = [name for name, _ in variables]
@@ -66,18 +79,14 @@ class FiniteJoint:
         domains = [frozenset(domain) for _, domain in variables]
         table = dict(self.table)
         for key, prob in table.items():
-            if len(key) != len(variables) or any(
-                value not in dom for value, dom in zip(key, domains)
-            ):
+            if len(key) != len(variables) or not all(map(frozenset.__contains__, domains, key)):
                 raise InputError(f"assignment {key!r} does not match declared variables")
             if prob < 0:
                 raise InputError(f"negative probability {prob!r} at {key!r}")
-        total = sum(table.values())
-        if abs(total - 1) > self.mass_tol:
-            raise InputError(
-                f"total mass {total!r} deviates from 1 by more than mass_tol={self.mass_tol}"
-            )
         object.__setattr__(self, "table", table)
+        total = self.total_mass()
+        if abs(total - 1) > MASS_TOL:
+            raise InputError(f"total mass {total!r} deviates from 1 by more than {MASS_TOL}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -95,20 +104,29 @@ class FiniteJoint:
                 return i
         raise InputError(f"unknown variable {name!r}; have {self.names}")
 
-    def prob(self, assignment: tuple[str, ...]) -> float:
+    def prob(self, assignment: tuple[str, ...]) -> Fraction | float:
         """Mass of one full assignment (zero if absent from the table)."""
-        return self.table.get(tuple(assignment), 0.0)
+        return ratio(self.table.get(tuple(assignment), 0), self.denominator)
 
-    def total_mass(self) -> float:
-        return sum(self.table.values())
+    def total_mass(self) -> Fraction | float:
+        return ratio(sum(self.table.values()), self.denominator)
 
     def assignments(self) -> Iterable[tuple[str, ...]]:
         """Every full assignment in domain order, including zero-mass cells."""
         return itertools.product(*(dom for _, dom in self.variables))
 
-    def min_cell(self) -> float:
-        """Smallest mass over the full assignment grid (0.0 for sparse cells)."""
-        return min(self.prob(key) for key in self.assignments())
+    def min_cell(self) -> Fraction | float:
+        """Smallest mass over the full assignment grid (0 for sparse cells)."""
+        weight = min(self.table.get(key, 0) for key in self.assignments())
+        return ratio(weight, self.denominator)
+
+
+def ratio(part: Fraction | float, whole: Fraction | float) -> Fraction | float:
+    """``part / whole``: a float if either is a float, else an exact
+    ``Fraction``, so masses of a count joint stay exact."""
+    if isinstance(part, float) or isinstance(whole, float):
+        return part / whole
+    return Fraction(part, whole)
 
 
 @dataclass(frozen=True)
@@ -141,7 +159,7 @@ class CIResult:
     """Outcome of an (conditional) independence check."""
 
     holds: bool
-    deviation: float
+    deviation: Fraction | float
 
 
 @dataclass(frozen=True)
@@ -175,11 +193,11 @@ def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
 
 
 def _aggregate(j: FiniteJoint, names: tuple[str, ...]) -> dict[tuple[str, ...], float]:
-    """Sum the table down to the given variables, keyed in ``names`` order."""
+    """Sum the table's weights down to the given variables, keyed in ``names`` order."""
     indices = [j.index(name) for name in names]
     out: dict[tuple[str, ...], float] = {}
     for key, prob in j.table.items():
-        sub = tuple(key[i] for i in indices)
+        sub = tuple([key[i] for i in indices])
         if sub in out:
             out[sub] = out[sub] + prob
         else:
@@ -200,7 +218,7 @@ def marginal(j: FiniteJoint, keep: Iterable[str]) -> FiniteJoint:
         raise InputError(f"unknown variable names: {sorted(unknown)}")
     kept = tuple((name, dom) for name, dom in j.variables if name in keep_set)
     table = _aggregate(j, tuple(name for name, _ in kept))
-    return FiniteJoint(variables=kept, table=table, mass_tol=j.mass_tol)
+    return FiniteJoint(variables=kept, table=table, denominator=j.denominator)
 
 
 def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
@@ -219,7 +237,7 @@ def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
     src_idx = j.index(h.source)
     table = {key + (h(key[src_idx]),): prob for key, prob in j.table.items()}
     variables = j.variables + ((h.target, tuple(target_dom)),)
-    return FiniteJoint(variables=variables, table=table, mass_tol=j.mass_tol)
+    return FiniteJoint(variables=variables, table=table, denominator=j.denominator)
 
 
 def compose_ci(
@@ -227,13 +245,12 @@ def compose_ci(
     px_given_z: Mapping[str, Mapping[str, float]],
     py_given_z: Mapping[str, Mapping[str, float]],
     names: tuple[str, str, str] = ("X", "Y", "Z"),
-    row_tol: float = 1e-9,
 ) -> FiniteJoint:
     """Assemble P(x,y,z) = P(z) * P(x|z) * P(y|z), which satisfies X ind. Y | Z
     by construction (deviation <= 1e-12).
 
     ``px_given_z`` and ``py_given_z`` map each z-value to a row over the x
-    (resp. y) domain; rows must be nonnegative and sum to 1 within ``row_tol``.
+    (resp. y) domain; rows must be nonnegative and sum to 1 within ``ROW_TOL``.
     """
     x_name, y_name, z_name = names
     z_dom = tuple(pz)
@@ -241,7 +258,7 @@ def compose_ci(
         raise InputError("pz must be nonempty")
     if any(p < 0 for p in pz.values()):
         raise InputError("pz has negative mass")
-    if abs(sum(pz.values()) - 1) > row_tol:
+    if abs(sum(pz.values()) - 1) > ROW_TOL:
         raise InputError("pz does not sum to 1")
 
     def check_rows(rows: Mapping[str, Mapping[str, float]], label: str) -> tuple[str, ...]:
@@ -256,7 +273,7 @@ def compose_ci(
                 raise InputError(f"{label} rows disagree on the domain")
             if any(p < 0 for p in row.values()):
                 raise InputError(f"{label} row for z={z!r} has negative mass")
-            if abs(sum(row.values()) - 1) > row_tol:
+            if abs(sum(row.values()) - 1) > ROW_TOL:
                 raise InputError(f"{label} row for z={z!r} is not stochastic")
         assert domain is not None
         return domain
@@ -287,7 +304,7 @@ def ci_deviation(
     left: str | Sequence[str],
     right: str | Sequence[str],
     given: str | Sequence[str] = (),
-) -> float:
+) -> Fraction | float:
     """Division-free conditional-independence deviation of ``left`` from
     ``right`` given ``given``. Either side may be a set of variables, which
     is equivalent to fusing them into one product-domain variable."""
@@ -309,20 +326,15 @@ def ci_deviation(
 
     left_grid = list(itertools.product(*(j.domain(n) for n in left_names)))
     right_grid = list(itertools.product(*(j.domain(n) for n in right_names)))
-    given_grid = itertools.product(*(j.domain(n) for n in given_names))
 
-    worst = 0.0
-    for gv in given_grid:
-        pg = p_g.get(gv, 0.0)
-        if pg <= 0:
-            continue  # zero-mass conditioning cell: vacuously satisfied
-        for lv in left_grid:
-            plg = p_lg.get(lv + gv, 0.0)
-            for rv in right_grid:
-                dev = abs(p_lrg.get(lv + rv + gv, 0.0) * pg - plg * p_rg.get(rv + gv, 0.0))
-                if dev > worst:
-                    worst = dev
-    return worst
+    worst = max(
+        abs(p_lrg.get(lv + rv + gv, 0) * pg - p_lg.get(lv + gv, 0) * p_rg.get(rv + gv, 0))
+        for gv, pg in p_g.items()
+        if pg > 0  # zero-mass conditioning cells are vacuously satisfied
+        for lv in left_grid
+        for rv in right_grid
+    )
+    return ratio(worst, j.denominator**2)
 
 
 def is_independent(
@@ -356,11 +368,12 @@ def is_cond_independent(
 # ---------------------------------------------------------------------------
 
 
-def _functional_violation_mass(j: FiniteJoint, h: DeterministicMap) -> float:
+def _functional_violation_mass(j: FiniteJoint, h: DeterministicMap) -> Fraction | float:
     """Total mass on assignments where target != h(source)."""
     src = j.index(h.source)
     tgt = j.index(h.target)
-    return sum(prob for key, prob in j.table.items() if key[tgt] != h(key[src]))
+    weight = sum(w for key, w in j.table.items() if key[tgt] != h(key[src]))
+    return ratio(weight, j.denominator)
 
 
 def check_ci_property(

@@ -10,9 +10,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record
-from .conservativeness import _joint_independence_deviation
-from .distributions import DeterministicMap, FiniteJoint, apply_map, compose_ci
+from .confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, to_joint
+from .distributions import DeterministicMap, FiniteJoint, apply_map, ci_deviation, compose_ci
 from .measures import separation, sufficiency
 
 #: Smallest normalized cell guaranteed by the positivity generator.
@@ -229,7 +228,7 @@ def random_nonproportional_grouped(
             for gap in verdict.component_gaps.values()
         ]
         if any(gap is not None and gap >= min_gap for gap in gaps) and (
-            _joint_independence_deviation(g) > min_deviation
+            ci_deviation(to_joint(g), "A", ("Y", "R")) > min_deviation
         ):
             return g
     raise AssertionError("failed to generate a non-proportional instance")

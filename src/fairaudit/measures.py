@@ -1,16 +1,21 @@
 """The three group-fairness measures over grouped confusion matrices.
 
-Each measure has two equivalent routes:
+Each measure compares per-group rates across groups (independence: the
+selection rate; sufficiency: PPV and NPV; separation: FPR and FNR), and
+there are two routes to the rates:
 
-* the confusion-matrix route compares exact per-group rates
-  (independence: selection rate; sufficiency: PPV and NPV;
-  separation: FPR and FNR), and
-* the distributional route checks the defining (conditional) independence
-  on the joint of (A, Y, R).
+* :func:`evaluate_measure` reads the exact rates off each group's confusion
+  matrix, and
+* :func:`measure_via_distribution` computes the same rates as conditional
+  probabilities on a joint of (A, Y, R), e.g. PPV = P(Y=+ | A=a, R=+), the
+  (conditional) independence each measure stands for.
 
-A verdict holds when the largest pairwise gap stays within ``eps``. Any
-undefined constituent rate makes the verdict NOT-COMPARABLE (``holds`` and
-``disparity`` are ``None``), which is deliberately neither a pass nor a fail.
+Both routes feed one verdict builder, so on the count joint of a table they
+return equal verdicts for every eps. ``disparity`` is the largest gap between
+two groups' values of one rate; the verdict holds when it is within ``eps``.
+Any undefined constituent rate makes the verdict NOT-COMPARABLE (``holds``
+and ``disparity`` are ``None``), which is deliberately neither a pass nor a
+fail.
 """
 
 from __future__ import annotations
@@ -20,14 +25,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .confusion import GroupedConfusion
-from .distributions import EPS_DEFAULT, FiniteJoint, ci_deviation
+from .confusion import NEG, POS, GroupedConfusion
+from .distributions import EPS_DEFAULT, FiniteJoint, ratio
 from .errors import InputError, PreconditionError
 
 INDEPENDENCE = "independence"
 SUFFICIENCY = "sufficiency"
 SEPARATION = "separation"
 MEASURES = (INDEPENDENCE, SUFFICIENCY, SEPARATION)
+
+#: Gap label -> the per-group rate it compares, for each measure.
+_COMPONENTS = {
+    INDEPENDENCE: {"selection_rate_gap": "selection_rate"},
+    SUFFICIENCY: {"ppv_gap": "ppv", "npv_gap": "npv"},
+    SEPARATION: {"fpr_gap": "fpr", "fnr_gap": "fnr"},
+}
 
 
 @dataclass(frozen=True)
@@ -54,13 +66,6 @@ class MeasureVerdict:
         return self.holds is not None
 
 
-def _require_groups(g: GroupedConfusion) -> None:
-    if len(g.groups) < 2:
-        raise PreconditionError(
-            f"fairness measures need at least two groups, got {g.groups}"
-        )
-
-
 def _max_pairwise_gap(
     values: Mapping[str, Fraction],
 ) -> tuple[Fraction, tuple[str, str]]:
@@ -77,99 +82,101 @@ def _max_pairwise_gap(
 
 def _rate_verdict(
     measure: str,
-    g: GroupedConfusion,
-    components: Mapping[str, str],
+    rates: Mapping[str, Mapping[str, Fraction | float | None]],
     eps: float,
 ) -> MeasureVerdict:
-    """Evaluate a measure from named per-group rate attributes.
+    """Evaluate a measure from per-group rates keyed by gap label, e.g.
+    ``{"ppv_gap": {"p": Fraction(5, 6), "q": Fraction(5, 6)}, ...}``.
 
-    ``components`` maps a gap label to the :class:`ConfusionMatrix` attribute
-    holding the rate, e.g. ``{"ppv_gap": "ppv"}``.
+    Both routes end here, so they agree whenever they feed it equal rates.
     """
-    _require_groups(g)
-    gaps: dict[str, Fraction | None] = {}
+    groups = tuple(next(iter(rates.values())))
+    if len(groups) < 2:
+        raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
+    gaps: dict[str, Fraction | float | None] = {}
     witnesses: dict[str, tuple[str, str]] = {}
-    for label, attribute in components.items():
-        rates = {group: getattr(m, attribute) for group, m in g.matrices.items()}
-        if any(rate is None for rate in rates.values()):
+    for label, per_group in rates.items():
+        if any(rate is None for rate in per_group.values()):
             gaps[label] = None
             continue
-        gaps[label], witnesses[label] = _max_pairwise_gap(rates)
+        gaps[label], witnesses[label] = _max_pairwise_gap(per_group)
     if any(gap is None for gap in gaps.values()):
         return MeasureVerdict(measure, None, gaps, None, None, eps)
-    disparity = Fraction(0)
-    winner: str | None = None
-    for label in components:
-        gap = gaps[label]
-        assert gap is not None
-        if winner is None or gap > disparity:
-            disparity, winner = gap, label
-    assert winner is not None
-    return MeasureVerdict(
-        measure,
-        disparity,
-        gaps,
-        disparity <= eps,
-        witnesses[winner],
-        eps,
-    )
+    winner = max(gaps, key=gaps.__getitem__)  # first label with the largest gap
+    disparity = gaps[winner]
+    return MeasureVerdict(measure, disparity, gaps, disparity <= eps, witnesses[winner], eps)
 
 
-def independence(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
-    """Equal selection rates (a+b)/N across groups."""
-    return _rate_verdict(
-        INDEPENDENCE, g, {"selection_rate_gap": "selection_rate"}, eps
-    )
-
-
-def sufficiency(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
-    """Equal PPV and equal NPV across groups."""
-    return _rate_verdict(SUFFICIENCY, g, {"ppv_gap": "ppv", "npv_gap": "npv"}, eps)
-
-
-def separation(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
-    """Equal FPR and equal FNR across groups."""
-    return _rate_verdict(SEPARATION, g, {"fpr_gap": "fpr", "fnr_gap": "fnr"}, eps)
+def _components(measure: str) -> Mapping[str, str]:
+    """Gap label -> rate name for ``measure``."""
+    try:
+        return _COMPONENTS[measure]
+    except KeyError:
+        raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}") from None
 
 
 def evaluate_measure(
     g: GroupedConfusion, measure: str, eps: float = EPS_DEFAULT
 ) -> MeasureVerdict:
-    if measure == INDEPENDENCE:
-        return independence(g, eps)
-    if measure == SUFFICIENCY:
-        return sufficiency(g, eps)
-    if measure == SEPARATION:
-        return separation(g, eps)
-    raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    """Evaluate a measure by comparing exact per-group rates."""
+    rates = {
+        label: {group: getattr(m, rate) for group, m in g.matrices.items()}
+        for label, rate in _components(measure).items()
+    }
+    return _rate_verdict(measure, rates, eps)
+
+
+def independence(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
+    """Equal selection rates (a+b)/N across groups."""
+    return evaluate_measure(g, INDEPENDENCE, eps)
+
+
+def sufficiency(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
+    """Equal PPV and equal NPV across groups."""
+    return evaluate_measure(g, SUFFICIENCY, eps)
+
+
+def separation(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
+    """Equal FPR and equal FNR across groups."""
+    return evaluate_measure(g, SEPARATION, eps)
 
 
 def measure_via_distribution(
     j: FiniteJoint, measure: str, eps: float = EPS_DEFAULT
 ) -> MeasureVerdict:
-    """Evaluate a measure on a joint over exactly (A, Y, R) with binary Y, R.
+    """Evaluate a measure on a joint over exactly (A, Y, R), with Y and R
+    over ``POS`` and ``NEG``.
 
-    independence checks R ind. A; sufficiency checks Y ind. A given R;
-    separation checks R ind. A given Y. Verdicts agree with the
-    confusion-matrix route on joints produced from grouped counts.
+    For every value a of A the rates are conditional probabilities: selection
+    rate P(R=+ | A=a), PPV P(Y=+ | A=a, R=+), NPV P(Y=- | A=a, R=-), FPR
+    P(R=+ | A=a, Y=-) and FNR P(R=- | A=a, Y=+). Each is a ratio of cell
+    weights (exact on a count joint), undefined when its conditioning weight
+    is 0. On ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``.
     """
     if set(j.names) != {"A", "Y", "R"}:
         raise InputError(f"joint must have variables A, Y, R; got {j.names}")
-    if len(j.domain("Y")) != 2 or len(j.domain("R")) != 2:
-        raise InputError("Y and R must be binary")
-    if measure == INDEPENDENCE:
-        dev = ci_deviation(j, "R", "A")
-    elif measure == SUFFICIENCY:
-        dev = ci_deviation(j, "Y", "A", "R")
-    elif measure == SEPARATION:
-        dev = ci_deviation(j, "R", "A", "Y")
-    else:
-        raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return MeasureVerdict(
-        measure=measure,
-        disparity=dev,
-        component_gaps={"ci_deviation": dev},
-        holds=dev <= eps,
-        witnesses=None,
-        eps=eps,
-    )
+    if not set(j.domain("Y")) == set(j.domain("R")) == {POS, NEG}:
+        raise InputError(f"Y and R must be binary over {POS!r} and {NEG!r}")
+    components = _components(measure)
+
+    def weight(a: str, y: str, r: str) -> Fraction | float:
+        values = {"A": a, "Y": y, "R": r}
+        return j.table.get(tuple(values[name] for name in j.names), 0)
+
+    def conditional(part: Fraction | float, whole: Fraction | float) -> Fraction | float | None:
+        return ratio(part, whole) if whole else None
+
+    cells = ((POS, POS), (NEG, POS), (POS, NEG), (NEG, NEG))
+    rates: dict[str, dict[str, Fraction | float | None]] = {label: {} for label in components}
+    for a in j.domain("A"):
+        tp, fp, fn, tn = (weight(a, y, r) for y, r in cells)
+        group_rates = {
+            "selection_rate": conditional(tp + fp, tp + fp + fn + tn),
+            "ppv": conditional(tp, tp + fp),
+            "npv": conditional(tn, fn + tn),
+            "fpr": conditional(fp, fp + tn),
+            "fnr": conditional(fn, tp + fn),
+        }
+        for label, rate in components.items():
+            rates[label][a] = group_rates[rate]
+    return _rate_verdict(measure, rates, eps)

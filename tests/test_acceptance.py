@@ -31,7 +31,7 @@ from fairaudit.conservativeness import (
     check_proportional_preservation,
     find_break,
 )
-from fairaudit.distributions import check_ci_property
+from fairaudit.distributions import EPS_DEFAULT, check_ci_property
 from fairaudit.generators import (
     POSITIVITY_FLOOR,
     random_chain_instance,
@@ -269,23 +269,52 @@ def _random_defined_grouped(rng: random.Random) -> GroupedConfusion:
     return GroupedConfusion(matrices)
 
 
+def _tiny_in_huge_grouped(rng: random.Random) -> GroupedConfusion:
+    """A group of a few records beside one of 10^7 to 10^9 times as many."""
+    tiny = ConfusionMatrix(*(rng.randint(1, 3) for _ in range(4)))
+    base = ConfusionMatrix(*(rng.randint(1, 3) for _ in range(4)))
+    return GroupedConfusion({"tiny": tiny, "huge": base.scaled(rng.randint(10**7, 10**9))})
+
+
+def _sparse_grouped(rng: random.Random) -> GroupedConfusion:
+    """Random matrices with zero cells allowed, so rates can be undefined."""
+    matrices = {}
+    for i in range(rng.randint(2, 3)):
+        cells = [0, 0, 0, 0]
+        while sum(cells) == 0:
+            cells = [rng.choice((0, 0, 1, 2)) for _ in range(4)]
+        matrices[f"g{i}"] = ConfusionMatrix(*cells)
+    return GroupedConfusion(matrices)
+
+
 def test_criterion_8_path_equivalence():
     start = time.perf_counter()
     rng = random.Random(8088)
-    agreements = 0
-    for _ in range(500):
-        g = _random_defined_grouped(rng)
+    tables = [_random_defined_grouped(rng) for _ in range(500)]
+    tables += [_tiny_in_huge_grouped(rng) for _ in range(50)]
+    tables += [_sparse_grouped(rng) for _ in range(100)]
+    tables.append(
+        GroupedConfusion(
+            {"p": ConfusionMatrix(2, 1, 1, 2), "q": ConfusionMatrix(*(4 * [10**8]))}
+        )
+    )
+    not_comparable = 0
+    for g in tables:
         j = to_joint(g)
         for measure in MEASURES:
-            assert (
-                evaluate_measure(g, measure).holds
-                == measure_via_distribution(j, measure).holds
-            )
-        agreements += 1
-    assert agreements == 500
+            for eps in (0.0, EPS_DEFAULT, 0.05):
+                verdict = evaluate_measure(g, measure, eps)
+                assert measure_via_distribution(j, measure, eps) == verdict, (g, measure)
+            not_comparable += verdict.holds is None
+    assert not_comparable > 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    _passed(8, "confusion and distribution routes agreed on 500/500 tables", elapsed)
+    _passed(
+        8,
+        f"confusion and distribution routes gave equal verdicts on {len(tables)}/"
+        f"{len(tables)} tables ({not_comparable} not comparable)",
+        elapsed,
+    )
 
 
 def test_criterion_9_byte_identical_reports(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,61 @@ class TestFiniteJointValidation:
         j = FiniteJoint(variables=(("X", BIN),), table={("0",): 1.0})
         assert j.prob(("1",)) == 0.0
         assert j.min_cell() == 0.0
+
+
+class TestCountJoint:
+    """Integer weights over a denominator: every mass is an exact Fraction."""
+
+    COUNTS = {("0", "0"): 1, ("0", "1"): 2, ("1", "0"): 3, ("1", "1"): 4}
+
+    def joint(self) -> FiniteJoint:
+        return FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS, denominator=10)
+
+    @pytest.mark.parametrize("denominator", [0, -10, 10.0, True, "10"])
+    def test_denominator_must_be_a_positive_integer(self, denominator):
+        with pytest.raises(InputError, match="denominator must be a positive integer"):
+            FiniteJoint(
+                variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS, denominator=denominator
+            )
+
+    def test_counts_must_sum_to_the_denominator(self):
+        with pytest.raises(InputError, match="total mass"):
+            FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS, denominator=11)
+
+    def test_masses_are_exact(self):
+        j = self.joint()
+        assert j.prob(("0", "1")) == Fraction(1, 5)
+        assert j.total_mass() == 1 and isinstance(j.total_mass(), Fraction)
+        assert j.min_cell() == Fraction(1, 10)
+
+    def test_marginal_and_apply_map_keep_the_denominator(self):
+        m = marginal(self.joint(), {"X"})
+        assert m.denominator == 10
+        assert m.prob(("1",)) == Fraction(7, 10)
+        h = DeterministicMap(source="X", target="U", mapping={"0": "u", "1": "u"})
+        extended = apply_map(self.joint(), h)
+        assert extended.denominator == 10
+        assert extended.prob(("1", "1", "u")) == Fraction(2, 5)
+
+    def test_deviation_is_exact_and_matches_the_float_joint(self):
+        # |w(x,y) * N - w(x) * w(y)| = 2 in every cell, over N^2 = 100.
+        dev = ci_deviation(self.joint(), "X", "Y")
+        assert dev == Fraction(1, 50) and isinstance(dev, Fraction)
+        floats = FiniteJoint(
+            variables=(("X", BIN), ("Y", BIN)),
+            table={key: count / 10 for key, count in self.COUNTS.items()},
+        )
+        assert ci_deviation(floats, "X", "Y") == pytest.approx(0.02, abs=1e-15)
+
+    def test_functional_violation_mass_is_exact(self):
+        counts = {("0", "0", "u"): 4, ("1", "1", "v"): 5, ("0", "1", "u"): 1}
+        j = FiniteJoint(
+            variables=(("X", BIN), ("Z", BIN), ("Y", ("u", "v"))), table=counts, denominator=10
+        )
+        h = DeterministicMap(source="Z", target="Y", mapping={"0": "u", "1": "v"})
+        verdict = check_ci_property(3, j, h)
+        assert verdict.status == VACUOUS
+        assert verdict.premises == {"y_equals_h_of_z_violation_mass": Fraction(1, 10)}
 
 
 class TestMarginal:

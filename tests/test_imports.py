@@ -1,0 +1,50 @@
+"""No module of the package imports a leading-underscore name from another.
+
+A private name is free to change with its module; a caller elsewhere should
+use the public function that does the same job, or the name should be made
+public.
+"""
+
+import ast
+from pathlib import Path
+
+import fairaudit
+
+PACKAGE = Path(fairaudit.__file__).parent
+
+
+def private_imports(source: str) -> list[str]:
+    """``from`` imports of a private name from within the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "fairaudit":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append(f"from {'.' * node.level}{module} import {name}")
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    offenders = {
+        path.name: private_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_private_imports_only():
+    source = (
+        "from . import __version__\n"
+        "from .distributions import EPS_DEFAULT, _aggregate\n"
+        "from fairaudit.measures import _rate_verdict\n"
+        "from itertools import _private\n"
+    )
+    assert private_imports(source) == [
+        "from .distributions import _aggregate",
+        "from fairaudit.measures import _rate_verdict",
+    ]

@@ -14,6 +14,7 @@ from fairaudit.measures import (
     INDEPENDENCE,
     MEASURES,
     SEPARATION,
+    SUFFICIENCY,
     evaluate_measure,
     independence,
     measure_via_distribution,
@@ -102,16 +103,48 @@ class TestMeasureViaDistribution:
         j = to_joint(g)
         for measure in MEASURES:
             dist = measure_via_distribution(j, measure)
-            conf = evaluate_measure(g, measure)
-            assert dist.holds == conf.holds is True
+            assert dist == evaluate_measure(g, measure)
+            assert dist.holds is True
 
     def test_after_joint_matches_confusion_route(self):
         g = GroupedConfusion(AFTER)
         j = to_joint(g)
         for measure in MEASURES:
             dist = measure_via_distribution(j, measure)
-            conf = evaluate_measure(g, measure)
-            assert dist.holds == conf.holds is False
+            assert dist == evaluate_measure(g, measure)
+            assert dist.holds is False
+
+    def test_routes_agree_on_four_hundred_million_records(self):
+        # A tiny group beside a huge one: a mass-weighted deviation would be
+        # 6.25e-10 here, but the rate gaps are 1/6.
+        big = 10**8
+        g = GroupedConfusion(
+            {"p": ConfusionMatrix(2, 1, 1, 2), "q": ConfusionMatrix(big, big, big, big)}
+        )
+        j = to_joint(g)
+        for measure in (SUFFICIENCY, SEPARATION):
+            dist = measure_via_distribution(j, measure)
+            assert dist == evaluate_measure(g, measure)
+            assert dist.holds is False
+            assert dist.disparity == Fraction(1, 6)
+        dist = measure_via_distribution(j, INDEPENDENCE)
+        assert dist == evaluate_measure(g, INDEPENDENCE)
+        assert dist.holds is True
+        assert dist.disparity == 0 and isinstance(dist.disparity, Fraction)
+
+    def test_undefined_rate_not_comparable_on_both_routes(self):
+        g = GroupedConfusion(
+            {"p": ConfusionMatrix(0, 0, 1, 1), "q": ConfusionMatrix(1, 1, 1, 1)}
+        )
+        dist = measure_via_distribution(to_joint(g), SUFFICIENCY)
+        assert dist == sufficiency(g)
+        assert dist.holds is None
+        assert dist.component_gaps == {"ppv_gap": None, "npv_gap": 0}
+
+    def test_single_group_rejected_on_both_routes(self):
+        g = GroupedConfusion({"p": ConfusionMatrix(1, 1, 1, 1)})
+        with pytest.raises(PreconditionError, match="two groups"):
+            measure_via_distribution(to_joint(g), INDEPENDENCE)
 
     def test_product_joint_satisfies_all_measures(self):
         # A independent of (Y, R) by construction.
@@ -156,9 +189,19 @@ class TestMeasureViaDistribution:
         with pytest.raises(InputError, match="binary"):
             measure_via_distribution(j, SEPARATION)
 
+    def test_labels_other_than_pos_and_neg_rejected(self):
+        j = FiniteJoint(
+            variables=(("A", ("p", "q")), ("Y", ("1", "0")), ("R", ("+", "-"))),
+            table={("p", "1", "+"): 1.0},
+        )
+        with pytest.raises(InputError, match="binary"):
+            measure_via_distribution(j, SUFFICIENCY)
+
     def test_unknown_measure_rejected(self):
         with pytest.raises(InputError, match="unknown measure"):
             evaluate_measure(GroupedConfusion(BEFORE), "parity")
+        with pytest.raises(InputError, match="unknown measure"):
+            measure_via_distribution(to_joint(GroupedConfusion(BEFORE)), "parity")
 
 
 class TestInvariances:
@@ -168,10 +211,7 @@ class TestInvariances:
             g = random_positive_grouped(rng)
             j = to_joint(g)
             for measure in MEASURES:
-                assert (
-                    measure_via_distribution(j, measure).holds
-                    == evaluate_measure(g, measure).holds
-                )
+                assert measure_via_distribution(j, measure) == evaluate_measure(g, measure)
 
     def test_scaling_invariance(self):
         rng = random.Random(43)
