@@ -25,7 +25,6 @@ from .confusion import (
     POS,
     ConfusionMatrix,
     Dataset,
-    GroupStats,
     GroupedConfusion,
     Record,
     is_positive,
@@ -51,7 +50,6 @@ from .conservativeness import (
 )
 from .distributions import (
     EPS_DEFAULT,
-    CIResult,
     DeterministicMap,
     FiniteJoint,
     PropertyVerdict,
@@ -59,8 +57,6 @@ from .distributions import (
     check_ci_property,
     ci_deviation,
     compose_ci,
-    is_cond_independent,
-    is_independent,
     marginal,
 )
 from .errors import AuditError, Infeasible, InputError, PreconditionError
@@ -81,7 +77,6 @@ __all__ = [
     "__version__",
     "AuditError",
     "BreakWitness",
-    "CIResult",
     "ConfusionMatrix",
     "ConservativenessReport",
     "Dataset",
@@ -91,7 +86,6 @@ __all__ = [
     "FP_TO_TN",
     "FiniteJoint",
     "GroupShift",
-    "GroupStats",
     "GroupedConfusion",
     "INDEPENDENCE",
     "Increment",
@@ -124,8 +118,6 @@ __all__ = [
     "evaluate_measure",
     "find_break",
     "independence",
-    "is_cond_independent",
-    "is_independent",
     "is_perfect",
     "is_positive",
     "lipschitz_violations",

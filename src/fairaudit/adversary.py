@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .confusion import ConfusionMatrix, Dataset, GroupedConfusion
 from .distributions import EPS_DEFAULT
@@ -31,7 +32,6 @@ class ReservoirPlan:
     hired and ``z_minus`` rejected, sized so the target group's TP:FN ratio
     is exactly preserved."""
 
-    target_group: str
     z: int
     z_plus: int
     z_minus: int
@@ -116,7 +116,7 @@ def reservoir_attack(
         )
     z = divisor
     z_plus = m.a * z // positives
-    plan = ReservoirPlan(target_group=target, z=z, z_plus=z_plus, z_minus=z - z_plus)
+    plan = ReservoirPlan(z=z, z_plus=z_plus, z_minus=z - z_plus)
     after = g.replace(
         target, ConfusionMatrix(m.a + plan.z_plus, m.b, m.c + plan.z_minus, m.d)
     )
@@ -180,13 +180,14 @@ def swap_attack(ds: Dataset, group: str) -> SwapAttackResult:
 def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
     """Find all pairs violating D(prediction) <= d(individuals).
 
-    d(x, y) is the absolute score difference divided by ``scale``; D is the
+    d(x, y) is the absolute score difference divided by ``scale``, a finite
+    number > 0 (NaN would flag no pair, inf every pair); D is the
     discrete metric on binary predictions (0 when equal, 1 otherwise).
     Records without scores are skipped and reported. Violations are sorted by
     descending margin, then by id pair.
     """
-    if scale <= 0:
-        raise InputError(f"scale must be positive, got {scale!r}")
+    if not (isinstance(scale, Real) and math.isfinite(scale) and scale > 0):
+        raise InputError(f"scale must be a finite number > 0, got {scale!r}")
     scored = sorted(
         (rec for rec in ds.records if rec.score is not None), key=lambda rec: rec.id
     )

@@ -66,30 +66,10 @@ class ConfusionMatrix:
     def selection_rate(self) -> Fraction:
         return Fraction(self.a + self.b, self.n)
 
-    def stats(self) -> GroupStats:
-        return GroupStats(
-            accuracy=self.accuracy,
-            ppv=self.ppv,
-            npv=self.npv,
-            fpr=self.fpr,
-            fnr=self.fnr,
-        )
-
     def scaled(self, k: int) -> ConfusionMatrix:
         if k < 1:
             raise InputError("scale factor must be a positive integer")
         return ConfusionMatrix(self.a * k, self.b * k, self.c * k, self.d * k)
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    """The five per-group statistics; ``None`` marks an undefined value."""
-
-    accuracy: Fraction
-    ppv: Fraction | None
-    npv: Fraction | None
-    fpr: Fraction | None
-    fnr: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -178,11 +158,7 @@ class Dataset:
     ) -> Dataset:
         records = tuple(records)
         if groups is None:
-            derived: list[str] = []
-            for rec in records:
-                if rec.group not in derived:
-                    derived.append(rec.group)
-            groups = derived
+            groups = dict.fromkeys(rec.group for rec in records)  # first-appearance order
         return cls(records=records, groups=tuple(groups))
 
     def with_predictions(self, overrides: Mapping[str, bool]) -> Dataset:

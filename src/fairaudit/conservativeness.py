@@ -89,9 +89,6 @@ class JointIndependenceVerdict:
     joint_independent: bool
     equivalent: bool
     ci_deviation: Fraction
-    sufficiency: MeasureVerdict
-    separation: MeasureVerdict
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -175,9 +172,7 @@ def check_joint_independence_iff(
         raise PreconditionError(
             "joint-independence equivalence requires strictly positive cells"
         )
-    suff = sufficiency(g, eps)
-    sep = separation(g, eps)
-    suff_and_sep = bool(suff.holds) and bool(sep.holds)
+    suff_and_sep = bool(sufficiency(g, eps).holds) and bool(separation(g, eps).holds)
     deviation = ci_deviation(to_joint(g), "A", ("Y", "R"))
     joint_independent = deviation <= eps
     return JointIndependenceVerdict(
@@ -185,9 +180,6 @@ def check_joint_independence_iff(
         joint_independent=joint_independent,
         equivalent=suff_and_sep == joint_independent,
         ci_deviation=deviation,
-        sufficiency=suff,
-        separation=sep,
-        eps=eps,
     )
 
 
@@ -349,27 +341,24 @@ def group_multipliers(g: GroupedConfusion) -> dict[str, int] | None:
 
 
 def check_proportional_preservation(
-    g: GroupedConfusion, unit: int = 1, eps: float = EPS_DEFAULT
+    g: GroupedConfusion, eps: float = EPS_DEFAULT
 ) -> ProportionalPreservationReport:
-    """Shift FN to TP in proportion to group size and verify that sufficiency
-    and separation survive with zero disparity.
+    """Shift FN to TP in proportion to group size (k records in a group with
+    multiplier k) and verify that sufficiency and separation survive with
+    zero disparity.
 
     Requires the group matrices to be exact integer multiples of a common
-    base, and the base to have at least ``unit`` false negatives so the
-    proportional shifts are feasible.
+    base, and the base to have a false negative so the proportional shifts
+    are feasible.
     """
-    if unit < 1:
-        raise InputError("unit shift must be a positive integer")
     multipliers = group_multipliers(g)
     if multipliers is None:
         raise PreconditionError("group matrices are not integer multiples of a base matrix")
     base_group = min(multipliers, key=multipliers.get)  # type: ignore[arg-type]
-    if g[base_group].c < unit * multipliers[base_group]:
-        raise PreconditionError(
-            f"base group {base_group!r} has too few false negatives for unit={unit}"
-        )
+    if g[base_group].c < multipliers[base_group]:
+        raise PreconditionError(f"base group {base_group!r} has too few false negatives")
     increment = Increment(
-        tuple(GroupShift(group, FN_TO_TP, unit * k) for group, k in multipliers.items())
+        tuple(GroupShift(group, FN_TO_TP, k) for group, k in multipliers.items())
     )
     after = apply_increment(g, increment)
     suff = sufficiency(after, eps)

@@ -155,14 +155,6 @@ class DeterministicMap:
 
 
 @dataclass(frozen=True)
-class CIResult:
-    """Outcome of an (conditional) independence check."""
-
-    holds: bool
-    deviation: Fraction | float
-
-
-@dataclass(frozen=True)
 class PropertyVerdict:
     """Outcome of checking one conditional-independence property.
 
@@ -170,11 +162,9 @@ class PropertyVerdict:
     case no conclusion is asserted and ``conclusions`` is empty.
     """
 
-    property_id: int
     status: str
     premises: Mapping[str, float] = field(default_factory=dict)
     conclusions: Mapping[str, float] = field(default_factory=dict)
-    eps: float = EPS_DEFAULT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "premises", dict(self.premises))
@@ -244,15 +234,13 @@ def compose_ci(
     pz: Mapping[str, float],
     px_given_z: Mapping[str, Mapping[str, float]],
     py_given_z: Mapping[str, Mapping[str, float]],
-    names: tuple[str, str, str] = ("X", "Y", "Z"),
 ) -> FiniteJoint:
-    """Assemble P(x,y,z) = P(z) * P(x|z) * P(y|z), which satisfies X ind. Y | Z
-    by construction (deviation <= 1e-12).
+    """Assemble the joint over (X, Y, Z) with P(x,y,z) = P(z) * P(x|z) * P(y|z),
+    which satisfies X ind. Y | Z by construction (deviation <= 1e-12).
 
     ``px_given_z`` and ``py_given_z`` map each z-value to a row over the x
     (resp. y) domain; rows must be nonnegative and sum to 1 within ``ROW_TOL``.
     """
-    x_name, y_name, z_name = names
     z_dom = tuple(pz)
     if not z_dom:
         raise InputError("pz must be nonempty")
@@ -290,7 +278,7 @@ def compose_ci(
     if total <= 0:
         raise InputError("assembled joint has no mass")
     table = {key: value / total for key, value in raw.items()}
-    variables = ((x_name, x_dom), (y_name, y_dom), (z_name, z_dom))
+    variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom))
     return FiniteJoint(variables=variables, table=table)
 
 
@@ -337,32 +325,6 @@ def ci_deviation(
     return ratio(worst, j.denominator**2)
 
 
-def is_independent(
-    j: FiniteJoint,
-    x: str | Sequence[str],
-    y: str | Sequence[str],
-    eps: float = EPS_DEFAULT,
-) -> CIResult:
-    """Check X ind. Y via max |P(x,y) - P(x)P(y)| over the value grid.
-
-    The multiplication form keeps zero-mass cells safe; this is exactly the
-    conditional check with an empty conditioning set.
-    """
-    return is_cond_independent(j, x, y, (), eps)
-
-
-def is_cond_independent(
-    j: FiniteJoint,
-    x: str | Sequence[str],
-    y: str | Sequence[str],
-    given: str | Sequence[str] = (),
-    eps: float = EPS_DEFAULT,
-) -> CIResult:
-    """Check X ind. Y given Z at tolerance ``eps``."""
-    dev = ci_deviation(j, x, y, given)
-    return CIResult(holds=dev <= eps, deviation=dev)
-
-
 # ---------------------------------------------------------------------------
 # The five conditional-independence properties
 # ---------------------------------------------------------------------------
@@ -404,7 +366,7 @@ def check_ci_property(
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
         if premise > eps:
-            return PropertyVerdict(k, VACUOUS, premises, {}, eps)
+            return PropertyVerdict(VACUOUS, premises)
         conclusions = {"y_indep_x_given_z": ci_deviation(j, "Y", "X", "Z")}
     elif k == 2:
         if h is None or h.source != "X":
@@ -412,7 +374,7 @@ def check_ci_property(
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
         if premise > eps:
-            return PropertyVerdict(k, VACUOUS, premises, {}, eps)
+            return PropertyVerdict(VACUOUS, premises)
         extended = apply_map(j, h)
         u = h.target
         conclusions = {
@@ -425,7 +387,7 @@ def check_ci_property(
         premise = _functional_violation_mass(j, h)
         premises = {"y_equals_h_of_z_violation_mass": premise}
         if premise > eps:
-            return PropertyVerdict(k, VACUOUS, premises, {}, eps)
+            return PropertyVerdict(VACUOUS, premises)
         conclusions = {"x_indep_y_given_z": ci_deviation(j, "X", "Y", "Z")}
     elif k == 4:
         dev_a = ci_deviation(j, "X", "Y", "Z")
@@ -443,7 +405,7 @@ def check_ci_property(
             conclusions["backward_x_indep_y_given_z"] = dev_a
             conclusions["backward_x_indep_w_given_yz"] = dev_b
         if not conclusions:
-            return PropertyVerdict(k, VACUOUS, premises, {}, eps)
+            return PropertyVerdict(VACUOUS, premises)
     elif k == 5:
         min_cell = j.min_cell()
         dev_xy = ci_deviation(j, "X", "Y", "Z")
@@ -454,10 +416,10 @@ def check_ci_property(
             "x_indep_z_given_y": dev_xz,
         }
         if min_cell <= 0 or dev_xy > eps or dev_xz > eps:
-            return PropertyVerdict(k, VACUOUS, premises, {}, eps)
+            return PropertyVerdict(VACUOUS, premises)
         conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
     else:
         raise InputError(f"property id must be 1..5, got {k!r}")
 
     status = PASS if all(dev <= eps for dev in conclusions.values()) else FAIL
-    return PropertyVerdict(k, status, premises, conclusions, eps)
+    return PropertyVerdict(status, premises, conclusions)

@@ -17,6 +17,9 @@ from .measures import separation, sufficiency
 #: Smallest normalized cell guaranteed by the positivity generator.
 POSITIVITY_FLOOR = 1e-3
 
+#: Largest number of groups in a random grouped table or scored dataset.
+MAX_GROUPS = 3
+
 
 def _labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
@@ -37,16 +40,14 @@ def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -
 
 
 def random_joint(
-    rng: random.Random,
-    variables: Sequence[tuple[str, Sequence[str]]],
-    floor: float = 0.0,
+    rng: random.Random, variables: Sequence[tuple[str, Sequence[str]]]
 ) -> FiniteJoint:
-    """Generic random joint; ``floor`` is a pre-normalization weight floor."""
+    """Generic random joint with uniform weights in [0, 1] before normalization."""
     variables = tuple((name, tuple(domain)) for name, domain in variables)
     keys = [()]
     for _, domain in variables:
         keys = [key + (value,) for key in keys for value in domain]
-    probs = _normalized(_weights(rng, len(keys), floor))
+    probs = _normalized(_weights(rng, len(keys)))
     return FiniteJoint(variables=variables, table=dict(zip(keys, probs)))
 
 
@@ -54,16 +55,14 @@ def random_sizes(rng: random.Random, count: int, low: int = 2, high: int = 3) ->
     return [rng.randint(low, high) for _ in range(count)]
 
 
-def random_ci_instance(
-    rng: random.Random, names: tuple[str, str, str] = ("X", "Y", "Z")
-) -> FiniteJoint:
+def random_ci_instance(rng: random.Random) -> FiniteJoint:
     """A joint with X independent of Y given Z, by construction."""
     nx, ny, nz = random_sizes(rng, 3)
     z_dom = _labels(nz)
     pz = _distribution(rng, z_dom, low=0.05)
     px = {z: _distribution(rng, _labels(nx)) for z in z_dom}
     py = {z: _distribution(rng, _labels(ny)) for z in z_dom}
-    return compose_ci(pz, px, py, names=names)
+    return compose_ci(pz, px, py)
 
 
 def random_map(rng: random.Random, source: str, target: str, domain: Sequence[str]) -> DeterministicMap:
@@ -131,17 +130,15 @@ def random_pair_ci_instance(rng: random.Random) -> FiniteJoint:
     return FiniteJoint(variables=variables, table=table)
 
 
-def random_product_instance(
-    rng: random.Random, floor: float = POSITIVITY_FLOOR
-) -> FiniteJoint:
+def random_product_instance(rng: random.Random) -> FiniteJoint:
     """Strictly positive joint over (X, Y, Z) with X independent of the
-    (Y, Z) pair, every normalized cell at least ``floor``."""
+    (Y, Z) pair, every normalized cell at least ``POSITIVITY_FLOOR``."""
     nx, ny, nz = random_sizes(rng, 3)
     x_dom, y_dom, z_dom = map(_labels, (nx, ny, nz))
-    # Weight floors chosen so min(px) * min(pyz) >= floor after normalization:
+    # Weight floors chosen so min(px) * min(pyz) >= POSITIVITY_FLOOR:
     # a weight floor f against max weight 1 over n cells keeps cells >= f / n.
     px = _normalized(_weights(rng, nx, low=0.4))
-    pyz = _normalized(_weights(rng, ny * nz, low=max(0.1, floor * ny * nz * 3)))
+    pyz = _normalized(_weights(rng, ny * nz, low=max(0.1, POSITIVITY_FLOOR * ny * nz * 3)))
     table = {
         (x, y, z): px[i] * pyz[j * nz + k]
         for i, x in enumerate(x_dom)
@@ -151,9 +148,9 @@ def random_product_instance(
     joint = FiniteJoint(
         variables=(("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table=table
     )
-    if joint.min_cell() < floor:
+    if joint.min_cell() < POSITIVITY_FLOOR:
         raise AssertionError(
-            f"positivity generator produced a cell below floor={floor}"
+            f"positivity generator produced a cell below floor={POSITIVITY_FLOOR}"
         )
     return joint
 
@@ -167,10 +164,10 @@ def _group_labels(n: int) -> tuple[str, ...]:
     return tuple(f"g{i}" for i in range(n))
 
 
-def random_perfect_grouped(rng: random.Random, max_groups: int = 3) -> GroupedConfusion:
+def random_perfect_grouped(rng: random.Random) -> GroupedConfusion:
     """Perfect predictor per group (no false cells); zero TP or TN cells are
     allowed so undefined rates stay reachable."""
-    groups = _group_labels(rng.randint(2, max_groups))
+    groups = _group_labels(rng.randint(2, MAX_GROUPS))
     matrices = {}
     for group in groups:
         a, d = 0, 0
@@ -180,67 +177,51 @@ def random_perfect_grouped(rng: random.Random, max_groups: int = 3) -> GroupedCo
     return GroupedConfusion(matrices)
 
 
-def random_positive_grouped(
-    rng: random.Random, max_groups: int = 3, high: int = 30
-) -> GroupedConfusion:
-    """Strictly positive cells in every group."""
-    groups = _group_labels(rng.randint(2, max_groups))
+def random_positive_grouped(rng: random.Random) -> GroupedConfusion:
+    """Strictly positive cells, each at most 30, in every group."""
+    groups = _group_labels(rng.randint(2, MAX_GROUPS))
     return GroupedConfusion(
         {
             group: ConfusionMatrix(
-                rng.randint(1, high),
-                rng.randint(1, high),
-                rng.randint(1, high),
-                rng.randint(1, high),
+                rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 30)
             )
             for group in groups
         }
     )
 
 
-def random_proportional_grouped(
-    rng: random.Random, max_groups: int = 3, max_multiplier: int = 4
-) -> GroupedConfusion:
-    """Positive matrices that are exact integer multiples of a common base,
-    so the group variable is independent of the (Y, R) pair."""
+def random_proportional_grouped(rng: random.Random) -> GroupedConfusion:
+    """Positive matrices that are exact integer multiples (1 to 4) of a common
+    base, so the group variable is independent of the (Y, R) pair."""
     base = ConfusionMatrix(
         rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12)
     )
-    groups = _group_labels(rng.randint(2, max_groups))
-    return GroupedConfusion(
-        {group: base.scaled(rng.randint(1, max_multiplier)) for group in groups}
-    )
+    groups = _group_labels(rng.randint(2, MAX_GROUPS))
+    return GroupedConfusion({group: base.scaled(rng.randint(1, 4)) for group in groups})
 
 
-def random_nonproportional_grouped(
-    rng: random.Random,
-    min_gap: Fraction = Fraction(1, 20),
-    min_deviation: Fraction = Fraction(1, 1000),
-    max_attempts: int = 1000,
-) -> GroupedConfusion:
-    """Positive matrices whose rates differ by at least ``min_gap`` and whose
-    exact deviation from joint independence exceeds ``min_deviation``."""
-    for _ in range(max_attempts):
+def random_nonproportional_grouped(rng: random.Random) -> GroupedConfusion:
+    """Positive matrices whose rates differ by at least 1/20 and whose exact
+    deviation from joint independence exceeds 1/1000 (at most 1000 draws)."""
+    for _ in range(1000):
         g = random_positive_grouped(rng)
         gaps = [
             gap
             for verdict in (sufficiency(g), separation(g))
             for gap in verdict.component_gaps.values()
         ]
-        if any(gap is not None and gap >= min_gap for gap in gaps) and (
-            ci_deviation(to_joint(g), "A", ("Y", "R")) > min_deviation
+        if any(gap is not None and gap >= Fraction(1, 20) for gap in gaps) and (
+            ci_deviation(to_joint(g), "A", ("Y", "R")) > Fraction(1, 1000)
         ):
             return g
     raise AssertionError("failed to generate a non-proportional instance")
 
 
-def random_scored_dataset(
-    rng: random.Random, max_groups: int = 3
-) -> tuple[Dataset, str]:
+def random_scored_dataset(rng: random.Random) -> tuple[Dataset, str]:
     """Scored dataset plus a group guaranteed to contain a false negative and
     a strictly better-scored true positive (a swap-attack target)."""
     while True:
-        groups = _group_labels(rng.randint(2, max_groups))
+        groups = _group_labels(rng.randint(2, MAX_GROUPS))
         records = []
         for group in groups:
             for i in range(rng.randint(4, 12)):

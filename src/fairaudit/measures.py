@@ -20,7 +20,6 @@ fail.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -67,17 +66,22 @@ class MeasureVerdict:
 
 
 def _max_pairwise_gap(
-    values: Mapping[str, Fraction],
-) -> tuple[Fraction, tuple[str, str]]:
-    """Largest |difference| over group pairs; first maximizing pair wins."""
-    best: Fraction | None = None
-    pair: tuple[str, str] | None = None
-    for g1, g2 in itertools.combinations(values, 2):
-        gap = abs(values[g1] - values[g2])
-        if best is None or gap > best:
-            best, pair = gap, (g1, g2)
-    assert best is not None and pair is not None
-    return best, pair
+    values: Mapping[str, Fraction | float],
+) -> tuple[Fraction | float, tuple[str, str]]:
+    """Largest |difference| over group pairs, ``max - min``, in one pass.
+
+    The witness is the first maximizing pair in group-pair order: the first
+    group holding an extreme value with the first later group holding the
+    other extreme, or the first two groups when all values are equal.
+    """
+    groups = list(values)
+    high, low = max(values.values()), min(values.values())
+    if high == low:
+        return high - low, (groups[0], groups[1])
+    first = next(i for i, group in enumerate(groups) if values[group] in (high, low))
+    other = low if values[groups[first]] == high else high
+    second = next(group for group in groups[first + 1 :] if values[group] == other)
+    return high - low, (groups[first], second)
 
 
 def _rate_verdict(

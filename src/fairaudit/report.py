@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from . import __version__
-from .confusion import ConfusionMatrix, GroupStats, GroupedConfusion, is_positive
+from .confusion import ConfusionMatrix, GroupedConfusion, is_positive
 from .conservativeness import (
     BreakWitness,
     ConservativenessReport,
@@ -100,12 +100,12 @@ def matrices_payload(g: GroupedConfusion) -> dict[str, dict[str, int]]:
 STATS = ("accuracy", "ppv", "npv", "fpr", "fnr")
 
 
-def stats_payload(s: GroupStats) -> dict[str, Any]:
-    return {name: num_payload(getattr(s, name)) for name in STATS}
+def stats_payload(m: ConfusionMatrix) -> dict[str, Any]:
+    return {name: num_payload(getattr(m, name)) for name in STATS}
 
 
-def stats_text(s: GroupStats) -> str:
-    return "  ".join(f"{name} {num_text(getattr(s, name))}" for name in STATS)
+def stats_text(m: ConfusionMatrix) -> str:
+    return "  ".join(f"{name} {num_text(getattr(m, name))}" for name in STATS)
 
 
 def increment_payload(inc: Increment) -> list[dict[str, Any]]:
@@ -163,9 +163,7 @@ class FairnessReport:
                 "empty_groups": list(g.empty_groups),
             },
             "matrices": matrices_payload(g),
-            "group_stats": {
-                group: stats_payload(g[group].stats()) for group in g.groups
-            },
+            "group_stats": {group: stats_payload(g[group]) for group in g.groups},
             "measures": {v.measure: verdict_payload(v) for v in self.verdicts},
             "all_hold": self.all_hold(),
             "conservativeness": {
@@ -211,7 +209,7 @@ class FairnessReport:
         lines.append("")
         lines.append("group statistics")
         for group in g.groups:
-            lines.append(f"  {group}: {stats_text(g[group].stats())}")
+            lines.append(f"  {group}: {stats_text(g[group])}")
         lines.append("")
         lines.append("measures")
         for v in self.verdicts:

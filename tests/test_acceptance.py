@@ -33,7 +33,6 @@ from fairaudit.conservativeness import (
 )
 from fairaudit.distributions import EPS_DEFAULT, check_ci_property
 from fairaudit.generators import (
-    POSITIVITY_FLOOR,
     random_chain_instance,
     random_ci_instance,
     random_functional_instance,
@@ -138,7 +137,7 @@ def test_criterion_3_joint_independence_iff_suite():
 
     both_false = 0
     for _ in range(200):
-        g = random_nonproportional_grouped(rng, min_gap=Fraction(1, 20))
+        g = random_nonproportional_grouped(rng)
         verdict = check_joint_independence_iff(g)
         assert verdict.suff_and_sep is False
         assert verdict.ci_deviation > Fraction(1, 1000)
@@ -174,7 +173,7 @@ def test_criterion_4_ci_algebra_suite():
                     else random_pair_ci_instance(rng)
                 )
             else:
-                instance = random_product_instance(rng, POSITIVITY_FLOOR)
+                instance = random_product_instance(rng)
                 assert instance.min_cell() >= 1e-3
             verdict = check_ci_property(k, instance, h)
             assert verdict.status == "pass", (k, verdict)

@@ -273,6 +273,11 @@ class TestLipschitzViolations:
         with pytest.raises(InputError, match="scale"):
             lipschitz_violations(scored_pair_dataset(), scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1.0, "1"])
+    def test_scale_must_be_a_finite_positive_number(self, scale):
+        with pytest.raises(InputError, match="finite number > 0"):
+            lipschitz_violations(scored_pair_dataset(), scale=scale)
+
     def test_violation_requires_positive_margin(self):
         with pytest.raises(InputError, match="margin"):
             LipschitzViolation("1", "2", 1.0, 1.0, 0.0)

@@ -83,6 +83,18 @@ class TestIngest:
         with pytest.raises(InputError, match=r"bad\.csv:3.*maybe"):
             ingest_csv(str(path))
 
+    def test_line_after_blank_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("id,group,y_true,y_pred\n1,p,1,1\n\n2,p,maybe,1\n")
+        with pytest.raises(InputError, match=r"blank\.csv:4.*maybe"):
+            ingest_csv(str(path))
+
+    def test_line_after_multiline_quoted_field(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('id,group,y_true,y_pred\n1,"p\nq",1,1\n2,p,maybe,1\n')
+        with pytest.raises(InputError, match=r"quoted\.csv:4.*maybe"):
+            ingest_csv(str(path))
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("id,group,y_true\n1,g,1\n")
@@ -148,6 +160,18 @@ class TestIngest:
         code, out = run_cli("audit", before_csv, "--positive-labels", "1,0")
         assert (code, out) == (2, "")
         assert "'0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels", [("1", ""), ("1", "  ")])
+    def test_empty_encoding_rejected(self, labels):
+        with pytest.raises(InputError, match="nonempty"):
+            CsvSchema(positive_labels=labels)
+
+    def test_empty_encoding_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "unlabelled.csv"
+        path.write_text("id,group,y_true,y_pred\n1,p,,1\n2,q,1,1\n")
+        code, out = run_cli("audit", str(path), "--positive-labels", "1,")
+        assert (code, out) == (2, "")
+        assert "nonempty" in capsys.readouterr().err
 
     def test_roundtrip_lossless(self, tmp_path, scored_csv):
         ds = ingest_csv(scored_csv)

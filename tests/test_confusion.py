@@ -1,6 +1,7 @@
 """Tests for confusion matrices, datasets, and their conversions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from fairaudit.confusion import (
     tabulate,
     to_joint,
 )
-from fairaudit.distributions import is_cond_independent, marginal
+from fairaudit.distributions import EPS_DEFAULT, ci_deviation, marginal
 from fairaudit.errors import InputError
 from fairaudit.generators import random_positive_grouped
 
@@ -43,7 +44,7 @@ class TestConfusionMatrix:
 
 class TestStats:
     def test_before_table_p(self):
-        s = ConfusionMatrix(10, 2, 3, 11).stats()
+        s = ConfusionMatrix(10, 2, 3, 11)
         assert s.accuracy == Fraction(21, 26)
         assert s.ppv == Fraction(10, 12)
         assert s.npv == Fraction(11, 14)
@@ -51,12 +52,12 @@ class TestStats:
         assert s.fnr == Fraction(3, 13)
 
     def test_after_table_p(self):
-        s = ConfusionMatrix(11, 2, 2, 11).stats()
+        s = ConfusionMatrix(11, 2, 2, 11)
         assert s.ppv == Fraction(11, 13)
         assert s.fnr == Fraction(2, 13)
 
     def test_zero_denominator_is_undefined(self):
-        s = ConfusionMatrix(0, 0, 1, 1).stats()
+        s = ConfusionMatrix(0, 0, 1, 1)
         assert s.ppv is None
         assert s.npv == Fraction(1, 2)
 
@@ -118,8 +119,8 @@ class TestToJoint:
 
     def test_before_tables_satisfy_sufficiency_and_separation(self):
         j = to_joint(GroupedConfusion(BEFORE))
-        assert is_cond_independent(j, "Y", "A", "R").holds
-        assert is_cond_independent(j, "R", "A", "Y").holds
+        assert ci_deviation(j, "Y", "A", "R") <= EPS_DEFAULT
+        assert ci_deviation(j, "R", "A", "Y") <= EPS_DEFAULT
 
     def test_group_marginal_matches_group_sizes(self):
         rng = random.Random(29)
@@ -182,6 +183,18 @@ class TestDatasetValidation:
     def test_score_range_enforced(self):
         with pytest.raises(InputError, match="\\[0, 1\\]"):
             Record("1", "p", True, True, score=1.5)
+
+    def test_derived_groups_in_first_appearance_order(self):
+        records = [Record(str(i), group, True, True) for i, group in enumerate("qpqrp")]
+        assert Dataset.from_records(records).groups == ("q", "p", "r")
+
+    def test_many_derived_groups_stay_fast(self):
+        # 40k records in 20k groups took 7.8 s with a membership test per record.
+        records = [Record(str(i), f"g{i // 2}", True, True) for i in range(40_000)]
+        start = time.perf_counter()
+        ds = Dataset.from_records(records)
+        assert time.perf_counter() - start < 2.0
+        assert ds.groups == tuple(f"g{k}" for k in range(20_000))
 
     def test_with_predictions_swaps(self):
         ds = Dataset.from_records(

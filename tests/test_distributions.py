@@ -16,8 +16,6 @@ from fairaudit.distributions import (
     check_ci_property,
     ci_deviation,
     compose_ci,
-    is_cond_independent,
-    is_independent,
     marginal,
 )
 from fairaudit.errors import InputError
@@ -192,27 +190,23 @@ class TestIsIndependent:
         for x, y in itertools.product(BIN, BIN):
             table[(x, y)] = px[x] * py[y]
         j = FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=table)
-        result = is_independent(j, "X", "Y")
-        assert result.holds
-        assert result.deviation <= 1e-15
+        assert ci_deviation(j, "X", "Y") <= 1e-15
 
     def test_perfectly_correlated_pair_deviation_quarter(self):
         j = FiniteJoint(
             variables=(("X", BIN), ("Y", BIN)),
             table={("0", "0"): 0.5, ("1", "1"): 0.5},
         )
-        result = is_independent(j, "X", "Y")
-        assert not result.holds
-        assert result.deviation == pytest.approx(0.25, abs=1e-15)
+        deviation = ci_deviation(j, "X", "Y")
+        assert deviation > EPS_DEFAULT
+        assert deviation == pytest.approx(0.25, abs=1e-15)
 
     def test_before_joint_group_and_prediction_independent(self):
-        result = is_independent(grouped_before_joint(), "A", "R")
-        assert result.holds
-        assert result.deviation <= 1e-15
+        assert ci_deviation(grouped_before_joint(), "A", "R") <= 1e-15
 
     def test_same_variable_rejected(self):
         with pytest.raises(InputError, match="disjoint"):
-            is_independent(uniform_joint(2, 2), "X", "X")
+            ci_deviation(uniform_joint(2, 2), "X", "X")
 
 
 class TestIsCondIndependent:
@@ -220,28 +214,23 @@ class TestIsCondIndependent:
         rng = random.Random(5)
         for _ in range(20):
             j, _ = random_functional_instance(rng)
-            assert is_cond_independent(j, "X", "Y", "Z").holds
+            assert ci_deviation(j, "X", "Y", "Z") <= EPS_DEFAULT
 
     def test_before_joint_sufficiency_and_separation_hold(self):
         j = grouped_before_joint()
-        suff = is_cond_independent(j, "Y", "A", "R")
-        sep = is_cond_independent(j, "R", "A", "Y")
-        assert suff.holds and suff.deviation <= 1e-15
-        assert sep.holds and sep.deviation <= 1e-15
+        assert ci_deviation(j, "Y", "A", "R") <= 1e-15
+        assert ci_deviation(j, "R", "A", "Y") <= 1e-15
 
     def test_after_joint_separation_fails(self):
-        result = is_cond_independent(grouped_after_joint(), "R", "A", "Y")
-        assert not result.holds
-        assert result.deviation > 1e-6
+        assert ci_deviation(grouped_after_joint(), "R", "A", "Y") > 1e-6
 
     def test_empty_given_agrees_with_unconditional(self):
         rng = random.Random(7)
         for _ in range(50):
             j = random_joint(rng, [("X", BIN), ("Y", ("a", "b", "c"))])
-            plain = is_independent(j, "X", "Y")
-            conditioned = is_cond_independent(j, "X", "Y", ())
-            assert abs(plain.deviation - conditioned.deviation) <= 1e-15
-            assert plain.holds == conditioned.holds
+            plain = ci_deviation(j, "X", "Y")
+            conditioned = ci_deviation(j, "X", "Y", ())
+            assert abs(plain - conditioned) <= 1e-15
 
     def test_deviation_invariant_under_domain_relabeling(self):
         rng = random.Random(13)
@@ -269,7 +258,7 @@ class TestComposeCI:
         px = {"only": {"0": 0.2, "1": 0.8}}
         py = {"only": {"0": 0.6, "1": 0.4}}
         j = compose_ci(pz, px, py)
-        assert is_independent(j, "X", "Y").deviation <= 1e-15
+        assert ci_deviation(j, "X", "Y") <= 1e-15
 
     def test_output_satisfies_target_ci(self):
         rng = random.Random(42)

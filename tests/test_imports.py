@@ -1,8 +1,11 @@
-"""No module of the package imports a leading-underscore name from another.
+"""The package's import graph and its public surface.
 
-A private name is free to change with its module; a caller elsewhere should
+No module of the package imports a leading-underscore name from another: a
+private name is free to change with its module; a caller elsewhere should
 use the public function that does the same job, or the name should be made
-public.
+public. And ``fairaudit.__all__`` lists each name once, every listed name
+resolves, and every public name the package root imports is listed, so a
+deletion cannot leave a dangling export.
 """
 
 import ast
@@ -48,3 +51,21 @@ def test_the_check_sees_private_imports_only():
         "from .distributions import _aggregate",
         "from fairaudit.measures import _rate_verdict",
     ]
+
+
+def test_all_entries_resolve_and_are_listed_once():
+    exported = fairaudit.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(fairaudit, name)] == []
+
+
+def test_every_public_name_imported_by_the_root_is_exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert sorted(public - set(fairaudit.__all__)) == []

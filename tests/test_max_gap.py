@@ -1,0 +1,82 @@
+"""Differential and bound tests for the largest pairwise rate gap.
+
+``oracle_max_pairwise_gap`` is the loop over every group pair that
+``measures._max_pairwise_gap`` replaced, kept verbatim as the reference: the
+one-pass ``max - min`` version must return the identical gap and witness pair.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import time
+from fractions import Fraction
+from typing import Mapping
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
+from fairaudit.measures import _max_pairwise_gap, independence, separation, sufficiency
+
+
+def oracle_max_pairwise_gap(
+    values: Mapping[str, Fraction],
+) -> tuple[Fraction, tuple[str, str]]:
+    """Largest |difference| over group pairs; first maximizing pair wins."""
+    best: Fraction | None = None
+    pair: tuple[str, str] | None = None
+    for g1, g2 in itertools.combinations(values, 2):
+        gap = abs(values[g1] - values[g2])
+        if best is None or gap > best:
+            best, pair = gap, (g1, g2)
+    assert best is not None and pair is not None
+    return best, pair
+
+
+def assert_matches_oracle(values) -> None:
+    gap, pair = _max_pairwise_gap(values)
+    expected_gap, expected_pair = oracle_max_pairwise_gap(values)
+    assert (gap, pair) == (expected_gap, expected_pair)
+    assert type(gap) is type(expected_gap)
+
+
+def test_seeded_tie_heavy_maps_match_the_oracle():
+    rng = random.Random(41)
+    for _ in range(3000):
+        groups = [f"g{i}" for i in range(rng.randint(2, 8))]
+        denominator = rng.choice((1, 2, 3, 8))
+        values = [Fraction(rng.randint(0, denominator), denominator) for _ in groups]
+        assert_matches_oracle(dict(zip(groups, values)))
+        if denominator != 3:  # multiples of 1/8 are exact floats with exact gaps
+            assert_matches_oracle({g: float(v) for g, v in zip(groups, values)})
+
+
+RATE = st.fractions(min_value=0, max_value=1, max_denominator=4)
+
+
+@given(st.lists(RATE, min_size=2, max_size=8))
+def test_hypothesis_maps_match_the_oracle(rates):
+    assert_matches_oracle({f"g{i}": rate for i, rate in enumerate(rates)})
+
+
+def test_all_equal_rates_name_the_first_two_groups():
+    half = Fraction(1, 2)
+    assert _max_pairwise_gap({"c": half, "a": half, "b": half}) == (0, ("c", "a"))
+
+
+def test_three_measures_on_two_thousand_groups_stay_fast():
+    # The pairwise loop took about 43 s for the three measures here.
+    rng = random.Random(2000)
+    g = GroupedConfusion(
+        {
+            f"g{i}": ConfusionMatrix(*(rng.randint(1, 50) for _ in range(4)))
+            for i in range(2000)
+        }
+    )
+    start = time.perf_counter()
+    verdicts = [measure(g) for measure in (independence, sufficiency, separation)]
+    assert time.perf_counter() - start < 5.0
+    for verdict in verdicts:
+        first, second = verdict.witnesses
+        assert verdict.holds is False and first != second
