@@ -56,6 +56,8 @@ CASES = {
     ),
     "attack-swap": (scored_dataset, ("attack", "swap", "{csv}", "--group", "p")),
     "check-props": (None, ("check-props", "--seed", "7", "--count", "10")),
+    "check-props-seed-5": (None, ("check-props", "--seed", "5", "--count", "300")),
+    "check-props-seed-11": (None, ("check-props", "--seed", "11", "--count", "300")),
     "counterexample-witness": (PASSING, ("counterexample", "{csv}")),
     "counterexample-none": (PERFECT, ("counterexample", "{csv}")),
 }
