@@ -127,6 +127,7 @@ def ingest_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
         if missing:
             raise InputError(f"{path}: missing column(s): {', '.join(missing)}")
         has_score = "score" in reader.fieldnames
+        declared = None if schema.groups is None else frozenset(schema.groups)
         records: list[Record] = []
         seen: set[str] = set()
         for row in reader:
@@ -140,7 +141,7 @@ def ingest_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
             group = (row.get("group") or "").strip()
             if not group:
                 raise InputError(f"{where}: empty group")
-            if schema.groups is not None and group not in schema.groups:
+            if declared is not None and group not in declared:
                 raise InputError(
                     f"{where}: group {group!r} not among declared groups {schema.groups}"
                 )

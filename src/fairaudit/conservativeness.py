@@ -326,7 +326,7 @@ def find_break(
 def group_multipliers(g: GroupedConfusion) -> dict[str, int] | None:
     """Integer multipliers relative to the smallest group, or ``None`` when
     the matrices are not exact multiples of a common base."""
-    base_group = min(g.groups, key=lambda group: (g[group].n, g.groups.index(group)))
+    base_group = min(g.groups, key=lambda group: g[group].n)  # first smallest in order
     base = g[base_group]
     multipliers: dict[str, int] = {}
     for group in g.groups:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -144,6 +145,23 @@ class TestIngest:
         path.write_text("id,group,y_true,y_pred\n1,P,1,1\n")
         with pytest.raises(InputError, match="not among declared"):
             ingest_csv(str(path), CsvSchema(groups=("p", "q")))
+
+    def test_many_declared_groups_stay_fast(self, tmp_path):
+        # 40k rows in 20k declared groups took 7.25 s with a tuple membership test per row.
+        groups = tuple(f"g{k}" for k in range(20_000))
+        rows = "id,group,y_true,y_pred\n" + "".join(f"{i},g{i // 2},1,0\n" for i in range(40_000))
+        path = tmp_path / "many.csv"
+        path.write_text(rows)
+        start = time.perf_counter()
+        ds = ingest_csv(str(path), CsvSchema(groups=groups))
+        assert time.perf_counter() - start < 3.0
+        assert ds.groups == groups and len(ds.records) == 40_000
+        path.write_text(rows + "40000,g20000,1,0\n")
+        with pytest.raises(InputError) as info:
+            ingest_csv(str(path), CsvSchema(groups=groups))
+        assert str(info.value) == (
+            f"{path}:40002: group 'g20000' not among declared groups {groups}"
+        )
 
     def test_byte_order_mark_ignored(self, tmp_path):
         path = tmp_path / "bom.csv"
