@@ -217,7 +217,7 @@ def to_joint(g: GroupedConfusion) -> FiniteJoint:
         table[(group, POS, NEG)] = m.c
         table[(group, NEG, NEG)] = m.d
     variables = (("A", g.groups), ("Y", (POS, NEG)), ("R", (POS, NEG)))
-    return FiniteJoint(variables=variables, table=table, denominator=g.total)
+    return FiniteJoint(variables=variables, table=table)
 
 
 def is_positive(g: GroupedConfusion) -> bool:

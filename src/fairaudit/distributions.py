@@ -1,10 +1,9 @@
 """Finite discrete joint distributions and conditional-independence checks.
 
-A :class:`FiniteJoint` is a sparse table of weights over named variables with
-finite domains; a cell's probability mass is its weight over the joint's
-``denominator``. A count joint holds integer counts over their total, so its
-masses and deviations are exact :class:`~fractions.Fraction` values; a float
-joint holds probabilities over the default denominator 1. Independence and
+A :class:`FiniteJoint` is a sparse table of non-negative integer weights over
+named variables with finite domains; a cell's probability mass is its weight
+over the table's total, the joint's ``denominator``. Every mass and deviation
+is therefore an exact :class:`~fractions.Fraction`. Independence and
 conditional independence are decided through a division-free deviation
 
     dev(X, Y | Z) = max over z with P(z) > 0
@@ -32,12 +31,6 @@ from .errors import InputError
 #: Default tolerance for "exact" claims on rational inputs.
 EPS_DEFAULT = 1e-9
 
-#: Tolerance for total probability mass at construction.
-MASS_TOL = 1e-12
-
-#: Tolerance for the row sums given to :func:`compose_ci`.
-ROW_TOL = 1e-9
-
 PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
@@ -54,18 +47,16 @@ class FiniteJoint:
 
     ``variables`` fixes the key layout: each key of ``table`` assigns one
     domain label per variable, in declaration order. Assignments missing
-    from ``table`` carry zero mass. A cell's mass is its weight over
-    ``denominator``: the total of a count table, 1 for probabilities.
+    from ``table`` carry zero mass. Weights are non-negative integers, not
+    all zero; a cell's mass is its weight over ``denominator``, the sum of
+    the weights, which is set at construction.
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
-    table: Mapping[tuple[str, ...], float]
-    denominator: int = 1
+    table: Mapping[tuple[str, ...], int]
+    denominator: int = field(init=False)
 
     def __post_init__(self) -> None:
-        denominator = self.denominator
-        if not isinstance(denominator, int) or isinstance(denominator, bool) or denominator < 1:
-            raise InputError(f"denominator must be a positive integer, got {denominator!r}")
         variables = tuple((name, tuple(domain)) for name, domain in self.variables)
         object.__setattr__(self, "variables", variables)
         names = [name for name, _ in variables]
@@ -78,15 +69,16 @@ class FiniteJoint:
                 raise InputError(f"variable {name!r} repeats domain labels: {domain}")
         domains = [frozenset(domain) for _, domain in variables]
         table = dict(self.table)
-        for key, prob in table.items():
+        for key, weight in table.items():
             if len(key) != len(variables) or not all(map(frozenset.__contains__, domains, key)):
                 raise InputError(f"assignment {key!r} does not match declared variables")
-            if prob < 0:
-                raise InputError(f"negative probability {prob!r} at {key!r}")
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
+                raise InputError(f"weight at {key!r} must be a non-negative int, got {weight!r}")
+        denominator = sum(table.values())
+        if denominator == 0:
+            raise InputError("joint has no mass: every weight is 0")
         object.__setattr__(self, "table", table)
-        total = self.total_mass()
-        if abs(total - 1) > MASS_TOL:
-            raise InputError(f"total mass {total!r} deviates from 1 by more than {MASS_TOL}")
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -104,29 +96,18 @@ class FiniteJoint:
                 return i
         raise InputError(f"unknown variable {name!r}; have {self.names}")
 
-    def prob(self, assignment: tuple[str, ...]) -> Fraction | float:
+    def prob(self, assignment: tuple[str, ...]) -> Fraction:
         """Mass of one full assignment (zero if absent from the table)."""
-        return ratio(self.table.get(tuple(assignment), 0), self.denominator)
-
-    def total_mass(self) -> Fraction | float:
-        return ratio(sum(self.table.values()), self.denominator)
+        return Fraction(self.table.get(tuple(assignment), 0), self.denominator)
 
     def assignments(self) -> Iterable[tuple[str, ...]]:
         """Every full assignment in domain order, including zero-mass cells."""
         return itertools.product(*(dom for _, dom in self.variables))
 
-    def min_cell(self) -> Fraction | float:
+    def min_cell(self) -> Fraction:
         """Smallest mass over the full assignment grid (0 for sparse cells)."""
         weight = min(self.table.get(key, 0) for key in self.assignments())
-        return ratio(weight, self.denominator)
-
-
-def ratio(part: Fraction | float, whole: Fraction | float) -> Fraction | float:
-    """``part / whole``: a float if either is a float, else an exact
-    ``Fraction``, so masses of a count joint stay exact."""
-    if isinstance(part, float) or isinstance(whole, float):
-        return part / whole
-    return Fraction(part, whole)
+        return Fraction(weight, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -163,8 +144,8 @@ class PropertyVerdict:
     """
 
     status: str
-    premises: Mapping[str, float] = field(default_factory=dict)
-    conclusions: Mapping[str, float] = field(default_factory=dict)
+    premises: Mapping[str, Fraction] = field(default_factory=dict)
+    conclusions: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "premises", dict(self.premises))
@@ -182,21 +163,21 @@ def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(spec)
 
 
-def _aggregate(j: FiniteJoint, names: tuple[str, ...]) -> dict[tuple[str, ...], float]:
+def _aggregate(j: FiniteJoint, names: tuple[str, ...]) -> dict[tuple[str, ...], int]:
     """Sum the table's weights down to the given variables, keyed in ``names`` order."""
     indices = [j.index(name) for name in names]
-    out: dict[tuple[str, ...], float] = {}
-    for key, prob in j.table.items():
+    out: dict[tuple[str, ...], int] = {}
+    for key, weight in j.table.items():
         sub = tuple([key[i] for i in indices])
         if sub in out:
-            out[sub] = out[sub] + prob
+            out[sub] = out[sub] + weight
         else:
-            out[sub] = prob
+            out[sub] = weight
     return out
 
 
 def marginal(j: FiniteJoint, keep: Iterable[str]) -> FiniteJoint:
-    """Marginal distribution over ``keep``, preserving total mass.
+    """Marginal distribution over ``keep``, preserving the total weight.
 
     Kept variables retain their original declaration order.
     """
@@ -208,7 +189,7 @@ def marginal(j: FiniteJoint, keep: Iterable[str]) -> FiniteJoint:
         raise InputError(f"unknown variable names: {sorted(unknown)}")
     kept = tuple((name, dom) for name, dom in j.variables if name in keep_set)
     table = _aggregate(j, tuple(name for name, _ in kept))
-    return FiniteJoint(variables=kept, table=table, denominator=j.denominator)
+    return FiniteJoint(variables=kept, table=table)
 
 
 def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
@@ -225,31 +206,31 @@ def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
         if mapped not in target_dom:
             target_dom.append(mapped)
     src_idx = j.index(h.source)
-    table = {key + (h(key[src_idx]),): prob for key, prob in j.table.items()}
+    table = {key + (h(key[src_idx]),): weight for key, weight in j.table.items()}
     variables = j.variables + ((h.target, tuple(target_dom)),)
-    return FiniteJoint(variables=variables, table=table, denominator=j.denominator)
+    return FiniteJoint(variables=variables, table=table)
 
 
 def compose_ci(
-    pz: Mapping[str, float],
-    px_given_z: Mapping[str, Mapping[str, float]],
-    py_given_z: Mapping[str, Mapping[str, float]],
+    pz: Mapping[str, int],
+    px_given_z: Mapping[str, Mapping[str, int]],
+    py_given_z: Mapping[str, Mapping[str, int]],
 ) -> FiniteJoint:
-    """Assemble the joint over (X, Y, Z) with P(x,y,z) = P(z) * P(x|z) * P(y|z),
-    which satisfies X ind. Y | Z by construction (deviation <= 1e-12).
+    """Assemble the joint over (X, Y, Z) with integer weights
+    w(x,y,z) = pz[z] * px_given_z[z][x] * py_given_z[z][y].
 
-    ``px_given_z`` and ``py_given_z`` map each z-value to a row over the x
-    (resp. y) domain; rows must be nonnegative and sum to 1 within ``ROW_TOL``.
+    ``px_given_z`` and ``py_given_z`` map each z-value to a row of
+    non-negative integer weights over the x (resp. y) domain; rows need not
+    share a total. The weight factorizes over z, so X ind. Y | Z holds
+    exactly: the deviation is 0.
     """
     z_dom = tuple(pz)
     if not z_dom:
         raise InputError("pz must be nonempty")
     if any(p < 0 for p in pz.values()):
         raise InputError("pz has negative mass")
-    if abs(sum(pz.values()) - 1) > ROW_TOL:
-        raise InputError("pz does not sum to 1")
 
-    def check_rows(rows: Mapping[str, Mapping[str, float]], label: str) -> tuple[str, ...]:
+    def check_rows(rows: Mapping[str, Mapping[str, int]], label: str) -> tuple[str, ...]:
         domain: tuple[str, ...] | None = None
         for z in z_dom:
             if z not in rows:
@@ -261,23 +242,18 @@ def compose_ci(
                 raise InputError(f"{label} rows disagree on the domain")
             if any(p < 0 for p in row.values()):
                 raise InputError(f"{label} row for z={z!r} has negative mass")
-            if abs(sum(row.values()) - 1) > ROW_TOL:
-                raise InputError(f"{label} row for z={z!r} is not stochastic")
         assert domain is not None
         return domain
 
     x_dom = check_rows(px_given_z, "px_given_z")
     y_dom = check_rows(py_given_z, "py_given_z")
 
-    raw: dict[tuple[str, str, str], float] = {}
-    for z in z_dom:
-        for x in x_dom:
-            for y in y_dom:
-                raw[(x, y, z)] = pz[z] * px_given_z[z][x] * py_given_z[z][y]
-    total = sum(raw.values())
-    if total <= 0:
-        raise InputError("assembled joint has no mass")
-    table = {key: value / total for key, value in raw.items()}
+    table = {
+        (x, y, z): pz[z] * px_given_z[z][x] * py_given_z[z][y]
+        for z in z_dom
+        for x in x_dom
+        for y in y_dom
+    }
     variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom))
     return FiniteJoint(variables=variables, table=table)
 
@@ -292,7 +268,7 @@ def ci_deviation(
     left: str | Sequence[str],
     right: str | Sequence[str],
     given: str | Sequence[str] = (),
-) -> Fraction | float:
+) -> Fraction:
     """Division-free conditional-independence deviation of ``left`` from
     ``right`` given ``given``. Either side may be a set of variables, which
     is equivalent to fusing them into one product-domain variable."""
@@ -307,10 +283,20 @@ def ci_deviation(
     for name in all_names:
         j.index(name)
 
-    p_lrg = _aggregate(j, left_names + right_names + given_names)
-    p_lg = _aggregate(j, left_names + given_names)
-    p_rg = _aggregate(j, right_names + given_names)
-    p_g = _aggregate(j, given_names)
+    # One pass over the table; the smaller tables are summed from its result
+    # (exact, since integer sums do not depend on order).
+    p_lrg = _aggregate(j, all_names)
+    split, end = len(left_names), len(left_names) + len(right_names)
+    p_lg: dict[tuple[str, ...], int] = {}
+    p_rg: dict[tuple[str, ...], int] = {}
+    p_g: dict[tuple[str, ...], int] = {}
+    for key, weight in p_lrg.items():
+        gv = key[end:]
+        lg = key[:split] + gv
+        rg = key[split:]
+        p_lg[lg] = p_lg.get(lg, 0) + weight
+        p_rg[rg] = p_rg.get(rg, 0) + weight
+        p_g[gv] = p_g.get(gv, 0) + weight
 
     left_grid = list(itertools.product(*(j.domain(n) for n in left_names)))
     right_grid = list(itertools.product(*(j.domain(n) for n in right_names)))
@@ -322,7 +308,7 @@ def ci_deviation(
         for lv in left_grid
         for rv in right_grid
     )
-    return ratio(worst, j.denominator**2)
+    return Fraction(worst, j.denominator**2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +316,12 @@ def ci_deviation(
 # ---------------------------------------------------------------------------
 
 
-def _functional_violation_mass(j: FiniteJoint, h: DeterministicMap) -> Fraction | float:
+def _functional_violation_mass(j: FiniteJoint, h: DeterministicMap) -> Fraction:
     """Total mass on assignments where target != h(source)."""
     src = j.index(h.source)
     tgt = j.index(h.target)
     weight = sum(w for key, w in j.table.items() if key[tgt] != h(key[src]))
-    return ratio(weight, j.denominator)
+    return Fraction(weight, j.denominator)
 
 
 def check_ci_property(

@@ -14,41 +14,37 @@ from .confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, to_jo
 from .distributions import DeterministicMap, FiniteJoint, apply_map, ci_deviation, compose_ci
 from .measures import separation, sufficiency
 
-#: Smallest normalized cell guaranteed by the positivity generator.
+#: Smallest cell mass guaranteed by the positivity generator.
 POSITIVITY_FLOOR = 1e-3
 
 #: Largest number of groups in a random grouped table or scored dataset.
 MAX_GROUPS = 3
+
+#: Integer weight of a uniform draw of 1; a draw u becomes round(u * RESOLUTION).
+RESOLUTION = 1000
 
 
 def _labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-def _weights(rng: random.Random, n: int, low: float = 0.0) -> list[float]:
-    return [rng.uniform(low, 1.0) for _ in range(n)]
+def _weights(rng: random.Random, n: int, low: float = 0.0) -> list[int]:
+    return [round(rng.uniform(low, 1.0) * RESOLUTION) for _ in range(n)]
 
 
-def _normalized(weights: Sequence[float]) -> list[float]:
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
-def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -> dict[str, float]:
-    probs = _normalized(_weights(rng, len(domain), low))
-    return dict(zip(domain, probs))
+def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -> dict[str, int]:
+    return dict(zip(domain, _weights(rng, len(domain), low)))
 
 
 def random_joint(
     rng: random.Random, variables: Sequence[tuple[str, Sequence[str]]]
 ) -> FiniteJoint:
-    """Generic random joint with uniform weights in [0, 1] before normalization."""
+    """Generic random joint with integer weights from uniform draws in [0, 1]."""
     variables = tuple((name, tuple(domain)) for name, domain in variables)
     keys = [()]
     for _, domain in variables:
         keys = [key + (value,) for key in keys for value in domain]
-    probs = _normalized(_weights(rng, len(keys)))
-    return FiniteJoint(variables=variables, table=dict(zip(keys, probs)))
+    return FiniteJoint(variables=variables, table=dict(zip(keys, _weights(rng, len(keys)))))
 
 
 def random_sizes(rng: random.Random, count: int, low: int = 2, high: int = 3) -> list[int]:
@@ -88,8 +84,8 @@ def random_functional_instance(
 
 
 def random_chain_instance(rng: random.Random) -> FiniteJoint:
-    """Joint over (X, Y, Z, W) built as P(z) P(x|z) P(y|z) P(w|y,z), so both
-    X ind. Y | Z and X ind. W | (Y, Z) hold by construction."""
+    """Joint over (X, Y, Z, W) with weights w(z) w(x|z) w(y|z) w(w|y,z), so
+    both X ind. Y | Z and X ind. W | (Y, Z) hold exactly by construction."""
     nx, ny, nz, nw = random_sizes(rng, 4, 2, 2)
     x_dom, y_dom, z_dom, w_dom = map(_labels, (nx, ny, nz, nw))
     pz = _distribution(rng, z_dom, low=0.05)
@@ -103,42 +99,39 @@ def random_chain_instance(rng: random.Random) -> FiniteJoint:
         for z in z_dom
         for w in w_dom
     }
-    total = sum(table.values())
-    table = {key: value / total for key, value in table.items()}
     variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom), ("W", w_dom))
     return FiniteJoint(variables=variables, table=table)
 
 
 def random_pair_ci_instance(rng: random.Random) -> FiniteJoint:
-    """Joint over (X, Y, Z, W) built as P(z) P(x|z) P(w,y|z), so X is
-    independent of the (W, Y) pair given Z by construction."""
+    """Joint over (X, Y, Z, W) with weights w(z) w(x|z) w(w,y|z), so X is
+    independent of the (W, Y) pair given Z exactly by construction."""
     nx, ny, nz, nw = random_sizes(rng, 4, 2, 2)
     x_dom, y_dom, z_dom, w_dom = map(_labels, (nx, ny, nz, nw))
     pz = _distribution(rng, z_dom, low=0.05)
     px = {z: _distribution(rng, x_dom) for z in z_dom}
     pairs = [(w, y) for w in w_dom for y in y_dom]
-    pwy = {z: dict(zip(pairs, _normalized(_weights(rng, len(pairs))))) for z in z_dom}
+    pwy = {z: dict(zip(pairs, _weights(rng, len(pairs)))) for z in z_dom}
     table = {
         (x, y, z, w): pz[z] * px[z][x] * pwy[z][(w, y)]
         for x in x_dom
         for (w, y) in pairs
         for z in z_dom
     }
-    total = sum(table.values())
-    table = {key: value / total for key, value in table.items()}
     variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom), ("W", w_dom))
     return FiniteJoint(variables=variables, table=table)
 
 
 def random_product_instance(rng: random.Random) -> FiniteJoint:
     """Strictly positive joint over (X, Y, Z) with X independent of the
-    (Y, Z) pair, every normalized cell at least ``POSITIVITY_FLOOR``."""
+    (Y, Z) pair, every cell's mass at least ``POSITIVITY_FLOOR``."""
     nx, ny, nz = random_sizes(rng, 3)
     x_dom, y_dom, z_dom = map(_labels, (nx, ny, nz))
-    # Weight floors chosen so min(px) * min(pyz) >= POSITIVITY_FLOOR:
-    # a weight floor f against max weight 1 over n cells keeps cells >= f / n.
-    px = _normalized(_weights(rng, nx, low=0.4))
-    pyz = _normalized(_weights(rng, ny * nz, low=max(0.1, POSITIVITY_FLOOR * ny * nz * 3)))
+    # Weight floors chosen so every cell's mass is at least POSITIVITY_FLOOR:
+    # a floor f against max weight 1 over n weights keeps a share >= f / n,
+    # so the worst cell is 400 * 100 / (3000 * 9000), about 1.5e-3.
+    px = _weights(rng, nx, low=0.4)
+    pyz = _weights(rng, ny * nz, low=max(0.1, POSITIVITY_FLOOR * ny * nz * 3))
     table = {
         (x, y, z): px[i] * pyz[j * nz + k]
         for i, x in enumerate(x_dom)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .confusion import NEG, POS, GroupedConfusion
-from .distributions import EPS_DEFAULT, FiniteJoint, ratio
+from .distributions import EPS_DEFAULT, FiniteJoint
 from .errors import InputError, PreconditionError
 
 INDEPENDENCE = "independence"
@@ -51,8 +51,8 @@ class MeasureVerdict:
     """
 
     measure: str
-    disparity: Fraction | float | None
-    component_gaps: Mapping[str, Fraction | float | None]
+    disparity: Fraction | None
+    component_gaps: Mapping[str, Fraction | None]
     holds: bool | None
     witnesses: tuple[str, str] | None
     eps: float = EPS_DEFAULT
@@ -66,8 +66,8 @@ class MeasureVerdict:
 
 
 def _max_pairwise_gap(
-    values: Mapping[str, Fraction | float],
-) -> tuple[Fraction | float, tuple[str, str]]:
+    values: Mapping[str, Fraction],
+) -> tuple[Fraction, tuple[str, str]]:
     """Largest |difference| over group pairs, ``max - min``, in one pass.
 
     The witness is the first maximizing pair in group-pair order: the first
@@ -86,7 +86,7 @@ def _max_pairwise_gap(
 
 def _rate_verdict(
     measure: str,
-    rates: Mapping[str, Mapping[str, Fraction | float | None]],
+    rates: Mapping[str, Mapping[str, Fraction | None]],
     eps: float,
 ) -> MeasureVerdict:
     """Evaluate a measure from per-group rates keyed by gap label, e.g.
@@ -97,7 +97,7 @@ def _rate_verdict(
     groups = tuple(next(iter(rates.values())))
     if len(groups) < 2:
         raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
-    gaps: dict[str, Fraction | float | None] = {}
+    gaps: dict[str, Fraction | None] = {}
     witnesses: dict[str, tuple[str, str]] = {}
     for label, per_group in rates.items():
         if any(rate is None for rate in per_group.values()):
@@ -153,9 +153,8 @@ def measure_via_distribution(
 
     For every value a of A the rates are conditional probabilities: selection
     rate P(R=+ | A=a), PPV P(Y=+ | A=a, R=+), NPV P(Y=- | A=a, R=-), FPR
-    P(R=+ | A=a, Y=-) and FNR P(R=- | A=a, Y=+). Each is a ratio of cell
-    weights (exact on a count joint), undefined when its conditioning weight
-    is 0. On ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``.
+    P(R=+ | A=a, Y=-) and FNR P(R=- | A=a, Y=+). Each is an exact ratio of
+    cell weights, undefined when its conditioning weight is 0. On ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``.
     """
     if set(j.names) != {"A", "Y", "R"}:
         raise InputError(f"joint must have variables A, Y, R; got {j.names}")
@@ -163,15 +162,15 @@ def measure_via_distribution(
         raise InputError(f"Y and R must be binary over {POS!r} and {NEG!r}")
     components = _components(measure)
 
-    def weight(a: str, y: str, r: str) -> Fraction | float:
+    def weight(a: str, y: str, r: str) -> int:
         values = {"A": a, "Y": y, "R": r}
         return j.table.get(tuple(values[name] for name in j.names), 0)
 
-    def conditional(part: Fraction | float, whole: Fraction | float) -> Fraction | float | None:
-        return ratio(part, whole) if whole else None
+    def conditional(part: int, whole: int) -> Fraction | None:
+        return Fraction(part, whole) if whole else None
 
     cells = ((POS, POS), (NEG, POS), (POS, NEG), (NEG, NEG))
-    rates: dict[str, dict[str, Fraction | float | None]] = {label: {} for label in components}
+    rates: dict[str, dict[str, Fraction | None]] = {label: {} for label in components}
     for a in j.domain("A"):
         tp, fp, fn, tn = (weight(a, y, r) for y, r in cells)
         group_rates = {

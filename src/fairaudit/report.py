@@ -38,20 +38,16 @@ FORMATS = (TEXT, JSON)
 # ---------------------------------------------------------------------------
 
 
-def num_payload(x: Fraction | float | None) -> Any:
+def num_payload(x: Fraction | None) -> Any:
     if x is None:
         return None
-    if isinstance(x, Fraction):
-        return {"exact": str(x), "value": float(x)}
-    return {"exact": None, "value": float(x)}
+    return {"exact": str(x), "value": float(x)}
 
 
-def num_text(x: Fraction | float | None) -> str:
+def num_text(x: Fraction | None) -> str:
     if x is None:
         return "undefined"
-    if isinstance(x, Fraction):
-        return f"{x} ({float(x):.6f})"
-    return f"{float(x):.6f}"
+    return f"{x} ({float(x):.6f})"
 
 
 def verdict_status(v: MeasureVerdict) -> str:

@@ -1,0 +1,201 @@
+"""Differential and exactness tests for the conditional-independence kernel.
+
+``oracle_ci_deviation`` is ``ci_deviation`` as it was before it summed the
+table once: four independent passes over the table, one per marginal. It is
+kept verbatim as the reference (with ``Fraction`` for the division), and the
+single-pass kernel must give the identical ``Fraction`` on every input.
+
+The generators build integer weights, so every instance that is conditionally
+independent by construction has deviation exactly 0, and every functional
+instance has violation mass exactly 0.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from typing import Sequence
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fairaudit.confusion import to_joint
+from fairaudit.distributions import FiniteJoint, apply_map, check_ci_property, ci_deviation
+from fairaudit.errors import InputError
+from fairaudit.generators import (
+    random_chain_instance,
+    random_ci_instance,
+    random_functional_instance,
+    random_joint,
+    random_map,
+    random_nonproportional_grouped,
+    random_pair_ci_instance,
+    random_perfect_grouped,
+    random_positive_grouped,
+    random_product_instance,
+    random_proportional_grouped,
+)
+
+
+def _oracle_aggregate(j: FiniteJoint, names: tuple[str, ...]) -> dict[tuple[str, ...], int]:
+    indices = [j.index(name) for name in names]
+    out: dict[tuple[str, ...], int] = {}
+    for key, prob in j.table.items():
+        sub = tuple([key[i] for i in indices])
+        if sub in out:
+            out[sub] = out[sub] + prob
+        else:
+            out[sub] = prob
+    return out
+
+
+def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
+    if isinstance(spec, str):
+        return (spec,)
+    return tuple(spec)
+
+
+def oracle_ci_deviation(
+    j: FiniteJoint,
+    left: str | Sequence[str],
+    right: str | Sequence[str],
+    given: str | Sequence[str] = (),
+) -> Fraction:
+    left_names = _as_names(left)
+    right_names = _as_names(right)
+    given_names = _as_names(given)
+    if not left_names or not right_names:
+        raise InputError("left and right must each name at least one variable")
+    all_names = left_names + right_names + given_names
+    if len(set(all_names)) != len(all_names):
+        raise InputError(f"variable groups must be pairwise disjoint: {all_names}")
+    for name in all_names:
+        j.index(name)
+
+    p_lrg = _oracle_aggregate(j, left_names + right_names + given_names)
+    p_lg = _oracle_aggregate(j, left_names + given_names)
+    p_rg = _oracle_aggregate(j, right_names + given_names)
+    p_g = _oracle_aggregate(j, given_names)
+
+    left_grid = list(itertools.product(*(j.domain(n) for n in left_names)))
+    right_grid = list(itertools.product(*(j.domain(n) for n in right_names)))
+
+    worst = max(
+        abs(p_lrg.get(lv + rv + gv, 0) * pg - p_lg.get(lv + gv, 0) * p_rg.get(rv + gv, 0))
+        for gv, pg in p_g.items()
+        if pg > 0  # zero-mass conditioning cells are vacuously satisfied
+        for lv in left_grid
+        for rv in right_grid
+    )
+    return Fraction(worst, j.denominator**2)
+
+
+def splits(names):
+    """Every (left, right, given) of disjoint subsets of ``names`` in order,
+    with left and right nonempty; unused variables are marginalized out."""
+    for roles in itertools.product("LRG-", repeat=len(names)):
+        side = {role: tuple(n for n, r in zip(names, roles) if r == role) for role in "LRG"}
+        if side["L"] and side["R"]:
+            yield side["L"], side["R"], side["G"]
+
+
+def assert_matches_oracle(j: FiniteJoint) -> None:
+    for left, right, given_names in splits(j.names):
+        deviation = ci_deviation(j, left, right, given_names)
+        assert isinstance(deviation, Fraction)
+        assert deviation == oracle_ci_deviation(j, left, right, given_names)
+
+
+class TestSingleAggregateMatchesOracle:
+    def test_seeded_integer_joints(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            count = rng.randint(2, 4)
+            variables = [
+                (name, tuple(str(v) for v in range(rng.randint(1, 3))))
+                for name in ("X", "Y", "Z", "W")[:count]
+            ]
+            assert_matches_oracle(random_joint(rng, variables))
+
+    def test_every_suite_generator(self):
+        rng = random.Random(103)
+        for _ in range(20):
+            ci = random_ci_instance(rng)
+            functional, _ = random_functional_instance(rng)
+            mapped = apply_map(ci, random_map(rng, "X", "U", ci.domain("X")))
+            for j in (
+                ci,
+                mapped,
+                functional,
+                random_chain_instance(rng),
+                random_pair_ci_instance(rng),
+                random_product_instance(rng),
+            ):
+                assert_matches_oracle(j)
+            for generate in (
+                random_perfect_grouped,
+                random_positive_grouped,
+                random_proportional_grouped,
+                random_nonproportional_grouped,
+            ):
+                assert_matches_oracle(to_joint(generate(rng)))
+
+
+@st.composite
+def joints_with_sides(draw):
+    """A joint over 2-4 variables with zero cells, and consecutive runs of a
+    reordering of its variables as left, right and a possibly empty given."""
+    names = ("X", "Y", "Z", "W")[: draw(st.integers(2, 4))]
+    variables = tuple(
+        (name, tuple(str(v) for v in range(draw(st.integers(1, 3))))) for name in names
+    )
+    keys = list(itertools.product(*(dom for _, dom in variables)))
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(keys), max_size=len(keys)))
+    if not any(weights):
+        weights[0] = 1
+    order = draw(st.permutations(names))
+    a = draw(st.integers(1, len(names) - 1))
+    b = draw(st.integers(a + 1, len(names)))
+    c = draw(st.integers(b, len(names)))
+    joint = FiniteJoint(variables=variables, table=dict(zip(keys, weights)))
+    return joint, tuple(order[:a]), tuple(order[a:b]), tuple(order[b:c])
+
+
+@given(joints_with_sides())
+def test_hypothesis_joints_match_the_oracle(case):
+    j, left, right, given_names = case
+    assert ci_deviation(j, left, right, given_names) == oracle_ci_deviation(
+        j, left, right, given_names
+    )
+
+
+class TestConstructionsAreExact:
+    DRAWS = 200
+
+    def test_ci_instances(self):
+        rng = random.Random(107)
+        for _ in range(self.DRAWS):
+            assert ci_deviation(random_ci_instance(rng), "X", "Y", "Z") == 0
+
+    def test_chain_instances(self):
+        rng = random.Random(109)
+        for _ in range(self.DRAWS):
+            j = random_chain_instance(rng)
+            assert ci_deviation(j, "X", "Y", "Z") == 0
+            assert ci_deviation(j, "X", "W", ("Y", "Z")) == 0
+
+    def test_pair_ci_instances(self):
+        rng = random.Random(113)
+        for _ in range(self.DRAWS):
+            assert ci_deviation(random_pair_ci_instance(rng), "X", ("W", "Y"), "Z") == 0
+
+    def test_product_instances(self):
+        rng = random.Random(127)
+        for _ in range(self.DRAWS):
+            assert ci_deviation(random_product_instance(rng), "X", ("Y", "Z")) == 0
+
+    def test_functional_instances(self):
+        rng = random.Random(131)
+        for _ in range(self.DRAWS):
+            j, h = random_functional_instance(rng)
+            verdict = check_ci_property(3, j, h)
+            assert verdict.premises == {"y_equals_h_of_z_violation_mass": 0}

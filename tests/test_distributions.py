@@ -38,17 +38,17 @@ def uniform_joint(*sizes: int) -> FiniteJoint:
         (name, tuple(str(i) for i in range(size))) for name, size in zip(names, sizes)
     )
     keys = list(itertools.product(*(dom for _, dom in variables)))
-    return FiniteJoint(variables=variables, table={k: 1 / len(keys) for k in keys})
+    return FiniteJoint(variables=variables, table={k: 1 for k in keys})
 
 
 def grouped_before_joint() -> FiniteJoint:
-    """The worked two-group example normalized over 78 records."""
+    """The worked two-group example: 78 records."""
     counts = {
         ("p", "+", "+"): 10, ("p", "-", "+"): 2, ("p", "+", "-"): 3, ("p", "-", "-"): 11,
         ("q", "+", "+"): 20, ("q", "-", "+"): 4, ("q", "+", "-"): 6, ("q", "-", "-"): 22,
     }
     variables = (("A", ("p", "q")), ("Y", ("+", "-")), ("R", ("+", "-")))
-    return FiniteJoint(variables=variables, table={k: v / 78 for k, v in counts.items()})
+    return FiniteJoint(variables=variables, table=counts)
 
 
 def grouped_after_joint() -> FiniteJoint:
@@ -57,25 +57,31 @@ def grouped_after_joint() -> FiniteJoint:
         ("q", "+", "+"): 21, ("q", "-", "+"): 4, ("q", "+", "-"): 5, ("q", "-", "-"): 22,
     }
     variables = (("A", ("p", "q")), ("Y", ("+", "-")), ("R", ("+", "-")))
-    return FiniteJoint(variables=variables, table={k: v / 78 for k, v in counts.items()})
+    return FiniteJoint(variables=variables, table=counts)
 
 
 class TestFiniteJointValidation:
     def test_negative_probability_rejected(self):
         with pytest.raises(InputError, match="negative"):
             FiniteJoint(
-                variables=(("X", BIN),), table={("0",): 1.5, ("1",): -0.5}
+                variables=(("X", BIN),), table={("0",): 2, ("1",): -1}
             )
 
-    def test_mass_must_be_one(self):
-        with pytest.raises(InputError, match="total mass"):
-            FiniteJoint(variables=(("X", BIN),), table={("0",): 0.3, ("1",): 0.3})
+    @pytest.mark.parametrize("weight", [0.5, 1.0, True, Fraction(1, 2), "1"])
+    def test_weight_must_be_an_int(self, weight):
+        with pytest.raises(InputError, match="must be a non-negative int"):
+            FiniteJoint(variables=(("X", BIN),), table={("0",): 1, ("1",): weight})
+
+    @pytest.mark.parametrize("table", [{}, {("0",): 0}, {("0",): 0, ("1",): 0}])
+    def test_table_without_mass_rejected(self, table):
+        with pytest.raises(InputError, match="no mass"):
+            FiniteJoint(variables=(("X", BIN),), table=table)
 
     def test_duplicate_variable_names_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             FiniteJoint(
                 variables=(("X", BIN), ("X", BIN)),
-                table={("0", "0"): 1.0},
+                table={("0", "0"): 1},
             )
 
     def test_empty_domain_rejected(self):
@@ -84,37 +90,40 @@ class TestFiniteJointValidation:
 
     def test_key_outside_domain_rejected(self):
         with pytest.raises(InputError, match="does not match"):
-            FiniteJoint(variables=(("X", BIN),), table={("2",): 1.0})
+            FiniteJoint(variables=(("X", BIN),), table={("2",): 1})
 
     def test_sparse_cells_read_as_zero(self):
-        j = FiniteJoint(variables=(("X", BIN),), table={("0",): 1.0})
-        assert j.prob(("1",)) == 0.0
-        assert j.min_cell() == 0.0
+        j = FiniteJoint(variables=(("X", BIN),), table={("0",): 1})
+        assert j.prob(("1",)) == 0
+        assert j.min_cell() == 0
 
 
 class TestCountJoint:
-    """Integer weights over a denominator: every mass is an exact Fraction."""
+    """Integer weights over their total: every mass is an exact Fraction."""
 
     COUNTS = {("0", "0"): 1, ("0", "1"): 2, ("1", "0"): 3, ("1", "1"): 4}
 
     def joint(self) -> FiniteJoint:
-        return FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS, denominator=10)
+        return FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS)
 
     @pytest.mark.parametrize("denominator", [0, -10, 10.0, True, "10"])
     def test_denominator_must_be_a_positive_integer(self, denominator):
-        with pytest.raises(InputError, match="denominator must be a positive integer"):
-            FiniteJoint(
-                variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS, denominator=denominator
-            )
+        # The denominator is the weights' total; with every weight set to
+        # the value it is zero, negative, a float, a bool sum or a string.
+        table = {key: denominator for key in self.COUNTS}
+        with pytest.raises(InputError, match="must be a non-negative int|no mass"):
+            FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=table)
 
-    def test_counts_must_sum_to_the_denominator(self):
-        with pytest.raises(InputError, match="total mass"):
-            FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS, denominator=11)
+    def test_denominator_is_the_total_and_not_an_argument(self):
+        assert self.joint().denominator == 10
+        with pytest.raises(TypeError):
+            FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=self.COUNTS, denominator=10)
 
     def test_masses_are_exact(self):
         j = self.joint()
         assert j.prob(("0", "1")) == Fraction(1, 5)
-        assert j.total_mass() == 1 and isinstance(j.total_mass(), Fraction)
+        assert isinstance(j.prob(("0", "1")), Fraction)
+        assert sum(j.prob(key) for key in j.assignments()) == 1
         assert j.min_cell() == Fraction(1, 10)
 
     def test_marginal_and_apply_map_keep_the_denominator(self):
@@ -126,21 +135,14 @@ class TestCountJoint:
         assert extended.denominator == 10
         assert extended.prob(("1", "1", "u")) == Fraction(2, 5)
 
-    def test_deviation_is_exact_and_matches_the_float_joint(self):
+    def test_deviation_is_exact(self):
         # |w(x,y) * N - w(x) * w(y)| = 2 in every cell, over N^2 = 100.
         dev = ci_deviation(self.joint(), "X", "Y")
         assert dev == Fraction(1, 50) and isinstance(dev, Fraction)
-        floats = FiniteJoint(
-            variables=(("X", BIN), ("Y", BIN)),
-            table={key: count / 10 for key, count in self.COUNTS.items()},
-        )
-        assert ci_deviation(floats, "X", "Y") == pytest.approx(0.02, abs=1e-15)
 
     def test_functional_violation_mass_is_exact(self):
         counts = {("0", "0", "u"): 4, ("1", "1", "v"): 5, ("0", "1", "u"): 1}
-        j = FiniteJoint(
-            variables=(("X", BIN), ("Z", BIN), ("Y", ("u", "v"))), table=counts, denominator=10
-        )
+        j = FiniteJoint(variables=(("X", BIN), ("Z", BIN), ("Y", ("u", "v"))), table=counts)
         h = DeterministicMap(source="Z", target="Y", mapping={"0": "u", "1": "v"})
         verdict = check_ci_property(3, j, h)
         assert verdict.status == VACUOUS
@@ -152,12 +154,12 @@ class TestMarginal:
         j = uniform_joint(2, 2, 2)
         m = marginal(j, {"X"})
         assert m.names == ("X",)
-        assert m.prob(("0",)) == pytest.approx(0.5, abs=1e-15)
-        assert m.prob(("1",)) == pytest.approx(0.5, abs=1e-15)
+        assert m.prob(("0",)) == Fraction(1, 2)
+        assert m.prob(("1",)) == Fraction(1, 2)
 
     def test_before_joint_keep_y_gives_half(self):
         m = marginal(grouped_before_joint(), {"Y"})
-        assert m.prob(("+",)) == pytest.approx(39 / 78, abs=1e-15)
+        assert m.prob(("+",)) == Fraction(39, 78)
 
     def test_keep_all_is_identity(self):
         rng = random.Random(3)
@@ -179,30 +181,30 @@ class TestMarginal:
         for _ in range(50):
             j = random_joint(rng, [("X", BIN), ("Y", ("a", "b", "c")), ("Z", BIN)])
             for keep in ({"X"}, {"Y"}, {"X", "Z"}):
-                assert abs(marginal(j, keep).total_mass() - j.total_mass()) <= 1e-15
+                assert marginal(j, keep).denominator == j.denominator
 
 
 class TestIsIndependent:
     def test_product_distribution_holds(self):
         table = {}
-        px = {"0": 0.3, "1": 0.7}
-        py = {"0": 0.6, "1": 0.4}
+        px = {"0": 3, "1": 7}
+        py = {"0": 6, "1": 4}
         for x, y in itertools.product(BIN, BIN):
             table[(x, y)] = px[x] * py[y]
         j = FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table=table)
-        assert ci_deviation(j, "X", "Y") <= 1e-15
+        assert ci_deviation(j, "X", "Y") == 0
 
     def test_perfectly_correlated_pair_deviation_quarter(self):
         j = FiniteJoint(
             variables=(("X", BIN), ("Y", BIN)),
-            table={("0", "0"): 0.5, ("1", "1"): 0.5},
+            table={("0", "0"): 1, ("1", "1"): 1},
         )
         deviation = ci_deviation(j, "X", "Y")
         assert deviation > EPS_DEFAULT
-        assert deviation == pytest.approx(0.25, abs=1e-15)
+        assert deviation == Fraction(1, 4)
 
     def test_before_joint_group_and_prediction_independent(self):
-        assert ci_deviation(grouped_before_joint(), "A", "R") <= 1e-15
+        assert ci_deviation(grouped_before_joint(), "A", "R") == 0
 
     def test_same_variable_rejected(self):
         with pytest.raises(InputError, match="disjoint"):
@@ -218,8 +220,8 @@ class TestIsCondIndependent:
 
     def test_before_joint_sufficiency_and_separation_hold(self):
         j = grouped_before_joint()
-        assert ci_deviation(j, "Y", "A", "R") <= 1e-15
-        assert ci_deviation(j, "R", "A", "Y") <= 1e-15
+        assert ci_deviation(j, "Y", "A", "R") == 0
+        assert ci_deviation(j, "R", "A", "Y") == 0
 
     def test_after_joint_separation_fails(self):
         assert ci_deviation(grouped_after_joint(), "R", "A", "Y") > 1e-6
@@ -230,7 +232,7 @@ class TestIsCondIndependent:
             j = random_joint(rng, [("X", BIN), ("Y", ("a", "b", "c"))])
             plain = ci_deviation(j, "X", "Y")
             conditioned = ci_deviation(j, "X", "Y", ())
-            assert abs(plain - conditioned) <= 1e-15
+            assert plain == conditioned
 
     def test_deviation_invariant_under_domain_relabeling(self):
         rng = random.Random(13)
@@ -239,50 +241,47 @@ class TestIsCondIndependent:
             flipped_vars = (("X", ("1", "0")), ("Y", BIN), ("Z", ("c", "a", "b")))
             flipped = FiniteJoint(variables=flipped_vars, table=dict(j.table))
             for left, right, given in (("X", "Y", "Z"), ("X", "Z", ()), ("Y", "Z", "X")):
-                assert abs(
-                    ci_deviation(j, left, right, given)
-                    - ci_deviation(flipped, left, right, given)
-                ) <= 1e-15
+                assert ci_deviation(j, left, right, given) == ci_deviation(
+                    flipped, left, right, given
+                )
 
 
 class TestComposeCI:
     def test_uniform_components_give_uniform_joint(self):
-        pz = {"0": 0.5, "1": 0.5}
-        rows = {z: {"0": 0.5, "1": 0.5} for z in pz}
+        pz = {"0": 1, "1": 1}
+        rows = {z: {"0": 1, "1": 1} for z in pz}
         j = compose_ci(pz, rows, rows)
         for key in j.assignments():
-            assert j.prob(key) == pytest.approx(1 / 8, abs=1e-15)
+            assert j.prob(key) == Fraction(1, 8)
 
     def test_point_mass_conditioner_gives_unconditional_independence(self):
-        pz = {"only": 1.0}
-        px = {"only": {"0": 0.2, "1": 0.8}}
-        py = {"only": {"0": 0.6, "1": 0.4}}
+        pz = {"only": 1}
+        px = {"only": {"0": 1, "1": 4}}
+        py = {"only": {"0": 3, "1": 2}}
         j = compose_ci(pz, px, py)
-        assert ci_deviation(j, "X", "Y") <= 1e-15
+        assert ci_deviation(j, "X", "Y") == 0
 
     def test_output_satisfies_target_ci(self):
         rng = random.Random(42)
         for _ in range(500):
             j = random_ci_instance(rng)
-            assert ci_deviation(j, "X", "Y", "Z") <= 1e-12
+            assert ci_deviation(j, "X", "Y", "Z") == 0
 
-    def test_non_stochastic_row_rejected(self):
-        pz = {"0": 1.0}
-        bad = {"0": {"0": 0.5, "1": 0.2}}
-        good = {"0": {"0": 0.5, "1": 0.5}}
-        with pytest.raises(InputError, match="not stochastic"):
-            compose_ci(pz, bad, good)
+    def test_float_weight_rejected(self):
+        rows = {"0": {"0": 1, "1": 1}}
+        with pytest.raises(InputError, match="must be a non-negative int"):
+            compose_ci({"0": 0.5}, rows, rows)
 
     def test_negative_row_mass_rejected(self):
-        pz = {"0": 1.0}
-        bad = {"0": {"0": 1.2, "1": -0.2}}
-        good = {"0": {"0": 0.5, "1": 0.5}}
+        pz = {"0": 1}
+        bad = {"0": {"0": 2, "1": -1}}
+        good = {"0": {"0": 1, "1": 1}}
         with pytest.raises(InputError, match="negative"):
             compose_ci(pz, bad, good)
 
     def test_missing_row_rejected(self):
-        pz = {"0": 0.5, "1": 0.5}
-        partial = {"0": {"0": 1.0}}
+        pz = {"0": 1, "1": 1}
+        partial = {"0": {"0": 1}}
         with pytest.raises(InputError, match="missing a row"):
             compose_ci(pz, partial, partial)
 
@@ -294,7 +293,7 @@ class TestApplyMap:
         extended = apply_map(j, h)
         assert extended.names == ("X", "Y", "U")
         assert extended.domain("U") == ("u",)
-        assert abs(extended.total_mass() - 1) <= 1e-15
+        assert extended.denominator == j.denominator
 
     def test_existing_target_rejected(self):
         j = uniform_joint(2, 2)
@@ -319,8 +318,8 @@ class TestCheckCIProperty:
     def test_property_1_vacuous_on_dependent_joint(self):
         # X = Y while Z is an independent fair coin: the premise fails.
         table = {
-            ("0", "0", "0"): 0.25, ("1", "1", "0"): 0.25,
-            ("0", "0", "1"): 0.25, ("1", "1", "1"): 0.25,
+            ("0", "0", "0"): 1, ("1", "1", "0"): 1,
+            ("0", "0", "1"): 1, ("1", "1", "1"): 1,
         }
         j = FiniteJoint(variables=(("X", BIN), ("Y", BIN), ("Z", BIN)), table=table)
         verdict = check_ci_property(1, j)
@@ -384,14 +383,14 @@ class TestCheckCIProperty:
     def test_property_5_vacuous_without_positivity(self):
         # X independent of (Y, Z) but one cell empty.
         table = {
-            ("0", "0", "0"): 0.30, ("1", "0", "0"): 0.30,
-            ("0", "1", "0"): 0.15, ("1", "1", "0"): 0.15,
-            ("0", "0", "1"): 0.05, ("1", "0", "1"): 0.05,
+            ("0", "0", "0"): 6, ("1", "0", "0"): 6,
+            ("0", "1", "0"): 3, ("1", "1", "0"): 3,
+            ("0", "0", "1"): 1, ("1", "0", "1"): 1,
         }
         j = FiniteJoint(variables=(("X", BIN), ("Y", BIN), ("Z", BIN)), table=table)
         verdict = check_ci_property(5, j)
         assert verdict.status == VACUOUS
-        assert verdict.premises["positivity_min_cell"] == 0.0
+        assert verdict.premises["positivity_min_cell"] == 0
 
     def test_unknown_property_rejected(self):
         with pytest.raises(InputError, match="1..5"):

@@ -148,8 +148,8 @@ class TestMeasureViaDistribution:
 
     def test_product_joint_satisfies_all_measures(self):
         # A independent of (Y, R) by construction.
-        pa = {"p": 0.4, "q": 0.6}
-        pyr = {("+", "+"): 0.3, ("-", "+"): 0.2, ("+", "-"): 0.1, ("-", "-"): 0.4}
+        pa = {"p": 2, "q": 3}
+        pyr = {("+", "+"): 3, ("-", "+"): 2, ("+", "-"): 1, ("-", "-"): 4}
         table = {
             (a, y, r): pa[a] * pyr[(y, r)]
             for a in pa
@@ -164,8 +164,8 @@ class TestMeasureViaDistribution:
 
     def test_correlated_group_and_prediction_fails_independence(self):
         table = {
-            ("p", "+", "+"): 0.5,
-            ("q", "+", "-"): 0.5,
+            ("p", "+", "+"): 1,
+            ("q", "+", "-"): 1,
         }
         j = FiniteJoint(
             variables=(("A", ("p", "q")), ("Y", ("+", "-")), ("R", ("+", "-"))),
@@ -176,7 +176,7 @@ class TestMeasureViaDistribution:
     def test_wrong_variable_set_rejected(self):
         j = FiniteJoint(
             variables=(("A", ("p", "q")), ("Y", ("+", "-"))),
-            table={("p", "+"): 1.0},
+            table={("p", "+"): 1},
         )
         with pytest.raises(InputError, match="A, Y, R"):
             measure_via_distribution(j, INDEPENDENCE)
@@ -184,7 +184,7 @@ class TestMeasureViaDistribution:
     def test_nonbinary_prediction_rejected(self):
         j = FiniteJoint(
             variables=(("A", ("p", "q")), ("Y", ("+", "-")), ("R", ("1", "2", "3"))),
-            table={("p", "+", "1"): 1.0},
+            table={("p", "+", "1"): 1},
         )
         with pytest.raises(InputError, match="binary"):
             measure_via_distribution(j, SEPARATION)
@@ -192,7 +192,7 @@ class TestMeasureViaDistribution:
     def test_labels_other_than_pos_and_neg_rejected(self):
         j = FiniteJoint(
             variables=(("A", ("p", "q")), ("Y", ("1", "0")), ("R", ("+", "-"))),
-            table={("p", "1", "+"): 1.0},
+            table={("p", "1", "+"): 1},
         )
         with pytest.raises(InputError, match="binary"):
             measure_via_distribution(j, SUFFICIENCY)
