@@ -154,7 +154,8 @@ def measure_via_distribution(
     For every value a of A the rates are conditional probabilities: selection
     rate P(R=+ | A=a), PPV P(Y=+ | A=a, R=+), NPV P(Y=- | A=a, R=-), FPR
     P(R=+ | A=a, Y=-) and FNR P(R=- | A=a, Y=+). Each is an exact ratio of
-    cell weights, undefined when its conditioning weight is 0. On ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``.
+    cell weights, undefined when its conditioning weight is 0. On
+    ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``.
     """
     if set(j.names) != {"A", "Y", "R"}:
         raise InputError(f"joint must have variables A, Y, R; got {j.names}")
