@@ -3,7 +3,8 @@
 Each case runs ``main`` in-process in both formats. The expected stdout of a
 case is ``golden/<case>.<format>``; its exit code and stderr are in
 ``golden/status.json``. Inputs are built here from fixed matrices and records,
-so the goldens pin the whole path from CSV to rendered output.
+or given as raw CSV text, so the goldens pin the whole path from CSV to
+rendered output, error messages and their line numbers included.
 """
 
 import io
@@ -42,7 +43,44 @@ def scored_dataset() -> Dataset:
     return Dataset(records=tuple(records), groups=ds.groups)
 
 
-#: case name -> (input dataset or None, CLI arguments; ``{csv}`` is the input).
+#: Raw CSV with a BOM, label spellings in mixed case and padding, a blank
+#: line and a newline quoted inside an id.
+MIXED_LABELS_CSV = (
+    "\ufeffid,group,y_true,y_pred,score\n"
+    "a1,p,Yes,TRUE, 0.25\n"
+    "a2,p, 1 ,no,\n"
+    "\n"
+    '"a\n3",p,no,yes,0.5\n'
+    "a4,p,false,0,\n"
+    "b1,q,TRUE,Yes,\n"
+    "b2,q,0,1,\n"
+    "b3,q, 1 ,False,\n"
+    "b4,q,no,No,1\n"
+    "b5,q,yes,+,0\n"
+)
+
+#: Raw CSV that ``audit`` and ``counterexample`` must reject with exit 2:
+#: name -> (CSV text, extra CLI arguments). The blank line and the quoted
+#: newline before a bad row pin physical line numbers.
+BAD_CSVS = {
+    "duplicate-id": (
+        'id,group,y_true,y_pred\na,p,1,1\n\n"b\nb",q,0,0\na,q,1,0\n',
+        (),
+    ),
+    "bad-y-pred": ("id,group,y_true,y_pred\na,p,1,1\n\nb,q,0,maybe\n", ()),
+    "undeclared-group": (
+        "id,group,y_true,y_pred\na,p,1,1\nb,q,0,0\nc,r,1,0\n",
+        ("--groups", "p,q"),
+    ),
+    "score-out-of-range": (
+        'id,group,y_true,y_pred,score\na,p,1,1,0.5\n"b\nb",q,0,0,1.5\n',
+        (),
+    ),
+    "header-only": ("id,group,y_true,y_pred\n", ()),
+}
+
+#: case name -> (input: matrices, dataset factory, raw CSV text or None;
+#: CLI arguments, where ``{csv}`` is the input).
 CASES = {
     "audit-passing": (PASSING, ("audit", "{csv}")),
     "audit-failing": (FAILING, ("audit", "{csv}")),
@@ -60,13 +98,21 @@ CASES = {
     "check-props-seed-11": (None, ("check-props", "--seed", "11", "--count", "300")),
     "counterexample-witness": (PASSING, ("counterexample", "{csv}")),
     "counterexample-none": (PERFECT, ("counterexample", "{csv}")),
+    "audit-mixed-labels": (MIXED_LABELS_CSV, ("audit", "{csv}")),
+    **{
+        f"{command}-error-{name}": (text, (command, "{csv}", *extra))
+        for name, (text, extra) in BAD_CSVS.items()
+        for command in ("audit", "counterexample")
+    },
 }
 
 
 def run_case(name: str, fmt: str, workdir: Path) -> tuple[int, str, str]:
     source, argv = CASES[name]
     csv_path = workdir / f"{name}.csv"
-    if source is not None:
+    if isinstance(source, str):
+        csv_path.write_bytes(source.encode("utf-8"))
+    elif source is not None:
         ds = source() if callable(source) else synthesize_dataset(GroupedConfusion(source))
         export_csv(ds, str(csv_path))
     args = [arg.replace("{csv}", str(csv_path)) for arg in argv] + ["--format", fmt]
