@@ -15,8 +15,9 @@ import csv
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
 from .adversary import lipschitz_violations, reservoir_attack, swap_attack
@@ -84,14 +85,21 @@ DEMO_BEFORE = {
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Label encodings and (optionally) the declared group universe."""
+    """Label encodings and (optionally) the declared group universe.
+
+    Encodings are stored stripped and lower-cased, as cells are read, so
+    matching is case- and space-insensitive.
+    """
 
     positive_labels: tuple[str, ...] = DEFAULT_POSITIVE
     negative_labels: tuple[str, ...] = DEFAULT_NEGATIVE
     groups: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not all(label.strip() for label in self.positive_labels + self.negative_labels):
+        for option in ("positive_labels", "negative_labels"):
+            labels = tuple(label.strip().lower() for label in getattr(self, option))
+            object.__setattr__(self, option, labels)
+        if not all(self.positive_labels + self.negative_labels):
             raise InputError("label encodings must be nonempty (an empty one matches empty cells)")
         shared = sorted(set(self.positive_labels) & set(self.negative_labels))
         if shared:
@@ -100,66 +108,95 @@ class CsvSchema:
                 "listed as both positive and negative"
             )
 
-    def parse_label(self, raw: str, column: str, where: str) -> bool:
-        value = raw.strip().lower()
-        if value in self.positive_labels:
-            return True
-        if value in self.negative_labels:
-            return False
-        raise InputError(
-            f"{where}: cannot parse {column}={raw!r}; "
-            f"positive encodings {self.positive_labels}, "
-            f"negative encodings {self.negative_labels}"
-        )
+
+#: One validated data row: id, group, true label, prediction, optional score.
+Row = tuple[str, str, bool, bool, float | None]
 
 
-def ingest_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read a dataset from CSV, rejecting schema violations with locations."""
+def _rows(path: str, schema: CsvSchema) -> Iterator[Row]:
+    """Validated rows of a CSV file, rejecting schema violations with locations.
+
+    Blank rows are skipped, missing cells read as empty, and a header name
+    that appears twice names its last column (the rules of
+    ``csv.DictReader``). An error names the physical line the bad row ends on.
+    """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise InputError(f"{path}: file is empty; header row required")
-        missing = [col for col in REQUIRED_COLUMNS if col not in reader.fieldnames]
+        column = {name: i for i, name in enumerate(header)}
+        missing = [col for col in REQUIRED_COLUMNS if col not in column]
         if missing:
             raise InputError(f"{path}: missing column(s): {', '.join(missing)}")
-        has_score = "score" in reader.fieldnames
+        i_id, i_group, i_y, i_r = (column[col] for col in REQUIRED_COLUMNS)
+        i_score = column.get("score")
+        padding = [""] * len(header)
+        labels = {
+            **dict.fromkeys(schema.negative_labels, False),
+            **dict.fromkeys(schema.positive_labels, True),
+        }
         declared = None if schema.groups is None else frozenset(schema.groups)
-        records: list[Record] = []
         seen: set[str] = set()
         for row in reader:
-            where = f"{path}:{reader.line_num}"  # blank lines and quoted newlines count
-            rid = (row.get("id") or "").strip()
-            if not rid:
-                raise InputError(f"{where}: empty id")
-            if rid in seen:
-                raise InputError(f"{where}: duplicate id {rid!r}")
-            seen.add(rid)
-            group = (row.get("group") or "").strip()
-            if not group:
-                raise InputError(f"{where}: empty group")
-            if declared is not None and group not in declared:
-                raise InputError(
-                    f"{where}: group {group!r} not among declared groups {schema.groups}"
-                )
-            y = schema.parse_label(row.get("y_true") or "", "y_true", where)
-            r = schema.parse_label(row.get("y_pred") or "", "y_pred", where)
-            score: float | None = None
-            raw_score = (row.get("score") or "").strip() if has_score else ""
-            if raw_score:
-                try:
-                    score = float(raw_score)
-                except ValueError:
-                    raise InputError(f"{where}: cannot parse score={raw_score!r}") from None
+            if not row:
+                continue
+            if len(row) < len(header):
+                row += padding[len(row):]
             try:
-                records.append(Record(id=rid, group=group, y=y, r=r, score=score))
-            except InputError as exc:
-                raise InputError(f"{where}: {exc}") from None
-    if not records:
+                rid = row[i_id].strip()
+                if not rid:
+                    raise InputError("empty id")
+                if rid in seen:
+                    raise InputError(f"duplicate id {rid!r}")
+                seen.add(rid)
+                group = row[i_group].strip()
+                if not group:
+                    raise InputError("empty group")
+                if declared is not None and group not in declared:
+                    raise InputError(
+                        f"group {group!r} not among declared groups {schema.groups}"
+                    )
+                y = labels.get(row[i_y].strip().lower())
+                r = labels.get(row[i_r].strip().lower())
+                if y is None or r is None:
+                    name, raw = ("y_true", row[i_y]) if y is None else ("y_pred", row[i_r])
+                    raise InputError(
+                        f"cannot parse {name}={raw!r}; "
+                        f"positive encodings {schema.positive_labels}, "
+                        f"negative encodings {schema.negative_labels}"
+                    )
+                score: float | None = None
+                raw_score = "" if i_score is None else row[i_score].strip()
+                if raw_score:
+                    try:
+                        score = float(raw_score)
+                    except ValueError:
+                        raise InputError(f"cannot parse score={raw_score!r}") from None
+                    if not 0.0 <= score <= 1.0:
+                        raise InputError(f"score for {rid!r} must lie in [0, 1], got {score}")
+            except InputError as exc:  # blank lines and quoted newlines count
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+            yield rid, group, y, r, score
+    if not seen:
         raise InputError(f"{path}: no data rows")
+    if declared is not None and len(declared) != len(schema.groups):
+        raise InputError("declared groups repeat a label")
+
+
+def ingest_counts(path: str, schema: CsvSchema = CsvSchema()) -> GroupedConfusion:
+    """Per-group confusion matrices of a CSV file, counted as rows are read."""
+    counts = Counter((group, y, r) for _, group, y, r, _ in _rows(path, schema))
+    return GroupedConfusion.from_counts(counts, schema.groups)
+
+
+def ingest_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
+    """Read a dataset from CSV, rejecting schema violations with locations."""
+    records = [Record(*row) for row in _rows(path, schema)]
     return Dataset.from_records(records, schema.groups)
 
 
@@ -192,20 +229,18 @@ def _schema_from_args(args: argparse.Namespace) -> CsvSchema:
     kwargs: dict[str, Any] = {}
     for option in ("positive_labels", "negative_labels"):
         if getattr(args, option):
-            labels = getattr(args, option).split(",")
-            kwargs[option] = tuple(label.strip().lower() for label in labels)
+            kwargs[option] = tuple(getattr(args, option).split(","))
     if args.groups:
         kwargs["groups"] = tuple(label.strip() for label in args.groups.split(","))
     return CsvSchema(**kwargs)
 
 
-def _load(args: argparse.Namespace) -> tuple[Dataset, GroupedConfusion]:
-    ds = ingest_csv(args.input, _schema_from_args(args))
-    return ds, tabulate(ds)
+def _load(args: argparse.Namespace) -> GroupedConfusion:
+    return ingest_counts(args.input, _schema_from_args(args))
 
 
 def cmd_audit(args: argparse.Namespace) -> Output:
-    _, g = _load(args)
+    g = _load(args)
     report = build_report(g, args.eps, args.budget if args.find_break else None)
     return (0 if report.all_hold() else 1), report.payload(), report.text()
 
@@ -258,8 +293,8 @@ def cmd_demo(args: argparse.Namespace) -> Output:
 
 
 def cmd_attack(args: argparse.Namespace) -> Output:
-    ds, g = _load(args)
     if args.kind == "reservoir":
+        g = _load(args)
         result = reservoir_attack(g, args.group, args.z_max, args.eps)
         payload: dict[str, Any] = {
             "attack": "reservoir",
@@ -289,9 +324,11 @@ def cmd_attack(args: argparse.Namespace) -> Output:
         lines.append("")
         return 0, payload, "\n".join(lines)
 
+    ds = ingest_csv(args.input, _schema_from_args(args))
+    g = tabulate(ds)
     result = swap_attack(ds, args.group)
     after_g = tabulate(result.after)
-    matrices_unchanged = tabulate(result.before).matrices == after_g.matrices
+    matrices_unchanged = g.matrices == after_g.matrices
     lipschitz = lipschitz_violations(result.after, args.scale)
     swapped = set(result.swapped_pair)
     pair_flagged = any(
@@ -441,7 +478,7 @@ def cmd_check_props(args: argparse.Namespace) -> Output:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> Output:
-    _, g = _load(args)
+    g = _load(args)
     witness = find_break(g, args.eps, args.budget)
     payload = {"command": "counterexample", **break_payload(witness, args.budget, None)}
     lines = break_text(witness, args.budget, None)

@@ -9,6 +9,7 @@ verdicts instead of silently passing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -19,6 +20,9 @@ from .errors import InputError
 #: Canonical labels for the binary categories.
 POS = "+"
 NEG = "-"
+
+#: ``(y, r)`` of the cells a=TP, b=FP, c=FN, d=TN, in that order.
+CELLS = ((True, True), (False, True), (True, False), (False, False))
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,30 @@ class GroupedConfusion:
             raise InputError("at least one group is required")
         object.__setattr__(self, "matrices", dict(self.matrices))
         object.__setattr__(self, "empty_groups", tuple(self.empty_groups))
+
+    @classmethod
+    def from_counts(
+        cls, counts: Mapping[tuple[str, bool, bool], int], groups: Sequence[str] | None = None
+    ) -> GroupedConfusion:
+        """Matrices from record counts keyed ``(group, y, r)``.
+
+        Groups come in ``groups`` order, or in order of first appearance in
+        ``counts`` when no universe is declared. Declared groups without
+        records are excluded and reported via ``empty_groups``.
+        """
+        if groups is None:
+            groups = tuple(dict.fromkeys(group for group, _, _ in counts))
+        matrices: dict[str, ConfusionMatrix] = {}
+        empty: list[str] = []
+        for group in groups:
+            cells = [counts.get((group, y, r), 0) for y, r in CELLS]
+            if any(cells):
+                matrices[group] = ConfusionMatrix(*cells)
+            else:
+                empty.append(group)
+        if not matrices:
+            raise InputError("dataset has no records in any declared group")
+        return cls(matrices, empty_groups=tuple(empty))
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -183,24 +211,8 @@ def tabulate(ds: Dataset) -> GroupedConfusion:
 
     Groups without records are excluded and reported via ``empty_groups``.
     """
-    counts = {group: [0, 0, 0, 0] for group in ds.groups}
-    for rec in ds.records:
-        cell = counts[rec.group]
-        if rec.y and rec.r:
-            cell[0] += 1
-        elif not rec.y and rec.r:
-            cell[1] += 1
-        elif rec.y and not rec.r:
-            cell[2] += 1
-        else:
-            cell[3] += 1
-    matrices = {
-        group: ConfusionMatrix(*cell) for group, cell in counts.items() if sum(cell) > 0
-    }
-    empty = tuple(group for group in ds.groups if sum(counts[group]) == 0)
-    if not matrices:
-        raise InputError("dataset has no records in any declared group")
-    return GroupedConfusion(matrices, empty_groups=empty)
+    counts = Counter((rec.group, rec.y, rec.r) for rec in ds.records)
+    return GroupedConfusion.from_counts(counts, ds.groups)
 
 
 def to_joint(g: GroupedConfusion) -> FiniteJoint:
@@ -235,9 +247,8 @@ def synthesize_dataset(g: GroupedConfusion) -> Dataset:
     """
     records: list[Record] = []
     for group, m in g.matrices.items():
-        cells = ((m.a, True, True), (m.b, False, True), (m.c, True, False), (m.d, False, False))
         serial = 0
-        for count, y, r in cells:
+        for count, (y, r) in zip((m.a, m.b, m.c, m.d), CELLS):
             for _ in range(count):
                 records.append(Record(id=f"{group}-{serial:04d}", group=group, y=y, r=r))
                 serial += 1

@@ -22,6 +22,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -348,10 +349,14 @@ def check_ci_property(
     Returns a vacuous verdict when the premises fail within ``eps``; a
     vacuous premise asserts nothing and is distinct from a failure.
     """
+    # Fraction(eps) is exact, so comparing with it gives what comparing with
+    # eps would, without converting eps on every comparison; inf and nan
+    # have no Fraction and stay floats.
+    limit = Fraction(eps) if math.isfinite(eps) else eps
     if k == 1:
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
-        if premise > eps:
+        if premise > limit:
             return PropertyVerdict(VACUOUS, premises)
         conclusions = {"y_indep_x_given_z": ci_deviation(j, "Y", "X", "Z")}
     elif k == 2:
@@ -359,7 +364,7 @@ def check_ci_property(
             raise InputError("property 2 needs a DeterministicMap from X")
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
-        if premise > eps:
+        if premise > limit:
             return PropertyVerdict(VACUOUS, premises)
         extended = apply_map(j, h)
         u = h.target
@@ -372,7 +377,7 @@ def check_ci_property(
             raise InputError("property 3 needs a DeterministicMap from Z onto Y")
         premise = _functional_violation_mass(j, h)
         premises = {"y_equals_h_of_z_violation_mass": premise}
-        if premise > eps:
+        if premise > limit:
             return PropertyVerdict(VACUOUS, premises)
         conclusions = {"x_indep_y_given_z": ci_deviation(j, "X", "Y", "Z")}
     elif k == 4:
@@ -385,9 +390,9 @@ def check_ci_property(
             "x_indep_wy_given_z": dev_c,
         }
         conclusions = {}
-        if dev_a <= eps and dev_b <= eps:
+        if dev_a <= limit and dev_b <= limit:
             conclusions["forward_x_indep_wy_given_z"] = dev_c
-        if dev_c <= eps:
+        if dev_c <= limit:
             conclusions["backward_x_indep_y_given_z"] = dev_a
             conclusions["backward_x_indep_w_given_yz"] = dev_b
         if not conclusions:
@@ -401,11 +406,11 @@ def check_ci_property(
             "x_indep_y_given_z": dev_xy,
             "x_indep_z_given_y": dev_xz,
         }
-        if min_cell <= 0 or dev_xy > eps or dev_xz > eps:
+        if min_cell <= 0 or dev_xy > limit or dev_xz > limit:
             return PropertyVerdict(VACUOUS, premises)
         conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
     else:
         raise InputError(f"property id must be 1..5, got {k!r}")
 
-    status = PASS if all(dev <= eps for dev in conclusions.values()) else FAIL
+    status = PASS if all(dev <= limit for dev in conclusions.values()) else FAIL
     return PropertyVerdict(status, premises, conclusions)

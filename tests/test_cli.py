@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from fairaudit.cli import CsvSchema, export_csv, ingest_csv, main
+from fairaudit.cli import CsvSchema, export_csv, ingest_counts, ingest_csv, main
 from fairaudit.confusion import (
     ConfusionMatrix,
     Dataset,
@@ -170,9 +170,21 @@ class TestIngest:
         assert ds.records[0].id == "1"
         assert tabulate(ds)["g"] == ConfusionMatrix(0, 0, 1, 0)
 
+    def test_encodings_match_whatever_their_case_and_padding(self, tmp_path):
+        path = tmp_path / "yn.csv"
+        path.write_text("id,group,y_true,y_pred\n1,g,Y,N\n2,g, n ,y\n")
+        schema = CsvSchema(positive_labels=("Y",), negative_labels=(" N ",))
+        assert (schema.positive_labels, schema.negative_labels) == (("y",), ("n",))
+        assert ingest_counts(str(path), schema)["g"] == ConfusionMatrix(0, 1, 1, 0)
+        assert tabulate(ingest_csv(str(path), schema))["g"] == ConfusionMatrix(0, 1, 1, 0)
+
     def test_overlapping_encodings_rejected(self):
         with pytest.raises(InputError, match="'0'"):
             CsvSchema(positive_labels=("1", "0"))
+
+    def test_encodings_differing_only_in_case_overlap(self):
+        with pytest.raises(InputError, match="'y' listed as both"):
+            CsvSchema(positive_labels=("Y",), negative_labels=("y ",))
 
     def test_overlapping_encodings_exit_two(self, before_csv, capsys):
         code, out = run_cli("audit", before_csv, "--positive-labels", "1,0")

@@ -1,6 +1,7 @@
 """Tests for finite joint distributions and the conditional-independence checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from fairaudit.distributions import (
     EPS_DEFAULT,
+    FAIL,
     PASS,
     VACUOUS,
     DeterministicMap,
@@ -395,6 +397,29 @@ class TestCheckCIProperty:
     def test_unknown_property_rejected(self):
         with pytest.raises(InputError, match="1..5"):
             check_ci_property(6, uniform_joint(2, 2, 2))
+
+    def test_eps_bound_is_exact_at_the_boundary(self):
+        # X = Y with an independent Z: both deviations are exactly 1/16, the
+        # value of the float 0.0625; the next float below it fails the premise.
+        j = FiniteJoint(
+            variables=(("X", BIN), ("Y", BIN), ("Z", BIN)),
+            table={("0", "0", "0"): 1, ("1", "1", "0"): 1, ("0", "0", "1"): 1, ("1", "1", "1"): 1},
+        )
+        assert ci_deviation(j, "X", "Y", "Z") == Fraction(1, 16)
+        assert check_ci_property(1, j, eps=0.0625).status == PASS
+        assert check_ci_property(1, j, eps=math.nextafter(0.0625, 0)).status == VACUOUS
+
+    def test_infinite_and_nan_eps_compare_as_floats(self):
+        table = {("0", "0", "0"): 1, ("1", "1", "0"): 1, ("0", "0", "1"): 1, ("1", "1", "1"): 1}
+        j = FiniteJoint(variables=(("X", BIN), ("Y", BIN), ("Z", BIN)), table=table)
+        chain = random_chain_instance(random.Random(7))
+        # inf: no premise exceeds it and every conclusion lies within it.
+        assert check_ci_property(1, j, eps=math.inf).status == PASS
+        assert check_ci_property(4, chain, eps=math.inf).status == PASS
+        # nan: every comparison is false, so no premise is vacuous by ``>``,
+        # no conclusion passes by ``<=``, and property 4 derives none.
+        assert check_ci_property(1, j, eps=math.nan).status == FAIL
+        assert check_ci_property(4, chain, eps=math.nan).status == VACUOUS
 
 
 class TestDefaults:
