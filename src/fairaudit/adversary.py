@@ -46,7 +46,6 @@ class ReservoirPlan:
 @dataclass(frozen=True)
 class ReservoirAttackResult:
     plan: ReservoirPlan
-    before: GroupedConfusion
     after: GroupedConfusion
     separation_before: MeasureVerdict
     separation_after: MeasureVerdict
@@ -58,23 +57,29 @@ class ReservoirAttackResult:
 class SwapAttackResult:
     swapped_pair: tuple[str, str]
     score_gap: float
-    before: Dataset
     after: Dataset
+
+
+def violates(distance: float) -> bool:
+    """Whether a pair with different predictions (D = 1) violates D <= d."""
+    return 1.0 > distance
 
 
 @dataclass(frozen=True)
 class LipschitzViolation:
-    """A pair whose prediction distance exceeds its individual distance."""
+    """A pair with different predictions (D = 1) at individual distance below 1."""
 
     id_a: str
     id_b: str
     individual_distance: float
-    prediction_distance: float
-    margin: float
 
     def __post_init__(self) -> None:
-        if self.margin <= 0:
+        if not violates(self.individual_distance):
             raise InputError("a violation requires margin > 0")
+
+    @property
+    def margin(self) -> float:
+        return 1.0 - self.individual_distance
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,6 @@ def reservoir_attack(
     )
     return ReservoirAttackResult(
         plan=plan,
-        before=g,
         after=after,
         separation_before=sep_before,
         separation_after=separation(after, eps),
@@ -167,7 +171,6 @@ def swap_attack(ds: Dataset, group: str) -> SwapAttackResult:
     return SwapAttackResult(
         swapped_pair=(x_id, star_id),
         score_gap=tp_score - fn_score,
-        before=ds,
         after=after,
     )
 
@@ -182,30 +185,23 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
 
     d(x, y) is the absolute score difference divided by ``scale``, a finite
     number > 0 (NaN would flag no pair, inf every pair); D is the
-    discrete metric on binary predictions (0 when equal, 1 otherwise).
-    Records without scores are skipped and reported. Violations are sorted by
-    descending margin, then by id pair.
+    discrete metric on binary predictions (0 when equal, 1 otherwise), so
+    only pairs with different predictions are scanned. Records without
+    scores are skipped and reported. Violations are sorted by descending
+    margin, then by id pair (the smaller id first).
     """
     if not (isinstance(scale, Real) and math.isfinite(scale) and scale > 0):
         raise InputError(f"scale must be a finite number > 0, got {scale!r}")
-    scored = sorted(
-        (rec for rec in ds.records if rec.score is not None), key=lambda rec: rec.id
-    )
+    scored = [rec for rec in ds.records if rec.score is not None]
     skipped = tuple(sorted(rec.id for rec in ds.records if rec.score is None))
-    violations: list[LipschitzViolation] = []
-    for i, first in enumerate(scored):
-        for second in scored[i + 1 :]:
-            prediction_distance = 0.0 if first.r == second.r else 1.0
-            individual_distance = abs(float(first.score) - float(second.score)) / scale
-            if prediction_distance > individual_distance:
-                violations.append(
-                    LipschitzViolation(
-                        id_a=first.id,
-                        id_b=second.id,
-                        individual_distance=individual_distance,
-                        prediction_distance=prediction_distance,
-                        margin=prediction_distance - individual_distance,
-                    )
-                )
-    violations.sort(key=lambda v: (-v.margin, v.id_a, v.id_b))
-    return LipschitzReport(violations=tuple(violations), skipped=skipped)
+    positives = [(rec.id, float(rec.score)) for rec in scored if rec.r]
+    negatives = [(rec.id, float(rec.score)) for rec in scored if not rec.r]
+    found = []
+    for pid, pscore in positives:
+        for nid, nscore in negatives:
+            d = abs(pscore - nscore) / scale
+            if violates(d):
+                id_a, id_b = (pid, nid) if pid < nid else (nid, pid)
+                found.append((-(1.0 - d), id_a, id_b, d))
+    found.sort()
+    return LipschitzReport(tuple(LipschitzViolation(a, b, d) for _, a, b, d in found), skipped)

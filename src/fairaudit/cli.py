@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
-from .adversary import lipschitz_violations, reservoir_attack, swap_attack
+from .adversary import lipschitz_violations, reservoir_attack, swap_attack, violates
 from .confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, tabulate
 from .conservativeness import (
     FN_TO_TP,
@@ -113,6 +113,16 @@ class CsvSchema:
 Row = tuple[str, str, bool, bool, float | None]
 
 
+def _lines(path: str, reader: Any) -> Iterator[list[str]]:
+    """Rows of a ``csv.reader``; a file not UTF-8 or not CSV raises ``InputError``."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _rows(path: str, schema: CsvSchema) -> Iterator[Row]:
     """Validated rows of a CSV file, rejecting schema violations with locations.
 
@@ -126,7 +136,8 @@ def _rows(path: str, schema: CsvSchema) -> Iterator[Row]:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        lines = _lines(path, reader)
+        header = next(lines, None)
         if header is None:
             raise InputError(f"{path}: file is empty; header row required")
         column = {name: i for i, name in enumerate(header)}
@@ -142,7 +153,7 @@ def _rows(path: str, schema: CsvSchema) -> Iterator[Row]:
         }
         declared = None if schema.groups is None else frozenset(schema.groups)
         seen: set[str] = set()
-        for row in reader:
+        for row in lines:
             if not row:
                 continue
             if len(row) < len(header):
@@ -304,7 +315,7 @@ def cmd_attack(args: argparse.Namespace) -> Output:
                 "z_plus": result.plan.z_plus,
                 "z_minus": result.plan.z_minus,
             },
-            "before": matrices_payload(result.before),
+            "before": matrices_payload(g),
             "after": matrices_payload(result.after),
         }
         lines = [
@@ -314,7 +325,7 @@ def cmd_attack(args: argparse.Namespace) -> Output:
         ]
         for grp in g.groups:
             lines.append(
-                f"  {grp}: {matrix_text(result.before[grp])} -> {matrix_text(result.after[grp])}"
+                f"  {grp}: {matrix_text(g[grp])} -> {matrix_text(result.after[grp])}"
             )
         for measure in ("separation", "independence"):
             for stage in ("before", "after"):
@@ -330,11 +341,7 @@ def cmd_attack(args: argparse.Namespace) -> Output:
     after_g = tabulate(result.after)
     matrices_unchanged = g.matrices == after_g.matrices
     lipschitz = lipschitz_violations(result.after, args.scale)
-    swapped = set(result.swapped_pair)
-    pair_flagged = any(
-        {violation.id_a, violation.id_b} == swapped
-        for violation in lipschitz.violations
-    )
+    pair_flagged = violates(result.score_gap / args.scale)
     payload = {
         "attack": "swap",
         "group": args.group,
@@ -352,7 +359,7 @@ def cmd_attack(args: argparse.Namespace) -> Output:
                 {
                     "ids": [v.id_a, v.id_b],
                     "individual_distance": v.individual_distance,
-                    "prediction_distance": v.prediction_distance,
+                    "prediction_distance": 1.0,
                     "margin": v.margin,
                 }
                 for v in lipschitz.violations
@@ -371,7 +378,7 @@ def cmd_attack(args: argparse.Namespace) -> Output:
     ]
     for violation in lipschitz.violations[:10]:
         lines.append(
-            f"    {violation.id_a} vs {violation.id_b}: D={violation.prediction_distance:.0f}, "
+            f"    {violation.id_a} vs {violation.id_b}: D=1, "
             f"d={violation.individual_distance:.6f}, margin={violation.margin:.6f}"
         )
     if len(lipschitz.violations) > 10:

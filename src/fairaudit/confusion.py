@@ -17,9 +17,10 @@ from typing import Iterable, Mapping, Sequence
 from .distributions import FiniteJoint
 from .errors import InputError
 
-#: Canonical labels for the binary categories.
+#: Canonical labels for the binary categories, and the label of each truth value.
 POS = "+"
 NEG = "-"
+LABEL = {True: POS, False: NEG}
 
 #: ``(y, r)`` of the cells a=TP, b=FP, c=FN, d=TN, in that order.
 CELLS = ((True, True), (False, True), (True, False), (False, False))
@@ -222,12 +223,11 @@ def to_joint(g: GroupedConfusion) -> FiniteJoint:
     total, so every mass, deviation and conditional rate on the joint is an
     exact ``Fraction``.
     """
-    table: dict[tuple[str, str, str], int] = {}
-    for group, m in g.matrices.items():
-        table[(group, POS, POS)] = m.a
-        table[(group, NEG, POS)] = m.b
-        table[(group, POS, NEG)] = m.c
-        table[(group, NEG, NEG)] = m.d
+    table = {
+        (group, LABEL[y], LABEL[r]): count
+        for group, m in g.matrices.items()
+        for count, (y, r) in zip((m.a, m.b, m.c, m.d), CELLS)
+    }
     variables = (("A", g.groups), ("Y", (POS, NEG)), ("R", (POS, NEG)))
     return FiniteJoint(variables=variables, table=table)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .confusion import NEG, POS, GroupedConfusion
+from .confusion import CELLS, LABEL, NEG, POS, GroupedConfusion
 from .distributions import EPS_DEFAULT, FiniteJoint
 from .errors import InputError, PreconditionError
 
@@ -170,10 +170,9 @@ def measure_via_distribution(
     def conditional(part: int, whole: int) -> Fraction | None:
         return Fraction(part, whole) if whole else None
 
-    cells = ((POS, POS), (NEG, POS), (POS, NEG), (NEG, NEG))
     rates: dict[str, dict[str, Fraction | None]] = {label: {} for label in components}
     for a in j.domain("A"):
-        tp, fp, fn, tn = (weight(a, y, r) for y, r in cells)
+        tp, fp, fn, tn = (weight(a, LABEL[y], LABEL[r]) for y, r in CELLS)
         group_rates = {
             "selection_rate": conditional(tp + fp, tp + fp + fn + tn),
             "ppv": conditional(tp, tp + fp),

@@ -139,7 +139,6 @@ class FairnessReport:
     eps: float
     grouped: GroupedConfusion
     verdicts: tuple[MeasureVerdict, MeasureVerdict, MeasureVerdict]
-    perfect: bool
     perfect_report: ConservativenessReport | None
     joint_independence: JointIndependenceVerdict | None
     break_witness: BreakWitness | None
@@ -163,7 +162,7 @@ class FairnessReport:
             "measures": {v.measure: verdict_payload(v) for v in self.verdicts},
             "all_hold": self.all_hold(),
             "conservativeness": {
-                "perfect_predictor": self.perfect,
+                "perfect_predictor": self.perfect_report is not None,
                 "perfect_check": None
                 if self.perfect_report is None
                 else {
@@ -212,7 +211,7 @@ class FairnessReport:
             lines.append(f"  {verdict_text(v)}")
         lines.append("")
         lines.append("conservativeness")
-        lines.append(f"  perfect predictor: {'yes' if self.perfect else 'no'}")
+        lines.append(f"  perfect predictor: {'no' if self.perfect_report is None else 'yes'}")
         if self.perfect_report is not None:
             ok = "confirmed" if self.perfect_report.holds else "VIOLATED"
             lines.append(
@@ -292,8 +291,7 @@ def build_report(
 ) -> FairnessReport:
     """Run the full audit pipeline over a grouped confusion table."""
     verdicts = (independence(g, eps), sufficiency(g, eps), separation(g, eps))
-    perfect = is_perfect(g)
-    perfect_report = check_conservativeness(g, eps) if perfect else None
+    perfect_report = check_conservativeness(g, eps) if is_perfect(g) else None
     joint = check_joint_independence_iff(g, eps) if is_positive(g) else None
     witness = None
     note = None
@@ -306,7 +304,6 @@ def build_report(
         eps=eps,
         grouped=g,
         verdicts=verdicts,
-        perfect=perfect,
         perfect_report=perfect_report,
         joint_independence=joint,
         break_witness=witness,

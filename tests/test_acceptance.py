@@ -235,7 +235,7 @@ def test_criterion_7_swap_attack_suite():
     for _ in range(200):
         ds, group = random_scored_dataset(rng)
         result = swap_attack(ds, group)
-        before_g = tabulate(result.before)
+        before_g = tabulate(ds)
         after_g = tabulate(result.after)
         assert before_g.matrices == after_g.matrices
         for measure in MEASURES:

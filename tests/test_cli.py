@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import time
 from contextlib import redirect_stdout
 
@@ -52,6 +53,19 @@ def scored_csv(tmp_path):
     ]
     export_csv(Dataset.from_records(records), str(path))
     return str(path)
+
+
+#: Files the csv module cannot read, and what ingest says after the file name.
+UNREADABLE = {
+    "utf16": (
+        "id,group,y_true,y_pred\n1,p,1,1\n".encode("utf-16"),
+        ": not UTF-8 text (invalid start byte)",
+    ),
+    "unterminated quote": (
+        b'id,group,y_true,y_pred\n1,p,1,1\n2,"p' + b"x" * 131_072,
+        ":3: field larger than field limit (131072)",
+    ),
+}
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -203,6 +217,27 @@ class TestIngest:
         assert (code, out) == (2, "")
         assert "nonempty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unreadable", sorted(UNREADABLE))
+    def test_unreadable_file_rejected_by_both_sinks(self, tmp_path, unreadable):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(UNREADABLE[unreadable][0])
+        for ingest in (ingest_counts, ingest_csv):
+            with pytest.raises(InputError) as info:
+                ingest(str(path))
+            assert str(info.value) == f"{path}{UNREADABLE[unreadable][1]}"
+
+    @pytest.mark.parametrize("unreadable", sorted(UNREADABLE))
+    @pytest.mark.parametrize("command", ["audit", "attack"])
+    def test_unreadable_file_exit_two(self, tmp_path, capsys, unreadable, command):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(UNREADABLE[unreadable][0])
+        argv = ["audit", str(path)]
+        if command == "attack":
+            argv = ["attack", "swap", str(path), "--group", "p"]
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {path}{UNREADABLE[unreadable][1]}\n"
+
     def test_roundtrip_lossless(self, tmp_path, scored_csv):
         ds = ingest_csv(scored_csv)
         path = tmp_path / "again.csv"
@@ -331,6 +366,29 @@ class TestAttackCommand:
         assert payload["swapped_pair"] == ["x", "xstar"]
         assert payload["matrices_unchanged"] is True
         assert payload["lipschitz"]["swapped_pair_flagged"] is True
+
+    @pytest.mark.parametrize(
+        "false_negative_score, flagged",
+        [("0.25", False), (repr(math.nextafter(0.25, 1.0)), True)],
+    )
+    def test_swapped_pair_at_the_boundary(self, tmp_path, false_negative_score, flagged):
+        # At --scale 0.5 the pair is 1.0 apart, where D = 1 <= d holds; one
+        # float closer, it violates. Group q's one record is unscored, so
+        # the swapped pair is the only pair scanned.
+        path = tmp_path / "edge.csv"
+        path.write_text(
+            "id,group,y_true,y_pred,score\n"
+            f"x,p,1,0,{false_negative_score}\nxstar,p,1,1,0.75\nq1,q,1,1,\n"
+        )
+        _, out = run_cli(
+            "attack", "swap", str(path), "--group", "p", "--scale", "0.5", "--format", "json"
+        )
+        lipschitz = json.loads(out)["lipschitz"]
+        assert lipschitz["swapped_pair_flagged"] is flagged
+        listed = [v["ids"] for v in lipschitz["violations"]]
+        assert listed == ([["x", "xstar"]] if flagged else [])
+        if flagged:
+            assert lipschitz["violations"][0]["individual_distance"] == math.nextafter(1.0, 0.0)
 
     def test_swap_infeasible_exit_three(self, tmp_path, capsys):
         path = tmp_path / "nofn.csv"

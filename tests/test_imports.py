@@ -3,12 +3,14 @@
 No module of the package imports a leading-underscore name from another: a
 private name is free to change with its module; a caller elsewhere should
 use the public function that does the same job, or the name should be made
-public. And ``fairaudit.__all__`` lists each name once, every listed name
+public. The package imports nothing outside the standard library and
+itself. And ``fairaudit.__all__`` lists each name once, every listed name
 resolves, and every public name the package root imports is listed, so a
 deletion cannot leave a dangling export.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import fairaudit
@@ -51,6 +53,45 @@ def test_the_check_sees_private_imports_only():
         "from .distributions import _aggregate",
         "from fairaudit.measures import _rate_verdict",
     ]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of absolute imports outside the standard library and
+    the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            top
+            for top in (name.split(".")[0] for name in names)
+            if top not in sys.stdlib_module_names and top != "fairaudit"
+        ]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    offenders = {
+        path.name: foreign_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_foreign_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from fairaudit.measures import independence\n"
+        "from . import __version__\n"
+        "from scipy.stats import norm\n"
+        "import fairaudit, hypothesis\n"
+    )
+    assert foreign_imports(source) == ["numpy", "scipy", "hypothesis"]
 
 
 def test_all_entries_resolve_and_are_listed_once():

@@ -8,7 +8,9 @@ dataset a second time and only then counted. Both sinks of the new row
 parser must give what it gave, on seeded and hypothesis-generated CSVs:
 ``ingest_counts`` and ``tabulate(ingest_csv(...))`` the same matrices, group
 order and dropped groups, ``ingest_csv`` the same records, and every
-rejected file the same ``InputError`` message, physical line included.
+rejected file the same ``InputError`` message, physical line included. Where
+the oracle let the csv module's own error through, ingest now raises that
+error's message as an ``InputError`` with the file and line.
 """
 
 from __future__ import annotations
@@ -194,8 +196,22 @@ def outcome(run: Callable[[], Any]) -> tuple[str, Any]:
     """``("ok", value)`` or ``("error", message)`` of one ingest."""
     try:
         return "ok", run()
-    except (InputError, csv.Error) as exc:
+    except InputError as exc:
         return "error", f"{type(exc).__name__}: {exc}"
+
+
+def oracle_outcome(path: str, groups: tuple[str, ...] | None) -> tuple[str, Any]:
+    """The oracle's outcome, with a ``csv.Error`` wrapped as ingest now wraps
+    it: an ``InputError`` naming the file and the line the reader stopped on."""
+    try:
+        return outcome(lambda: oracle_ingest_csv(path, OracleSchema(groups=groups)))
+    except csv.Error as exc:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            with pytest.raises(csv.Error):
+                for _ in reader:
+                    pass
+        return "error", f"InputError: {path}:{reader.line_num}: {exc}"
 
 
 def counted(g: GroupedConfusion) -> tuple[list[tuple[str, ConfusionMatrix]], tuple[str, ...]]:
@@ -210,7 +226,7 @@ def rows_of(records: Iterable[Any]) -> list[tuple[Any, ...]]:
 
 def assert_matches_oracle(path: str, groups: tuple[str, ...] | None = None) -> tuple[str, Any]:
     schema = CsvSchema(groups=groups)
-    old_ds = outcome(lambda: oracle_ingest_csv(path, OracleSchema(groups=groups)))
+    old_ds = oracle_outcome(path, groups)
     old = outcome(lambda: counted(oracle_tabulate(old_ds[1]))) if old_ds[0] == "ok" else old_ds
     assert outcome(lambda: counted(ingest_counts(path, schema))) == old
     assert outcome(lambda: counted(tabulate(ingest_csv(path, schema)))) == old
@@ -379,6 +395,7 @@ def test_raw_text_matches_oracle(body: str, score: bool, groups: tuple[str, ...]
         ("id,group,y_true,y_pred\na,p,1,1\n", ("p", "p"), "declared groups repeat a label"),
         ("id,group,y_true,y_pred\n", ("p", "p"), "no data rows"),
         ("id,group,y_true,y_pred\nb,r,1,1\n", ("p", "p"), "group 'r' not among"),
+        ('id,group,y_true,y_pred\na,p,1,1\n\nb,"p' + "x" * 131_072, None, ":4: field larger than"),
     ],
 )
 def test_error_cases_match_oracle(

@@ -1,0 +1,184 @@
+"""The Lipschitz scan against the all-pairs scan it replaced.
+
+The oracle below is the previous ``LipschitzViolation``, ``LipschitzReport``
+and ``lipschitz_violations``, kept verbatim apart from their names: it
+visited every pair of scored records, stored each violation's prediction
+distance and margin, and sorted the violation objects. The scan now pairs
+only predicted-positive with predicted-negative records and derives the
+margin, so both must list the same ``(id_a, id_b, individual_distance,
+margin)`` in the same order and skip the same records, on seeded and
+hypothesis-generated datasets with tied scores, pairs exactly ``scale``
+apart, tiny scales, distinct tiny distances whose margins round to 1.0,
+unscored records and a single prediction value.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass
+from numbers import Real
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairaudit.adversary import lipschitz_violations
+from fairaudit.confusion import Dataset, Record
+from fairaudit.errors import InputError
+
+# ---------------------------------------------------------------------------
+# Oracle: the previous scan, verbatim
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OracleViolation:
+    """A pair whose prediction distance exceeds its individual distance."""
+
+    id_a: str
+    id_b: str
+    individual_distance: float
+    prediction_distance: float
+    margin: float
+
+    def __post_init__(self) -> None:
+        if self.margin <= 0:
+            raise InputError("a violation requires margin > 0")
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    violations: tuple[OracleViolation, ...]
+    skipped: tuple[str, ...]
+
+
+def oracle_lipschitz_violations(ds: Dataset, scale: float = 1.0) -> OracleReport:
+    """Find all pairs violating D(prediction) <= d(individuals).
+
+    d(x, y) is the absolute score difference divided by ``scale``, a finite
+    number > 0 (NaN would flag no pair, inf every pair); D is the
+    discrete metric on binary predictions (0 when equal, 1 otherwise).
+    Records without scores are skipped and reported. Violations are sorted by
+    descending margin, then by id pair.
+    """
+    if not (isinstance(scale, Real) and math.isfinite(scale) and scale > 0):
+        raise InputError(f"scale must be a finite number > 0, got {scale!r}")
+    scored = sorted(
+        (rec for rec in ds.records if rec.score is not None), key=lambda rec: rec.id
+    )
+    skipped = tuple(sorted(rec.id for rec in ds.records if rec.score is None))
+    violations: list[OracleViolation] = []
+    for i, first in enumerate(scored):
+        for second in scored[i + 1 :]:
+            prediction_distance = 0.0 if first.r == second.r else 1.0
+            individual_distance = abs(float(first.score) - float(second.score)) / scale
+            if prediction_distance > individual_distance:
+                violations.append(
+                    OracleViolation(
+                        id_a=first.id,
+                        id_b=second.id,
+                        individual_distance=individual_distance,
+                        prediction_distance=prediction_distance,
+                        margin=prediction_distance - individual_distance,
+                    )
+                )
+    violations.sort(key=lambda v: (-v.margin, v.id_a, v.id_b))
+    return OracleReport(violations=tuple(violations), skipped=skipped)
+
+
+# ---------------------------------------------------------------------------
+# Differential harness
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_oracle(ds: Dataset, scale: float) -> int:
+    """Compare both scans on one dataset; return the number of violations."""
+    old = oracle_lipschitz_violations(ds, scale)
+    new = lipschitz_violations(ds, scale)
+    listed = [(v.id_a, v.id_b, v.individual_distance, v.margin) for v in new.violations]
+    assert listed == [
+        (v.id_a, v.id_b, v.individual_distance, v.margin) for v in old.violations
+    ]
+    assert new.skipped == old.skipped
+    return len(listed)
+
+
+#: Scores with ties, exact binary fractions (so pairs land exactly ``scale``
+#: apart) and distinct tiny values, whose distances leave the margin at 1.0.
+SCORES = (0.0, 5e-324, 1e-300, 1e-20, 3e-20, 0.125, 0.25, 0.3, 0.5, 0.75, 0.875, 1.0)
+#: Scales at which pairs of SCORES sit exactly 1.0 apart, and tiny ones.
+SCALES = (1.0, 0.5, 0.25, 0.125, 0.3, 1e-3, 1e-20, 2e-20, 1e-300, 5e-324)
+
+
+def dataset(rows: list[tuple[str, bool, float | None]]) -> Dataset:
+    """Records in two groups; ids are given, the label is irrelevant to the scan."""
+    return Dataset.from_records(
+        [Record(rid, "pq"[i % 2], i % 3 == 0, r, score) for i, (rid, r, score) in enumerate(rows)],
+        ("p", "q"),
+    )
+
+
+def seeded_rows(rng: random.Random) -> list[tuple[str, bool, float | None]]:
+    ids = rng.sample(range(1000), rng.randint(2, 24))
+    single = rng.random() < 0.15  # one prediction value: no pair can violate
+    prediction = rng.random() < 0.5
+    return [
+        (
+            f"r{i}",
+            prediction if single else rng.random() < 0.5,
+            None if rng.random() < 0.1 else rng.choice(SCORES),
+        )
+        for i in ids
+    ]
+
+
+def test_seeded_datasets_match_oracle() -> None:
+    rng = random.Random(4099)
+    found = 0
+    for _ in range(400):
+        found += assert_matches_oracle(dataset(seeded_rows(rng)), rng.choice(SCALES))
+    assert found > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.text(alphabet="abXY09-", min_size=1, max_size=3),
+            st.booleans(),
+            st.one_of(st.none(), st.sampled_from(SCORES), st.floats(0.0, 1.0)),
+        ),
+        min_size=2,
+        max_size=16,
+        unique_by=lambda row: row[0],
+    ),
+    scale=st.one_of(st.sampled_from(SCALES), st.floats(5e-324, 4.0)),
+)
+def test_hypothesis_datasets_match_oracle(
+    rows: list[tuple[str, bool, float | None]], scale: float
+) -> None:
+    assert_matches_oracle(dataset(rows), scale)
+
+
+def test_pair_exactly_scale_apart_is_not_a_violation() -> None:
+    ds = dataset([("a", True, 0.25), ("b", False, 0.75), ("c", False, 0.5)])
+    assert assert_matches_oracle(ds, 0.5) == 1  # only a-c, at distance 0.5
+
+
+def test_tiny_distances_tie_on_margin_and_break_by_id() -> None:
+    # Distances 3e-20, 1e-20 and 2e-20 all leave the margin at 1.0, so the
+    # id pair decides the order, not the distance.
+    ds = dataset([("d", True, 3e-20), ("c", False, 0.0), ("b", True, 1e-20), ("a", False, 3e-20)])
+    assert assert_matches_oracle(ds, 1.0) == 4
+    assert [(v.id_a, v.id_b) for v in lipschitz_violations(ds).violations] == [
+        ("a", "b"),
+        ("a", "d"),
+        ("b", "c"),
+        ("c", "d"),
+    ]
+
+
+def test_unscored_and_single_prediction() -> None:
+    ds = dataset([("a", True, 0.2), ("b", True, 0.3), ("c", False, None)])
+    assert assert_matches_oracle(ds, 1.0) == 0
+    assert lipschitz_violations(ds).skipped == ("c",)
