@@ -59,6 +59,35 @@ MIXED_LABELS_CSV = (
     "b5,q,yes,+,0\n"
 )
 
+#: Raw CSV for ``attack swap`` on a group named like the payload key
+#: ``violations``. Its ids need JSON escaping: a quote, a backslash, a
+#: non-ASCII letter, an astral emoji, a quoted newline and a control
+#: character. Two records of different predictions share a score (distance
+#: 0, margin exactly 1.0), one distance is written in exponent form (1e-20)
+#: and one record is unscored.
+ESCAPED_IDS_CSV = (
+    "id,group,y_true,y_pred,score\n"
+    '"a""b",violations,1,0,0.25\n'
+    "c\\d,violations,1,1,0.75\n"
+    "\u00e9,violations,0,0,0.5\n"
+    "\U0001f600,violations,1,1,0.5\n"
+    '"n\nl",other,0,1,1e-20\n'
+    "\x01,other,1,0,0\n"
+    "x,other,0,0,\n"
+)
+
+#: The same kind of input where no two records of different predictions
+#: share a score, so at ``--scale 1e-300`` no pair violates.
+NO_VIOLATION_CSV = (
+    "id,group,y_true,y_pred,score\n"
+    '"a""b",violations,1,0,0.25\n'
+    "c\\d,violations,1,1,0.75\n"
+    "\u00e9,violations,0,0,0.5\n"
+    '"n\nl",other,0,1,1e-20\n'
+    "\x01,other,1,0,0\n"
+    "x,other,0,0,\n"
+)
+
 #: Raw CSV that ``audit`` and ``counterexample`` must reject with exit 2:
 #: name -> (CSV text, extra CLI arguments). The blank line and the quoted
 #: newline before a bad row pin physical line numbers.
@@ -99,6 +128,14 @@ CASES = {
     "counterexample-witness": (PASSING, ("counterexample", "{csv}")),
     "counterexample-none": (PERFECT, ("counterexample", "{csv}")),
     "audit-mixed-labels": (MIXED_LABELS_CSV, ("audit", "{csv}")),
+    "attack-swap-escaped-ids": (
+        ESCAPED_IDS_CSV,
+        ("attack", "swap", "{csv}", "--group", "violations"),
+    ),
+    "attack-swap-no-violation": (
+        NO_VIOLATION_CSV,
+        ("attack", "swap", "{csv}", "--group", "violations", "--scale", "1e-300"),
+    ),
     **{
         f"{command}-error-{name}": (text, (command, "{csv}", *extra))
         for name, (text, extra) in BAD_CSVS.items()
