@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .adversary import (
     LipschitzReport,
-    LipschitzViolation,
     ReservoirAttackResult,
     ReservoirPlan,
     SwapAttackResult,
@@ -93,7 +92,6 @@ __all__ = [
     "InputError",
     "JointIndependenceVerdict",
     "LipschitzReport",
-    "LipschitzViolation",
     "MEASURES",
     "MeasureVerdict",
     "NEG",

@@ -66,25 +66,10 @@ def violates(distance: float) -> bool:
 
 
 @dataclass(frozen=True)
-class LipschitzViolation:
-    """A pair with different predictions (D = 1) at individual distance below 1."""
-
-    id_a: str
-    id_b: str
-    individual_distance: float
-
-    def __post_init__(self) -> None:
-        if not violates(self.individual_distance):
-            raise InputError("a violation requires margin > 0")
-
-    @property
-    def margin(self) -> float:
-        return 1.0 - self.individual_distance
-
-
-@dataclass(frozen=True)
 class LipschitzReport:
-    violations: tuple[LipschitzViolation, ...]
+    #: ``(id_a, id_b, individual_distance)`` rows with ``id_a < id_b``; each
+    #: pair's prediction distance is 1, its margin ``1.0 - individual_distance``.
+    violations: tuple[tuple[str, str, float], ...]
     skipped: tuple[str, ...]
 
 
@@ -187,8 +172,9 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
     number > 0 (NaN would flag no pair, inf every pair); D is the
     discrete metric on binary predictions (0 when equal, 1 otherwise), so
     only pairs with different predictions are scanned. Records without
-    scores are skipped and reported. Violations are sorted by descending
-    margin, then by id pair (the smaller id first).
+    scores are skipped and reported. Violations are ``(id_a, id_b, d)`` rows
+    with the smaller id first, sorted by descending margin ``1.0 - d``, then
+    by id pair.
     """
     if not (isinstance(scale, Real) and math.isfinite(scale) and scale > 0):
         raise InputError(f"scale must be a finite number > 0, got {scale!r}")
@@ -204,4 +190,4 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
                 id_a, id_b = (pid, nid) if pid < nid else (nid, pid)
                 found.append((-(1.0 - d), id_a, id_b, d))
     found.sort()
-    return LipschitzReport(tuple(LipschitzViolation(a, b, d) for _, a, b, d in found), skipped)
+    return LipschitzReport(tuple([(a, b, d) for _, a, b, d in found]), skipped)

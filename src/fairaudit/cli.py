@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested measures hold (or the command completed),
 1 a fairness measure failed (or a verification suite had failures),
-2 input or precondition error, 3 infeasible attack.
+2 input, precondition or output error, 3 infeasible attack.
 
 CSV schema: header ``id,group,y_true,y_pred[,score]``; labels accept
 configurable truthy/falsy encodings; scores are optional floats in [0, 1].
@@ -355,15 +355,7 @@ def cmd_attack(args: argparse.Namespace) -> Output:
         },
         "lipschitz": {
             "scale": args.scale,
-            "violations": [
-                {
-                    "ids": [v.id_a, v.id_b],
-                    "individual_distance": v.individual_distance,
-                    "prediction_distance": 1.0,
-                    "margin": v.margin,
-                }
-                for v in lipschitz.violations
-            ],
+            "violations": lipschitz.violations,
             "skipped_unscored": list(lipschitz.skipped),
             "swapped_pair_flagged": pair_flagged,
         },
@@ -376,11 +368,8 @@ def cmd_attack(args: argparse.Namespace) -> Output:
         f"  lipschitz violations at scale {args.scale}: {len(lipschitz.violations)}"
         f" (swapped pair flagged: {'yes' if pair_flagged else 'no'})",
     ]
-    for violation in lipschitz.violations[:10]:
-        lines.append(
-            f"    {violation.id_a} vs {violation.id_b}: D=1, "
-            f"d={violation.individual_distance:.6f}, margin={violation.margin:.6f}"
-        )
+    for id_a, id_b, d in lipschitz.violations[:10]:
+        lines.append(f"    {id_a} vs {id_b}: D=1, d={d:.6f}, margin={1.0 - d:.6f}")
     if len(lipschitz.violations) > 10:
         lines.append(f"    ... and {len(lipschitz.violations) - 10} more")
     lines.append("")
@@ -626,7 +615,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render({**header(args.eps), **payload}) if args.format == JSON else text)
+    try:
+        sys.stdout.write(render({**header(args.eps), **payload}) if args.format == JSON else text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

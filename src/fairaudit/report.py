@@ -1,9 +1,11 @@
 """Audit report assembly and deterministic serialization.
 
 Payloads contain only JSON-serializable values, rendered with sorted keys, so
-re-running a command on identical input yields byte-identical output. Rational
-quantities carry both the exact fraction (as a string) and a float value; text
-output shows fractions with 6-decimal floats alongside.
+re-running a command on identical input yields byte-identical output. The one
+exception are the Lipschitz violations of ``attack swap``: plain rows that
+``render`` writes as the objects they stand for. Rational quantities carry
+both the exact fraction (as a string) and a float value; text output shows
+fractions with 6-decimal floats alongside.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .confusion import ConfusionMatrix, GroupedConfusion, is_positive
@@ -123,8 +126,39 @@ def header(eps: float) -> dict[str, Any]:
     return {"tool": {"name": "fairaudit", "version": __version__}, "eps": eps}
 
 
+def violations_json(rows: Sequence[tuple[str, str, float]]) -> str:
+    """The ``lipschitz.violations`` array of ``attack swap`` for
+    ``(id_a, id_b, d)`` rows, exactly as ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes the list of ``{"ids": [id_a, id_b],
+    "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}``
+    at nesting depth 2, with one f-string per row and no dict."""
+    if not rows:
+        return "[]"
+    enc = encode_basestring_ascii
+    items = ",".join(
+        f'\n      {{\n        "ids": [\n          {enc(a)},\n          {enc(b)}\n        ],'
+        f'\n        "individual_distance": {d!r},\n        "margin": {1.0 - d!r},'
+        f'\n        "prediction_distance": 1.0\n      }}'
+        for a, b, d in rows
+    )
+    return f"[{items}\n    ]"
+
+
 def render(payload: Mapping[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline. The
+    rows of a top-level ``lipschitz`` object's ``violations`` are written by
+    :func:`violations_json`; they sort last in that object."""
+    lipschitz = payload.get("lipschitz")
+    if lipschitz is None:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(
+        {**payload, "lipschitz": {**lipschitz, "violations": []}}, sort_keys=True, indent=2
+    )
+    # Strings hold no raw newline and nested lines are indented further, so
+    # the top-level key is the only line starting '  "lipschitz": ' and its
+    # object ends at the next line that is "  }", right after the "[]".
+    end = text.index("\n  }", text.index('\n  "lipschitz": '))
+    return text[: end - 2] + violations_json(lipschitz["violations"]) + text[end:] + "\n"
 
 
 # ---------------------------------------------------------------------------

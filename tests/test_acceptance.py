@@ -245,7 +245,7 @@ def test_criterion_7_swap_attack_suite():
             assert before_v.component_gaps == after_v.component_gaps
         if result.score_gap / scale < 1.0:
             report = lipschitz_violations(result.after, scale)
-            pairs = {frozenset((v.id_a, v.id_b)) for v in report.violations}
+            pairs = {frozenset((a, b)) for a, b, _ in report.violations}
             assert frozenset(result.swapped_pair) in pairs
         checked += 1
     assert checked == 200

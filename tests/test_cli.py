@@ -1,13 +1,18 @@
 """Tests for CSV ingestion, the command surface, and exit codes."""
 
+import errno
+import inspect
 import io
 import json
 import math
+import os
+import sys
 import time
 from contextlib import redirect_stdout
 
 import pytest
 
+from fairaudit import cli
 from fairaudit.cli import CsvSchema, export_csv, ingest_counts, ingest_csv, main
 from fairaudit.confusion import (
     ConfusionMatrix,
@@ -500,3 +505,54 @@ class TestDeterminism:
         ]
         for argv in invocations:
             assert run_cli(*argv) == run_cli(*argv), argv
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_write_error_exits_two_with_message(self, scored_csv, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(["attack", "swap", scored_csv, "--group", "p", "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+
+class TestBenchmarkReplayContract:
+    """What the benchmark's in-process replay relies on: it wraps
+    ``cli.render`` and ``cli.lipschitz_violations``, binds their arguments by
+    name, and takes ``len`` of the rendered text and of ``.violations``."""
+
+    def test_swap_call_sites(self, scored_csv, monkeypatch):
+        calls = {}
+
+        def spy(name):
+            fn = getattr(cli, name)
+            signature = inspect.signature(fn)
+
+            def spied(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name] = (signature.bind(*args, **kwargs).arguments, result)
+                return result
+
+            monkeypatch.setattr(cli, name, spied)
+
+        spy("render")
+        spy("lipschitz_violations")
+        code, out = run_cli("attack", "swap", scored_csv, "--group", "p", "--format", "json")
+        assert code == 0
+        _, rendered = calls["render"]
+        assert isinstance(rendered, str) and rendered == out
+        arguments, report = calls["lipschitz_violations"]
+        listed = json.loads(out)["lipschitz"]["violations"]
+        assert len(listed) > 0
+        assert len(report.violations) == len(listed)
+        again = cli.lipschitz_violations(ds=arguments["ds"], scale=arguments["scale"])
+        assert len(again.violations) == len(listed)

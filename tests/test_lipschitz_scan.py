@@ -1,30 +1,40 @@
-"""The Lipschitz scan against the all-pairs scan it replaced.
+"""The Lipschitz scan and its JSON against the code they replaced.
 
-The oracle below is the previous ``LipschitzViolation``, ``LipschitzReport``
-and ``lipschitz_violations``, kept verbatim apart from their names: it
-visited every pair of scored records, stored each violation's prediction
-distance and margin, and sorted the violation objects. The scan now pairs
-only predicted-positive with predicted-negative records and derives the
-margin, so both must list the same ``(id_a, id_b, individual_distance,
-margin)`` in the same order and skip the same records, on seeded and
-hypothesis-generated datasets with tied scores, pairs exactly ``scale``
-apart, tiny scales, distinct tiny distances whose margins round to 1.0,
-unscored records and a single prediction value.
+The scan oracle below is an earlier ``LipschitzViolation``,
+``LipschitzReport`` and ``lipschitz_violations``, kept verbatim apart from
+their names: it visited every pair of scored records, stored each
+violation's prediction distance and margin, and sorted the violation
+objects. The scan now pairs only predicted-positive with predicted-negative
+records and returns plain ``(id_a, id_b, individual_distance)`` rows, so both
+must list the same pairs and distances in the same order and skip the same
+records.
+
+The JSON oracle is the payload builder ``attack swap`` used before
+``report.render`` wrote the rows itself: one dict per violation, dumped with
+``json.dumps(sort_keys=True, indent=2)``. ``render`` must give the same bytes.
+
+Both run on seeded and hypothesis-generated datasets with tied scores, pairs
+exactly ``scale`` apart, tiny scales, distinct tiny distances whose margins
+round to 1.0, unscored records, a single prediction value, ids that JSON
+must escape, and groups named like the keys ``render`` looks for.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
 from numbers import Real
+from typing import Any
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit.adversary import lipschitz_violations
-from fairaudit.confusion import Dataset, Record
+from fairaudit.confusion import Dataset, Record, tabulate
 from fairaudit.errors import InputError
+from fairaudit.report import header, matrices_payload, render
 
 # ---------------------------------------------------------------------------
 # Oracle: the previous scan, verbatim
@@ -86,21 +96,75 @@ def oracle_lipschitz_violations(ds: Dataset, scale: float = 1.0) -> OracleReport
     return OracleReport(violations=tuple(violations), skipped=skipped)
 
 
+def oracle_lipschitz_payload(
+    scale: float, lipschitz: OracleReport, pair_flagged: bool
+) -> dict[str, Any]:
+    """The ``lipschitz`` object of the swap payload as it was built before,
+    verbatim: one dict per violation."""
+    return {
+        "scale": scale,
+        "violations": [
+            {
+                "ids": [v.id_a, v.id_b],
+                "individual_distance": v.individual_distance,
+                "prediction_distance": 1.0,
+                "margin": v.margin,
+            }
+            for v in lipschitz.violations
+        ],
+        "skipped_unscored": list(lipschitz.skipped),
+        "swapped_pair_flagged": pair_flagged,
+    }
+
+
+def oracle_render(payload: dict[str, Any]) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Differential harness
 # ---------------------------------------------------------------------------
 
 
+def swap_payload(ds: Dataset) -> dict[str, Any]:
+    """The swap payload's other keys, filled from ``ds``."""
+    ids = [rec.id for rec in ds.records]
+    return {
+        **header(1e-9),
+        "attack": "swap",
+        "group": ds.groups[0],
+        "swapped_pair": ids[:2],
+        "score_gap": 0.5,
+        "matrices_unchanged": True,
+        "matrices": matrices_payload(tabulate(ds)),
+    }
+
+
 def assert_matches_oracle(ds: Dataset, scale: float) -> int:
-    """Compare both scans on one dataset; return the number of violations."""
+    """Compare both scans and their rendered JSON on one dataset; return the
+    number of violations."""
     old = oracle_lipschitz_violations(ds, scale)
     new = lipschitz_violations(ds, scale)
-    listed = [(v.id_a, v.id_b, v.individual_distance, v.margin) for v in new.violations]
-    assert listed == [
-        (v.id_a, v.id_b, v.individual_distance, v.margin) for v in old.violations
+    assert list(new.violations) == [
+        (v.id_a, v.id_b, v.individual_distance) for v in old.violations
     ]
     assert new.skipped == old.skipped
-    return len(listed)
+    flagged = bool(new.violations)
+    expected = {**swap_payload(ds), "lipschitz": oracle_lipschitz_payload(scale, old, flagged)}
+    text = render(
+        {
+            **swap_payload(ds),
+            "lipschitz": {
+                "scale": scale,
+                "violations": new.violations,
+                "skipped_unscored": list(new.skipped),
+                "swapped_pair_flagged": flagged,
+            },
+        }
+    )
+    assert text == oracle_render(expected)
+    assert json.loads(text) == expected
+    return len(new.violations)
 
 
 #: Scores with ties, exact binary fractions (so pairs land exactly ``scale``
@@ -108,13 +172,23 @@ def assert_matches_oracle(ds: Dataset, scale: float) -> int:
 SCORES = (0.0, 5e-324, 1e-300, 1e-20, 3e-20, 0.125, 0.25, 0.3, 0.5, 0.75, 0.875, 1.0)
 #: Scales at which pairs of SCORES sit exactly 1.0 apart, and tiny ones.
 SCALES = (1.0, 0.5, 0.25, 0.125, 0.3, 1e-3, 1e-20, 2e-20, 1e-300, 5e-324)
+#: Id characters: plain ones, and ones JSON escapes (a quote, a backslash,
+#: a non-ASCII letter, an astral emoji, a newline, a control character).
+ID_ALPHABET = 'abXY09-"\\\u00e9\U0001f600\n\x01'
+
+
+#: Group names equal to keys and to the text ``render`` looks for.
+GROUPS = ("violations", '\n  "lipschitz": ', "[]")
 
 
 def dataset(rows: list[tuple[str, bool, float | None]]) -> Dataset:
-    """Records in two groups; ids are given, the label is irrelevant to the scan."""
+    """Records in three groups; ids are given, the label is irrelevant to the scan."""
     return Dataset.from_records(
-        [Record(rid, "pq"[i % 2], i % 3 == 0, r, score) for i, (rid, r, score) in enumerate(rows)],
-        ("p", "q"),
+        [
+            Record(rid, GROUPS[i % 3], i % 4 == 0, r, score)
+            for i, (rid, r, score) in enumerate(rows)
+        ],
+        GROUPS,
     )
 
 
@@ -124,7 +198,7 @@ def seeded_rows(rng: random.Random) -> list[tuple[str, bool, float | None]]:
     prediction = rng.random() < 0.5
     return [
         (
-            f"r{i}",
+            rng.choice(ID_ALPHABET) + str(i),
             prediction if single else rng.random() < 0.5,
             None if rng.random() < 0.1 else rng.choice(SCORES),
         )
@@ -144,7 +218,7 @@ def test_seeded_datasets_match_oracle() -> None:
 @given(
     rows=st.lists(
         st.tuples(
-            st.text(alphabet="abXY09-", min_size=1, max_size=3),
+            st.text(alphabet=ID_ALPHABET, min_size=1, max_size=3),
             st.booleans(),
             st.one_of(st.none(), st.sampled_from(SCORES), st.floats(0.0, 1.0)),
         ),
@@ -170,7 +244,7 @@ def test_tiny_distances_tie_on_margin_and_break_by_id() -> None:
     # id pair decides the order, not the distance.
     ds = dataset([("d", True, 3e-20), ("c", False, 0.0), ("b", True, 1e-20), ("a", False, 3e-20)])
     assert assert_matches_oracle(ds, 1.0) == 4
-    assert [(v.id_a, v.id_b) for v in lipschitz_violations(ds).violations] == [
+    assert [(a, b) for a, b, _ in lipschitz_violations(ds).violations] == [
         ("a", "b"),
         ("a", "d"),
         ("b", "c"),
@@ -182,3 +256,14 @@ def test_unscored_and_single_prediction() -> None:
     ds = dataset([("a", True, 0.2), ("b", True, 0.3), ("c", False, None)])
     assert assert_matches_oracle(ds, 1.0) == 0
     assert lipschitz_violations(ds).skipped == ("c",)
+
+
+def test_zero_subnormal_and_exponent_distances_render_as_json_does() -> None:
+    ds = dataset(
+        [("a", True, 0.5), ("b", False, 0.5), ("c", True, 5e-324), ("d", False, 0.0),
+         ("e", True, 1e-20)]
+    )
+    assert assert_matches_oracle(ds, 1.0) == 6
+    text = render({"lipschitz": {"violations": lipschitz_violations(ds).violations}})
+    for distance, margin in (("0.0", "1.0"), ("5e-324", "1.0"), ("1e-20", "1.0")):
+        assert f'"individual_distance": {distance},\n        "margin": {margin},' in text
