@@ -31,6 +31,10 @@ FAILING = {"p": ConfusionMatrix(11, 2, 2, 11), "q": ConfusionMatrix(21, 4, 5, 22
 PERFECT = {"p": ConfusionMatrix(5, 0, 0, 7), "q": ConfusionMatrix(3, 0, 0, 2)}
 SPARSE = {"p": ConfusionMatrix(1, 1, 1, 1), "r": ConfusionMatrix(2, 1, 1, 2)}
 SCORED = {"p": ConfusionMatrix(8, 3, 4, 5), "q": ConfusionMatrix(6, 4, 3, 7)}
+#: A perfect predictor where ``p`` has no predicted negatives and no actual
+#: positives: sufficiency and separation are NOT-COMPARABLE (ppv and fnr of
+#: ``p`` undefined), independence fails, and the break search is skipped.
+NOT_COMPARABLE = {"p": ConfusionMatrix(0, 0, 0, 5), "q": ConfusionMatrix(3, 0, 0, 2)}
 
 
 def scored_dataset() -> Dataset:
@@ -115,6 +119,7 @@ CASES = {
     "audit-failing": (FAILING, ("audit", "{csv}")),
     "audit-perfect": (PERFECT, ("audit", "{csv}")),
     "audit-find-break": (PASSING, ("audit", "{csv}", "--find-break")),
+    "audit-not-comparable": (NOT_COMPARABLE, ("audit", "{csv}", "--find-break")),
     "audit-empty-group": (SPARSE, ("audit", "{csv}", "--groups", "p,q,r")),
     "demo": (None, ("demo",)),
     "attack-reservoir": (
