@@ -54,14 +54,11 @@ from .report import (
     break_text,
     build_report,
     header,
-    increment_payload,
     increment_text,
-    matrices_payload,
+    jsonable,
     matrix_text,
-    num_payload,
     num_text,
     render,
-    verdict_payload,
     verdict_text,
 )
 
@@ -101,6 +98,8 @@ class CsvSchema:
             object.__setattr__(self, option, labels)
         if not all(self.positive_labels + self.negative_labels):
             raise InputError("label encodings must be nonempty (an empty one matches empty cells)")
+        if self.groups is not None and not all(label.strip() for label in self.groups):
+            raise InputError("--groups lists an empty label, which no record's group can match")
         shared = sorted(set(self.positive_labels) & set(self.negative_labels))
         if shared:
             raise InputError(
@@ -267,7 +266,7 @@ def cmd_demo(args: argparse.Namespace) -> Output:
     _, suff_after, sep_after = after_report.verdicts
     fpr_gap = sep_after.component_gaps["fpr_gap"]
 
-    highlights: dict[str, Any] = {"fpr_gap": num_payload(fpr_gap)}
+    highlights: dict[str, Any] = {"fpr_gap": fpr_gap}
     lines = [
         "demonstration: an accuracy increment that breaks sufficiency and separation",
         "",
@@ -282,10 +281,8 @@ def cmd_demo(args: argparse.Namespace) -> Output:
     p, q = after.groups
     for rate, verdict in (("ppv", suff_after), ("fnr", sep_after)):
         gap = verdict.component_gaps[f"{rate}_gap"]
-        highlights[rate] = {
-            group: num_payload(getattr(after[group], rate)) for group in after.groups
-        }
-        highlights[f"{rate}_gap"] = num_payload(gap)
+        highlights[rate] = {group: getattr(after[group], rate) for group in after.groups}
+        highlights[f"{rate}_gap"] = gap
         lines.append(
             f"  {rate}: {p} {num_text(getattr(after[p], rate))} vs "
             f"{q} {num_text(getattr(after[q], rate))}, "
@@ -296,9 +293,9 @@ def cmd_demo(args: argparse.Namespace) -> Output:
     payload = {
         "demo": "accuracy increment breaking sufficiency and separation",
         "before": before_report.payload(),
-        "increment": increment_payload(increment),
+        "increment": jsonable(increment),
         "after": after_report.payload(),
-        "highlights": highlights,
+        "highlights": jsonable(highlights),
     }
     return 0, payload, "\n".join(lines)
 
@@ -307,17 +304,8 @@ def cmd_attack(args: argparse.Namespace) -> Output:
     if args.kind == "reservoir":
         g = _load(args)
         result = reservoir_attack(g, args.group, args.z_max, args.eps)
-        payload: dict[str, Any] = {
-            "attack": "reservoir",
-            "target_group": args.group,
-            "plan": {
-                "z": result.plan.z,
-                "z_plus": result.plan.z_plus,
-                "z_minus": result.plan.z_minus,
-            },
-            "before": matrices_payload(g),
-            "after": matrices_payload(result.after),
-        }
+        payload = {"attack": "reservoir", "target_group": args.group, "before": jsonable(g)}
+        payload.update(jsonable(result))
         lines = [
             f"reservoir attack on group {args.group!r}",
             f"  plan: hire z_plus={result.plan.z_plus}, reject z_minus={result.plan.z_minus} "
@@ -329,9 +317,7 @@ def cmd_attack(args: argparse.Namespace) -> Output:
             )
         for measure in ("separation", "independence"):
             for stage in ("before", "after"):
-                verdict = getattr(result, f"{measure}_{stage}")
-                payload[f"{measure}_{stage}"] = verdict_payload(verdict)
-                lines.append(f"  {stage:6} {verdict_text(verdict)}")
+                lines.append(f"  {stage:6} {verdict_text(getattr(result, f'{measure}_{stage}'))}")
         lines.append("")
         return 0, payload, "\n".join(lines)
 
@@ -348,9 +334,9 @@ def cmd_attack(args: argparse.Namespace) -> Output:
         "swapped_pair": list(result.swapped_pair),
         "score_gap": result.score_gap,
         "matrices_unchanged": matrices_unchanged,
-        "matrices": matrices_payload(after_g),
+        "matrices": jsonable(after_g),
         "verdicts_after": {
-            v.measure: verdict_payload(v)
+            v.measure: jsonable(v)
             for v in (m(after_g, args.eps) for m in (independence, sufficiency, separation))
         },
         "lipschitz": {

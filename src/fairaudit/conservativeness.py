@@ -45,7 +45,7 @@ class GroupShift:
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
             raise InputError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        if not isinstance(self.count, int) or self.count < 0:
+        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 0:
             raise InputError(f"shift count must be a nonnegative integer, got {self.count!r}")
 
 

@@ -3,24 +3,29 @@
 Payloads contain only JSON-serializable values, rendered with sorted keys, so
 re-running a command on identical input yields byte-identical output. The one
 exception are the Lipschitz violations of ``attack swap``: plain rows that
-``render`` writes as the objects they stand for. Rational quantities carry
-both the exact fraction (as a string) and a float value; text output shows
-fractions with 6-decimal floats alongside.
+``render`` writes as the objects they stand for. :func:`jsonable` turns
+results into payload values: an object carries the fields of the result it
+reports, an exact rate is ``{"exact": "<fraction>", "value": <float>}``, a
+verdict adds ``status``, a ``GroupedConfusion`` is its ``matrices`` and an
+``Increment`` its ``shifts``. Text output shows fractions with 6-decimal
+floats alongside.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from . import __version__
+from .adversary import ReservoirAttackResult, ReservoirPlan
 from .confusion import ConfusionMatrix, GroupedConfusion, is_positive
 from .conservativeness import (
     BreakWitness,
     ConservativenessReport,
+    GroupShift,
     Increment,
     JointIndependenceVerdict,
     check_conservativeness,
@@ -41,12 +46,6 @@ FORMATS = (TEXT, JSON)
 # ---------------------------------------------------------------------------
 
 
-def num_payload(x: Fraction | None) -> Any:
-    if x is None:
-        return None
-    return {"exact": str(x), "value": float(x)}
-
-
 def num_text(x: Fraction | None) -> str:
     if x is None:
         return "undefined"
@@ -59,20 +58,6 @@ def verdict_status(v: MeasureVerdict) -> str:
     return "holds" if v.holds else "fails"
 
 
-def verdict_payload(v: MeasureVerdict) -> dict[str, Any]:
-    return {
-        "measure": v.measure,
-        "status": verdict_status(v),
-        "holds": v.holds,
-        "disparity": num_payload(v.disparity),
-        "component_gaps": {
-            label: num_payload(gap) for label, gap in v.component_gaps.items()
-        },
-        "witnesses": list(v.witnesses) if v.witnesses else None,
-        "eps": v.eps,
-    }
-
-
 def verdict_text(v: MeasureVerdict) -> str:
     gaps = ", ".join(
         f"{label} = {num_text(gap)}" for label, gap in v.component_gaps.items()
@@ -83,35 +68,16 @@ def verdict_text(v: MeasureVerdict) -> str:
     return line
 
 
-def matrix_payload(m: ConfusionMatrix) -> dict[str, int]:
-    return {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-
-
 def matrix_text(m: ConfusionMatrix) -> str:
     return f"(a={m.a}, b={m.b}, c={m.c}, d={m.d})"
-
-
-def matrices_payload(g: GroupedConfusion) -> dict[str, dict[str, int]]:
-    return {group: matrix_payload(g[group]) for group in g.groups}
 
 
 #: The per-group rates reported, in display order.
 STATS = ("accuracy", "ppv", "npv", "fpr", "fnr")
 
 
-def stats_payload(m: ConfusionMatrix) -> dict[str, Any]:
-    return {name: num_payload(getattr(m, name)) for name in STATS}
-
-
 def stats_text(m: ConfusionMatrix) -> str:
     return "  ".join(f"{name} {num_text(getattr(m, name))}" for name in STATS)
-
-
-def increment_payload(inc: Increment) -> list[dict[str, Any]]:
-    return [
-        {"group": s.group, "direction": s.direction, "count": s.count}
-        for s in inc.shifts
-    ]
 
 
 def increment_text(inc: Increment) -> str:
@@ -119,6 +85,40 @@ def increment_text(inc: Increment) -> str:
         f"{s.group}: {s.count} {'FN->TP' if s.direction == 'fn_to_tp' else 'FP->TN'}"
         for s in inc.shifts
     )
+
+
+#: Result types whose JSON value is an object of their fields, by name.
+_RECORDS = (
+    MeasureVerdict,
+    ConfusionMatrix,
+    GroupShift,
+    ReservoirPlan,
+    ReservoirAttackResult,
+    ConservativenessReport,
+    JointIndependenceVerdict,
+    BreakWitness,
+)
+
+
+def jsonable(x: Any) -> Any:
+    """The JSON value of a result, as the module docstring lists; dicts and
+    tuples are converted element by element, anything else is returned as is."""
+    if isinstance(x, Fraction):
+        return {"exact": str(x), "value": float(x)}
+    if isinstance(x, GroupedConfusion):
+        return jsonable(x.matrices)
+    if isinstance(x, Increment):
+        return jsonable(x.shifts)
+    if isinstance(x, _RECORDS):
+        out = {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
+        if isinstance(x, MeasureVerdict):
+            out["status"] = verdict_status(x)
+        return out
+    if isinstance(x, dict):
+        return {key: jsonable(value) for key, value in x.items()}
+    if isinstance(x, tuple):
+        return [jsonable(item) for item in x]
+    return x
 
 
 def header(eps: float) -> dict[str, Any]:
@@ -191,28 +191,17 @@ class FairnessReport:
                 "group_sizes": {group: g[group].n for group in g.groups},
                 "empty_groups": list(g.empty_groups),
             },
-            "matrices": matrices_payload(g),
-            "group_stats": {group: stats_payload(g[group]) for group in g.groups},
-            "measures": {v.measure: verdict_payload(v) for v in self.verdicts},
+            "matrices": jsonable(g),
+            "group_stats": {
+                group: jsonable({name: getattr(g[group], name) for name in STATS})
+                for group in g.groups
+            },
+            "measures": jsonable({v.measure: v for v in self.verdicts}),
             "all_hold": self.all_hold(),
             "conservativeness": {
                 "perfect_predictor": self.perfect_report is not None,
-                "perfect_check": None
-                if self.perfect_report is None
-                else {
-                    "sufficiency": verdict_payload(self.perfect_report.sufficiency),
-                    "separation": verdict_payload(self.perfect_report.separation),
-                    "independence": verdict_payload(self.perfect_report.independence),
-                    "holds": self.perfect_report.holds,
-                },
-                "joint_independence": None
-                if self.joint_independence is None
-                else {
-                    "suff_and_sep": self.joint_independence.suff_and_sep,
-                    "joint_independent": self.joint_independence.joint_independent,
-                    "equivalent": self.joint_independence.equivalent,
-                    "ci_deviation": num_payload(self.joint_independence.ci_deviation),
-                },
+                "perfect_check": jsonable(self.perfect_report),
+                "joint_independence": jsonable(self.joint_independence),
             },
         }
         if self.break_budget is not None:
@@ -278,23 +267,7 @@ class FairnessReport:
 def break_payload(
     witness: BreakWitness | None, budget: int, note: str | None
 ) -> dict[str, Any]:
-    out: dict[str, Any] = {"budget": budget, "note": note}
-    if witness is None:
-        out["witness"] = None
-        return out
-    out["witness"] = {
-        "increment": increment_payload(witness.increment),
-        "before": matrices_payload(witness.before),
-        "after": matrices_payload(witness.after),
-        "accuracy_delta": {
-            group: num_payload(delta)
-            for group, delta in witness.accuracy_delta.items()
-        },
-        "broken": list(witness.broken),
-        "sufficiency_after": verdict_payload(witness.sufficiency_after),
-        "separation_after": verdict_payload(witness.separation_after),
-    }
-    return out
+    return {"budget": budget, "note": note, "witness": jsonable(witness)}
 
 
 def break_text(witness: BreakWitness | None, budget: int, note: str | None) -> list[str]:

@@ -222,6 +222,20 @@ class TestIngest:
         assert (code, out) == (2, "")
         assert "nonempty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("groups", [("p", ""), ("p", " \t")])
+    def test_empty_declared_group_rejected(self, groups):
+        with pytest.raises(InputError, match="empty label"):
+            CsvSchema(groups=groups)
+
+    @pytest.mark.parametrize("groups", ["p,q,", ",p,q", "p,,q", " "])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_declared_group_exit_two(self, before_csv, capsys, groups, fmt):
+        code, out = run_cli("audit", before_csv, "--groups", groups, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --groups lists an empty label, which no record's group can match\n"
+        )
+
     @pytest.mark.parametrize("unreadable", sorted(UNREADABLE))
     def test_unreadable_file_rejected_by_both_sinks(self, tmp_path, unreadable):
         path = tmp_path / "bad.csv"

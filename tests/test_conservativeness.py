@@ -127,6 +127,11 @@ class TestIncrement:
         with pytest.raises(InputError, match="direction"):
             GroupShift("p", "sideways", 1)
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_rejects_bool_count(self, count):
+        with pytest.raises(InputError, match="shift count must be a nonnegative integer"):
+            GroupShift("p", FN_TO_TP, count)
+
 
 class TestApplyIncrement:
     def test_unit_shift_per_group_gives_after_tables(self):

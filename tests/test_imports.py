@@ -4,9 +4,10 @@ No module of the package imports a leading-underscore name from another: a
 private name is free to change with its module; a caller elsewhere should
 use the public function that does the same job, or the name should be made
 public. The package imports nothing outside the standard library and
-itself. And ``fairaudit.__all__`` lists each name once, every listed name
-resolves, and every public name the package root imports is listed, so a
-deletion cannot leave a dangling export.
+itself. ``report`` is the only module that imports ``json``, so results
+reach JSON along one path. And ``fairaudit.__all__`` lists each name once,
+every listed name resolves, and every public name the package root imports
+is listed, so a deletion cannot leave a dangling export.
 """
 
 import ast
@@ -55,23 +56,25 @@ def test_the_check_sees_private_imports_only():
     ]
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Top-level names of absolute imports outside the standard library and
-    the package."""
+def imported_modules(source: str) -> list[str]:
+    """Every module named by an absolute import, dotted names included."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        found += [
-            top
-            for top in (name.split(".")[0] for name in names)
-            if top not in sys.stdlib_module_names and top != "fairaudit"
-        ]
+            found.append(node.module)
     return found
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of absolute imports outside the standard library and
+    the package."""
+    return [
+        top
+        for top in (name.split(".")[0] for name in imported_modules(source))
+        if top not in sys.stdlib_module_names and top != "fairaudit"
+    ]
 
 
 def test_package_imports_only_the_standard_library():
@@ -92,6 +95,31 @@ def test_the_check_sees_foreign_imports_only():
         "import fairaudit, hypothesis\n"
     )
     assert foreign_imports(source) == ["numpy", "scipy", "hypothesis"]
+
+
+def json_imports(source: str) -> list[str]:
+    """Modules of the ``json`` package that ``source`` imports."""
+    return [name for name in imported_modules(source) if name.split(".")[0] == "json"]
+
+
+def test_only_report_imports_json():
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if json_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == ["report.py"]
+
+
+def test_the_check_sees_json_in_every_import_form():
+    source = (
+        "import json\n"
+        "import os, json.decoder as d\n"
+        "from json.encoder import encode_basestring_ascii\n"
+        "from . import report\n"
+        "import jsonschema\n"
+    )
+    assert json_imports(source) == ["json", "json.decoder", "json.encoder"]
 
 
 def test_all_entries_resolve_and_are_listed_once():

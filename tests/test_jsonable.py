@@ -1,0 +1,354 @@
+"""``report.jsonable`` against the payload builders it replaced.
+
+The oracle below is the hand-written payload code ``report`` and ``cli`` had
+before one converter took its place, kept verbatim apart from the names:
+``num_payload``, ``verdict_payload``, ``matrix_payload``,
+``matrices_payload``, ``stats_payload``, ``increment_payload``,
+``break_payload``, the body of ``FairnessReport.payload`` and the reservoir
+payload of ``cmd_attack``. Each copied a result's fields into a dict under the
+fields' own names, so the converter must give the same JSON. Outputs are
+compared as ``json.dumps(..., sort_keys=True, indent=2)`` text, which also
+tells ``1`` from ``1.0`` and ``True`` and fails on any result object left in.
+
+Tables have 2-4 groups with cells 0-5, so undefined rates and
+NOT-COMPARABLE verdicts occur; perfect, positive and proportional tables feed
+the checks that need them.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+from typing import Any
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fairaudit import cli
+from fairaudit.adversary import reservoir_attack
+from fairaudit.cli import export_csv
+from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, synthesize_dataset
+from fairaudit.conservativeness import (
+    DIRECTIONS,
+    BreakWitness,
+    GroupShift,
+    Increment,
+    check_conservativeness,
+    check_joint_independence_iff,
+    find_break,
+)
+from fairaudit.errors import Infeasible, PreconditionError
+from fairaudit.measures import MeasureVerdict, independence, separation, sufficiency
+from fairaudit.report import (
+    STATS,
+    FairnessReport,
+    break_payload,
+    build_report,
+    header,
+    jsonable,
+    render,
+    verdict_status,
+)
+
+EPS = 1e-9
+
+# ---------------------------------------------------------------------------
+# Oracle: the previous payload builders, verbatim
+# ---------------------------------------------------------------------------
+
+
+def num_payload(x: Any) -> Any:
+    if x is None:
+        return None
+    return {"exact": str(x), "value": float(x)}
+
+
+def verdict_payload(v: MeasureVerdict) -> dict[str, Any]:
+    return {
+        "measure": v.measure,
+        "status": verdict_status(v),
+        "holds": v.holds,
+        "disparity": num_payload(v.disparity),
+        "component_gaps": {
+            label: num_payload(gap) for label, gap in v.component_gaps.items()
+        },
+        "witnesses": list(v.witnesses) if v.witnesses else None,
+        "eps": v.eps,
+    }
+
+
+def matrix_payload(m: ConfusionMatrix) -> dict[str, int]:
+    return {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
+
+
+def matrices_payload(g: GroupedConfusion) -> dict[str, dict[str, int]]:
+    return {group: matrix_payload(g[group]) for group in g.groups}
+
+
+def stats_payload(m: ConfusionMatrix) -> dict[str, Any]:
+    return {name: num_payload(getattr(m, name)) for name in STATS}
+
+
+def increment_payload(inc: Increment) -> list[dict[str, Any]]:
+    return [
+        {"group": s.group, "direction": s.direction, "count": s.count}
+        for s in inc.shifts
+    ]
+
+
+def oracle_break_payload(
+    witness: BreakWitness | None, budget: int, note: str | None
+) -> dict[str, Any]:
+    out: dict[str, Any] = {"budget": budget, "note": note}
+    if witness is None:
+        out["witness"] = None
+        return out
+    out["witness"] = {
+        "increment": increment_payload(witness.increment),
+        "before": matrices_payload(witness.before),
+        "after": matrices_payload(witness.after),
+        "accuracy_delta": {
+            group: num_payload(delta)
+            for group, delta in witness.accuracy_delta.items()
+        },
+        "broken": list(witness.broken),
+        "sufficiency_after": verdict_payload(witness.sufficiency_after),
+        "separation_after": verdict_payload(witness.separation_after),
+    }
+    return out
+
+
+def oracle_report_payload(self: FairnessReport) -> dict[str, Any]:
+    g = self.grouped
+    out: dict[str, Any] = {
+        **header(self.eps),
+        "input": {
+            "total_records": g.total,
+            "group_sizes": {group: g[group].n for group in g.groups},
+            "empty_groups": list(g.empty_groups),
+        },
+        "matrices": matrices_payload(g),
+        "group_stats": {group: stats_payload(g[group]) for group in g.groups},
+        "measures": {v.measure: verdict_payload(v) for v in self.verdicts},
+        "all_hold": self.all_hold(),
+        "conservativeness": {
+            "perfect_predictor": self.perfect_report is not None,
+            "perfect_check": None
+            if self.perfect_report is None
+            else {
+                "sufficiency": verdict_payload(self.perfect_report.sufficiency),
+                "separation": verdict_payload(self.perfect_report.separation),
+                "independence": verdict_payload(self.perfect_report.independence),
+                "holds": self.perfect_report.holds,
+            },
+            "joint_independence": None
+            if self.joint_independence is None
+            else {
+                "suff_and_sep": self.joint_independence.suff_and_sep,
+                "joint_independent": self.joint_independence.joint_independent,
+                "equivalent": self.joint_independence.equivalent,
+                "ci_deviation": num_payload(self.joint_independence.ci_deviation),
+            },
+        },
+    }
+    if self.break_budget is not None:
+        out["break_search"] = oracle_break_payload(
+            self.break_witness, self.break_budget, self.break_note
+        )
+    return out
+
+
+def oracle_reservoir_payload(g: GroupedConfusion, target: str, result: Any) -> dict[str, Any]:
+    payload: dict[str, Any] = {
+        "attack": "reservoir",
+        "target_group": target,
+        "plan": {
+            "z": result.plan.z,
+            "z_plus": result.plan.z_plus,
+            "z_minus": result.plan.z_minus,
+        },
+        "before": matrices_payload(g),
+        "after": matrices_payload(result.after),
+    }
+    for measure in ("separation", "independence"):
+        for stage in ("before", "after"):
+            verdict = getattr(result, f"{measure}_{stage}")
+            payload[f"{measure}_{stage}"] = verdict_payload(verdict)
+    return payload
+
+
+# ---------------------------------------------------------------------------
+# Tables
+# ---------------------------------------------------------------------------
+
+
+def dumped(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def assert_same_json(new: Any, old: Any) -> None:
+    assert dumped(new) == dumped(old)
+
+
+def grouped(cells: list[tuple[int, int, int, int]]) -> GroupedConfusion:
+    return GroupedConfusion({f"g{i}": ConfusionMatrix(*m) for i, m in enumerate(cells)})
+
+
+def random_table(rng: random.Random, low: int = 0, perfect: bool = False) -> GroupedConfusion:
+    """2-4 groups, cells in ``low``..5, every group counting a record."""
+    cells = []
+    for _ in range(rng.randint(2, 4)):
+        while True:
+            a, b, c, d = (rng.randint(low, 5) for _ in range(4))
+            if perfect:
+                b = c = 0
+            if a + b + c + d:
+                break
+        cells.append((a, b, c, d))
+    return grouped(cells)
+
+
+def proportional_table(rng: random.Random, low: int = 0) -> GroupedConfusion:
+    """2-4 groups, each a multiple (1-3) of one base matrix with cells in
+    ``low``..5: sufficiency and separation hold unless a rate is undefined."""
+    base = random_table(rng, low)["g0"]
+    return GroupedConfusion(
+        {f"g{i}": base.scaled(rng.randint(1, 3)) for i in range(rng.randint(2, 4))}
+    )
+
+
+SEEDS = range(60)
+
+cell = st.integers(0, 5)
+matrix = st.tuples(cell, cell, cell, cell).filter(any)
+tables = st.lists(matrix, min_size=2, max_size=4).map(grouped)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+# ---------------------------------------------------------------------------
+
+
+def assert_table_matches(g: GroupedConfusion) -> None:
+    assert_same_json(jsonable(g), matrices_payload(g))
+    for m in g.matrices.values():
+        assert_same_json(jsonable(m), matrix_payload(m))
+        assert_same_json(jsonable({name: getattr(m, name) for name in STATS}), stats_payload(m))
+    for v in (independence(g, EPS), sufficiency(g, EPS), separation(g, EPS)):
+        assert_same_json(jsonable(v), verdict_payload(v))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_tables_verdicts_and_reports(seed: int) -> None:
+    rng = random.Random(seed)
+    g = random_table(rng)
+    assert_table_matches(g)
+    for budget in (None, 0, 2):
+        report = build_report(g, EPS, budget)
+        assert_same_json(report.payload(), oracle_report_payload(report))
+
+
+@given(tables)
+def test_hypothesis_tables_verdicts(g: GroupedConfusion) -> None:
+    assert_table_matches(g)
+    report = build_report(g, EPS, 1)
+    assert_same_json(report.payload(), oracle_report_payload(report))
+
+
+def test_tables_cover_not_comparable_and_both_outcomes() -> None:
+    statuses = {
+        verdict_status(m(random_table(random.Random(seed)), EPS))
+        for seed in SEEDS
+        for m in (independence, sufficiency, separation)
+    }
+    assert statuses == {"holds", "fails", "not-comparable"}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_perfect_tables_conservativeness(seed: int) -> None:
+    g = random_table(random.Random(seed), perfect=True)
+    report = build_report(g, EPS)
+    assert report.perfect_report is not None
+    expected = oracle_report_payload(report)["conservativeness"]["perfect_check"]
+    assert_same_json(jsonable(check_conservativeness(g, EPS)), expected)
+    assert_same_json(report.payload(), oracle_report_payload(report))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("table", [random_table, proportional_table])
+def test_positive_tables_joint_independence(seed: int, table: Any) -> None:
+    g = table(random.Random(seed), low=1)
+    report = build_report(g, EPS)
+    assert report.joint_independence is not None
+    expected = oracle_report_payload(report)["conservativeness"]["joint_independence"]
+    assert_same_json(jsonable(check_joint_independence_iff(g, EPS)), expected)
+
+
+def break_cases() -> list[tuple[GroupedConfusion, int]]:
+    rng = random.Random(3)
+    return [(proportional_table(rng), budget) for _ in range(40) for budget in range(5)]
+
+
+def test_break_witnesses_and_none() -> None:
+    found = {"witness": 0, "none": 0, "note": 0}
+    for g, budget in break_cases():
+        try:
+            witness, note = find_break(g, EPS, budget), None
+        except PreconditionError as exc:
+            witness, note = None, str(exc)
+        found["note" if note else "witness" if witness else "none"] += 1
+        assert_same_json(
+            break_payload(witness, budget, note), oracle_break_payload(witness, budget, note)
+        )
+        if witness is not None:
+            assert_same_json(jsonable(witness.increment), increment_payload(witness.increment))
+        report = build_report(g, EPS, budget)
+        assert_same_json(report.payload(), oracle_report_payload(report))
+    assert min(found.values()) > 0, found
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(DIRECTIONS), st.integers(0, 5)), min_size=1, max_size=4
+    ).filter(lambda shifts: any(count for _, count in shifts))
+)
+def test_increments(shifts: list[tuple[str, int]]) -> None:
+    inc = Increment(
+        tuple(GroupShift(f"g{i}", direction, count) for i, (direction, count) in enumerate(shifts))
+    )
+    assert_same_json(jsonable(inc), increment_payload(inc))
+
+
+def test_feasible_reservoir_attacks(tmp_path: Path) -> None:
+    rng = random.Random(5)
+    feasible = 0
+    for i in range(40):
+        g = proportional_table(rng)
+        target = rng.choice(g.groups)
+        try:
+            result = reservoir_attack(g, target, 13, EPS)
+        except (Infeasible, PreconditionError):
+            continue
+        feasible += 1
+        path = tmp_path / f"t{i}.csv"
+        export_csv(synthesize_dataset(g), str(path))
+        argv = ["attack", "reservoir", str(path), "--group", target, "--z-max", "13"]
+        code, payload, _ = cli.cmd_attack(cli.build_parser().parse_args(argv))
+        assert code == 0
+        assert_same_json(payload, oracle_reservoir_payload(g, target, result))
+    assert feasible >= 10
+
+
+def test_none_and_plain_values_pass_through() -> None:
+    assert jsonable(None) is None
+    assert jsonable([1, "a"]) == [1, "a"]
+    assert jsonable(("a", True, 1.5)) == ["a", True, 1.5]
+
+
+def test_render_still_rejects_a_result_object() -> None:
+    ds = synthesize_dataset(grouped([(1, 1, 1, 1), (2, 0, 0, 1)]))
+    assert jsonable(ds) is ds
+    with pytest.raises(TypeError, match="Dataset"):
+        render({**header(EPS), "dataset": jsonable(ds)})

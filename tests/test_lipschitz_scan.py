@@ -12,6 +12,9 @@ records.
 The JSON oracle is the payload builder ``attack swap`` used before
 ``report.render`` wrote the rows itself: one dict per violation, dumped with
 ``json.dumps(sort_keys=True, indent=2)``. ``render`` must give the same bytes.
+The payload's matrices come from the matrix builders ``report`` had before
+``report.jsonable``, kept here so the oracle does not share code with
+``render``'s callers.
 
 Both run on seeded and hypothesis-generated datasets with tied scores, pairs
 exactly ``scale`` apart, tiny scales, distinct tiny distances whose margins
@@ -32,9 +35,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit.adversary import lipschitz_violations
-from fairaudit.confusion import Dataset, Record, tabulate
+from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, tabulate
 from fairaudit.errors import InputError
-from fairaudit.report import header, matrices_payload, render
+from fairaudit.report import header, render
 
 # ---------------------------------------------------------------------------
 # Oracle: the previous scan, verbatim
@@ -115,6 +118,14 @@ def oracle_lipschitz_payload(
         "skipped_unscored": list(lipschitz.skipped),
         "swapped_pair_flagged": pair_flagged,
     }
+
+
+def matrix_payload(m: ConfusionMatrix) -> dict[str, int]:
+    return {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
+
+
+def matrices_payload(g: GroupedConfusion) -> dict[str, dict[str, int]]:
+    return {group: matrix_payload(g[group]) for group in g.groups}
 
 
 def oracle_render(payload: dict[str, Any]) -> str:
