@@ -25,6 +25,15 @@ LABEL = {True: POS, False: NEG}
 #: ``(y, r)`` of the cells a=TP, b=FP, c=FN, d=TN, in that order.
 CELLS = ((True, True), (False, True), (True, False), (False, False))
 
+#: Each rate as ``(part, whole)``, two sums of the cells a, b, c, d; undefined at whole 0.
+RATES = {
+    "selection_rate": lambda a, b, c, d: (a + b, a + b + c + d),
+    "ppv": lambda a, b, c, d: (a, a + b),
+    "npv": lambda a, b, c, d: (d, c + d),
+    "fpr": lambda a, b, c, d: (b, b + d),
+    "fnr": lambda a, b, c, d: (c, a + c),
+}
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -51,25 +60,29 @@ class ConfusionMatrix:
     def accuracy(self) -> Fraction:
         return Fraction(self.a + self.d, self.n)
 
+    def _rate(self, name: str) -> Fraction | None:
+        part, whole = RATES[name](self.a, self.b, self.c, self.d)
+        return Fraction(part, whole) if whole else None
+
     @property
     def ppv(self) -> Fraction | None:
-        return Fraction(self.a, self.a + self.b) if self.a + self.b else None
+        return self._rate("ppv")
 
     @property
     def npv(self) -> Fraction | None:
-        return Fraction(self.d, self.c + self.d) if self.c + self.d else None
+        return self._rate("npv")
 
     @property
     def fpr(self) -> Fraction | None:
-        return Fraction(self.b, self.b + self.d) if self.b + self.d else None
+        return self._rate("fpr")
 
     @property
     def fnr(self) -> Fraction | None:
-        return Fraction(self.c, self.a + self.c) if self.a + self.c else None
+        return self._rate("fnr")
 
     @property
     def selection_rate(self) -> Fraction:
-        return Fraction(self.a + self.b, self.n)
+        return Fraction(*RATES["selection_rate"](self.a, self.b, self.c, self.d))
 
     def scaled(self, k: int) -> ConfusionMatrix:
         if k < 1:

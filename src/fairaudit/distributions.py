@@ -12,8 +12,11 @@ conditional independence are decided through a division-free deviation
 which agrees with the textbook definition P(X | Y, Z) = P(X | Z) on the
 support of Z and is total: zero-mass conditioning cells are vacuously
 satisfied instead of dividing by zero. It is homogeneous of degree 2 in the
-weights, so it is computed on the weights and divided once by the squared
-denominator.
+weights, so it is computed on the integer weights, summed in one pass into
+flat lists indexed by the positions of the (given, left, right) values, and
+divided once by the squared denominator. Given values take positions in order
+of first appearance, so a sparse table over a large given domain costs only
+its own cells.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -56,22 +60,27 @@ class FiniteJoint:
     variables: tuple[tuple[str, tuple[str, ...]], ...]
     table: Mapping[tuple[str, ...], int]
     denominator: int = field(init=False)
+    #: Variable name -> its position in ``variables``.
+    _positions: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    #: Per variable, in order: domain label -> its position in the domain.
+    _labels: tuple[Mapping[str, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         variables = tuple((name, tuple(domain)) for name, domain in self.variables)
         object.__setattr__(self, "variables", variables)
         names = [name for name, _ in variables]
-        if len(set(names)) != len(names):
+        positions = {name: i for i, name in enumerate(names)}
+        if len(positions) != len(names):
             raise InputError(f"duplicate variable names: {names}")
-        for name, domain in variables:
+        labels = tuple({label: i for i, label in enumerate(domain)} for _, domain in variables)
+        for (name, domain), positions_of in zip(variables, labels):
             if not domain:
                 raise InputError(f"variable {name!r} has an empty domain")
-            if len(set(domain)) != len(domain):
+            if len(positions_of) != len(domain):
                 raise InputError(f"variable {name!r} repeats domain labels: {domain}")
-        domains = [frozenset(domain) for _, domain in variables]
         table = dict(self.table)
         for key, weight in table.items():
-            if len(key) != len(variables) or not all(map(frozenset.__contains__, domains, key)):
+            if len(key) != len(variables) or not all(map(dict.__contains__, labels, key)):
                 raise InputError(f"assignment {key!r} does not match declared variables")
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
                 raise InputError(f"weight at {key!r} must be a non-negative int, got {weight!r}")
@@ -80,22 +89,21 @@ class FiniteJoint:
             raise InputError("joint has no mass: every weight is 0")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_labels", labels)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
     def domain(self, name: str) -> tuple[str, ...]:
-        for var, dom in self.variables:
-            if var == name:
-                return dom
-        raise InputError(f"unknown variable {name!r}; have {self.names}")
+        return self.variables[self.index(name)][1]
 
     def index(self, name: str) -> int:
-        for i, (var, _) in enumerate(self.variables):
-            if var == name:
-                return i
-        raise InputError(f"unknown variable {name!r}; have {self.names}")
+        try:
+            return self._positions[name]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown variable {name!r}; have {self.names}") from None
 
     def prob(self, assignment: tuple[str, ...]) -> Fraction:
         """Mass of one full assignment (zero if absent from the table)."""
@@ -264,6 +272,16 @@ def compose_ci(
 # ---------------------------------------------------------------------------
 
 
+def _side(j: FiniteJoint, names: tuple[str, ...]) -> tuple[operator.itemgetter, Mapping]:
+    """Reader of one side's value off a key, and each value's position: a
+    variable's label positions, or a fused side's product grid."""
+    at = [j.index(name) for name in names]
+    if len(at) == 1:
+        return operator.itemgetter(at[0]), j._labels[at[0]]
+    grid = itertools.product(*(j.variables[i][1] for i in at))
+    return operator.itemgetter(*at), dict(zip(grid, itertools.count()))
+
+
 def ci_deviation(
     j: FiniteJoint,
     left: str | Sequence[str],
@@ -281,34 +299,38 @@ def ci_deviation(
     all_names = left_names + right_names + given_names
     if len(set(all_names)) != len(all_names):
         raise InputError(f"variable groups must be pairwise disjoint: {all_names}")
-    for name in all_names:
-        j.index(name)
 
-    # One pass over the table; the smaller tables are summed from its result
-    # (exact, since integer sums do not depend on order).
-    p_lrg = _aggregate(j, all_names)
-    split, end = len(left_names), len(left_names) + len(right_names)
-    p_lg: dict[tuple[str, ...], int] = {}
-    p_rg: dict[tuple[str, ...], int] = {}
-    p_g: dict[tuple[str, ...], int] = {}
-    for key, weight in p_lrg.items():
-        gv = key[end:]
-        lg = key[:split] + gv
-        rg = key[split:]
-        p_lg[lg] = p_lg.get(lg, 0) + weight
-        p_rg[rg] = p_rg.get(rg, 0) + weight
-        p_g[gv] = p_g.get(gv, 0) + weight
+    # Each side reads its value off a key and maps it to a position: one
+    # variable through its label positions, fused variables through their
+    # product grid. Given values are numbered as they first occur, so the
+    # sums below have cells only for given values the table holds.
+    (pick_l, left_at), (pick_r, right_at) = _side(j, left_names), _side(j, right_names)
+    nl, nr, keys = len(left_at), len(right_at), j.table
+    at = [j.index(name) for name in given_names]
+    given_keys = list(map(operator.itemgetter(*at), keys)) if at else [()] * len(keys)
+    given_at = dict(zip(dict.fromkeys(given_keys), itertools.count()))
+    ng = len(given_at)
+    p_lrg, p_lg, p_rg, p_g = [0] * (ng * nl * nr), [0] * (ng * nl), [0] * (ng * nr), [0] * ng
+    for g, l, r, weight in zip(
+        map(given_at.__getitem__, given_keys),
+        map(left_at.__getitem__, map(pick_l, keys)),
+        map(right_at.__getitem__, map(pick_r, keys)),
+        keys.values(),
+    ):
+        gl = g * nl + l
+        p_lrg[gl * nr + r] += weight
+        p_lg[gl] += weight
+        p_rg[g * nr + r] += weight
+        p_g[g] += weight
 
-    left_grid = list(itertools.product(*(j.domain(n) for n in left_names)))
-    right_grid = list(itertools.product(*(j.domain(n) for n in right_names)))
-
-    worst = max(
-        abs(p_lrg.get(lv + rv + gv, 0) * pg - p_lg.get(lv + gv, 0) * p_rg.get(rv + gv, 0))
-        for gv, pg in p_g.items()
-        if pg > 0  # zero-mass conditioning cells are vacuously satisfied
-        for lv in left_grid
-        for rv in right_grid
-    )
+    worst = 0  # a zero-mass given value has all-zero sums: vacuously satisfied
+    for gl, pl in enumerate(p_lg):
+        g = gl // nl
+        pg = p_g[g]
+        for w, pr in zip(p_lrg[gl * nr : gl * nr + nr], p_rg[g * nr : g * nr + nr]):
+            deviation = abs(w * pg - pl * pr)
+            if deviation > worst:
+                worst = deviation
     return Fraction(worst, j.denominator**2)
 
 

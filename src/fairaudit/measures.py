@@ -4,18 +4,20 @@ Each measure compares per-group rates across groups (independence: the
 selection rate; sufficiency: PPV and NPV; separation: FPR and FNR), and
 there are two routes to the rates:
 
-* :func:`evaluate_measure` reads the exact rates off each group's confusion
+* :func:`evaluate_measure` reads the cells off each group's confusion
   matrix, and
-* :func:`measure_via_distribution` computes the same rates as conditional
-  probabilities on a joint of (A, Y, R), e.g. PPV = P(Y=+ | A=a, R=+), the
-  (conditional) independence each measure stands for.
+* :func:`measure_via_distribution` sums the same cells out of a joint of
+  (A, Y, R), so each rate is the conditional probability it stands for, e.g.
+  PPV = P(Y=+ | A=a, R=+), the (conditional) independence of the measure.
 
-Both routes feed one verdict builder, so on the count joint of a table they
-return equal verdicts for every eps. ``disparity`` is the largest gap between
-two groups' values of one rate; the verdict holds when it is within ``eps``.
-Any undefined constituent rate makes the verdict NOT-COMPARABLE (``holds``
-and ``disparity`` are ``None``), which is deliberately neither a pass nor a
-fail.
+Both routes turn cells into each rate's integer ``(part, whole)`` by
+``confusion.RATES`` and feed one verdict builder, which compares rates by
+cross-multiplication and builds one ``Fraction`` per component gap, so on the
+count joint of a table they return equal verdicts for every eps.
+``disparity`` is the largest gap between two groups' values of one rate; the
+verdict holds when it is within ``eps``. Any undefined constituent rate
+(``whole`` is 0) makes the verdict NOT-COMPARABLE (``holds`` and
+``disparity`` are ``None``), which is deliberately neither a pass nor a fail.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .confusion import CELLS, LABEL, NEG, POS, GroupedConfusion
+from .confusion import CELLS, LABEL, NEG, POS, RATES, GroupedConfusion
 from .distributions import EPS_DEFAULT, FiniteJoint
 from .errors import InputError, PreconditionError
 
@@ -65,32 +67,36 @@ class MeasureVerdict:
         return self.holds is not None
 
 
-def _max_pairwise_gap(
-    values: Mapping[str, Fraction],
-) -> tuple[Fraction, tuple[str, str]]:
-    """Largest |difference| over group pairs, ``max - min``, in one pass.
+def _max_pairwise_gap(rates: Mapping[str, tuple[int, int]]) -> tuple[Fraction, tuple[str, str]]:
+    """Largest |difference| over group pairs, ``max - min``, in one pass over
+    rates given as ``(part, whole)`` with ``whole > 0``, compared by
+    cross-multiplication.
 
     The witness is the first maximizing pair in group-pair order: the first
     group holding an extreme value with the first later group holding the
     other extreme, or the first two groups when all values are equal.
     """
-    groups = list(values)
-    high, low = max(values.values()), min(values.values())
-    if high == low:
-        return high - low, (groups[0], groups[1])
-    first = next(i for i, group in enumerate(groups) if values[group] in (high, low))
-    other = low if values[groups[first]] == high else high
-    second = next(group for group in groups[first + 1 :] if values[group] == other)
-    return high - low, (groups[first], second)
+    groups, pairs = list(rates), list(rates.values())
+    high = low = 0  # the first group holding the largest and the smallest rate
+    for i, (part, whole) in enumerate(pairs):
+        if part * pairs[high][1] > pairs[high][0] * whole:
+            high = i
+        elif part * pairs[low][1] < pairs[low][0] * whole:
+            low = i
+    (hp, hw), (lp, lw) = pairs[high], pairs[low]
+    gap = Fraction(hp * lw - lp * hw, hw * lw)
+    if not gap:
+        return gap, (groups[0], groups[1])
+    return gap, (groups[min(high, low)], groups[max(high, low)])
 
 
 def _rate_verdict(
     measure: str,
-    rates: Mapping[str, Mapping[str, Fraction | None]],
+    rates: Mapping[str, Mapping[str, tuple[int, int]]],
     eps: float,
 ) -> MeasureVerdict:
-    """Evaluate a measure from per-group rates keyed by gap label, e.g.
-    ``{"ppv_gap": {"p": Fraction(5, 6), "q": Fraction(5, 6)}, ...}``.
+    """Evaluate a measure from per-group rates as ``(part, whole)`` keyed by
+    gap label, e.g. ``{"ppv_gap": {"p": (5, 6), "q": (10, 12)}, ...}``.
 
     Both routes end here, so they agree whenever they feed it equal rates.
     """
@@ -100,7 +106,7 @@ def _rate_verdict(
     gaps: dict[str, Fraction | None] = {}
     witnesses: dict[str, tuple[str, str]] = {}
     for label, per_group in rates.items():
-        if any(rate is None for rate in per_group.values()):
+        if any(whole == 0 for _, whole in per_group.values()):
             gaps[label] = None
             continue
         gaps[label], witnesses[label] = _max_pairwise_gap(per_group)
@@ -124,7 +130,7 @@ def evaluate_measure(
 ) -> MeasureVerdict:
     """Evaluate a measure by comparing exact per-group rates."""
     rates = {
-        label: {group: getattr(m, rate) for group, m in g.matrices.items()}
+        label: {group: RATES[rate](m.a, m.b, m.c, m.d) for group, m in g.matrices.items()}
         for label, rate in _components(measure).items()
     }
     return _rate_verdict(measure, rates, eps)
@@ -161,25 +167,13 @@ def measure_via_distribution(
         raise InputError(f"joint must have variables A, Y, R; got {j.names}")
     if not set(j.domain("Y")) == set(j.domain("R")) == {POS, NEG}:
         raise InputError(f"Y and R must be binary over {POS!r} and {NEG!r}")
-    components = _components(measure)
-
-    def weight(a: str, y: str, r: str) -> int:
-        values = {"A": a, "Y": y, "R": r}
-        return j.table.get(tuple(values[name] for name in j.names), 0)
-
-    def conditional(part: int, whole: int) -> Fraction | None:
-        return Fraction(part, whole) if whole else None
-
-    rates: dict[str, dict[str, Fraction | None]] = {label: {} for label in components}
-    for a in j.domain("A"):
-        tp, fp, fn, tn = (weight(a, LABEL[y], LABEL[r]) for y, r in CELLS)
-        group_rates = {
-            "selection_rate": conditional(tp + fp, tp + fp + fn + tn),
-            "ppv": conditional(tp, tp + fp),
-            "npv": conditional(tn, fn + tn),
-            "fpr": conditional(fp, fp + tn),
-            "fnr": conditional(fn, tp + fn),
-        }
-        for label, rate in components.items():
-            rates[label][a] = group_rates[rate]
+    slot = {(LABEL[y], LABEL[r]): i for i, (y, r) in enumerate(CELLS)}
+    a_at, y_at, r_at = map(j.index, ("A", "Y", "R"))
+    cells = {a: [0, 0, 0, 0] for a in j.domain("A")}  # tp, fp, fn, tn
+    for key, weight in j.table.items():
+        cells[key[a_at]][slot[key[y_at], key[r_at]]] += weight
+    rates = {
+        label: {a: RATES[rate](*counts) for a, counts in cells.items()}
+        for label, rate in _components(measure).items()
+    }
     return _rate_verdict(measure, rates, eps)

@@ -12,6 +12,7 @@ instance has violation mass exactly 0.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from typing import Sequence
 
@@ -166,6 +167,47 @@ def test_hypothesis_joints_match_the_oracle(case):
     assert ci_deviation(j, left, right, given_names) == oracle_ci_deviation(
         j, left, right, given_names
     )
+
+
+class TestKernelEdgeCases:
+    def test_sparse_given_with_a_hundred_thousand_labels(self):
+        # 12 cells over a given variable of 10^5 labels: the kernel sizes its
+        # work by the cells, not by the given domain.
+        z_dom = tuple(f"z{i}" for i in range(100_000))
+        weights = iter(range(1, 13))
+        table = {
+            (x, y, z): next(weights) for z in ("z7", "z500", "z99999") for x in "01" for y in "01"
+        }
+        j = FiniteJoint(variables=(("X", ("0", "1")), ("Y", ("0", "1")), ("Z", z_dom)), table=table)
+        for left, right, given_names in splits(("X", "Y", "Z")):
+            if "Z" not in left + right:
+                deviation = ci_deviation(j, left, right, given_names)
+                assert deviation == oracle_ci_deviation(j, left, right, given_names)
+        start = time.perf_counter()
+        for _ in range(200):
+            ci_deviation(j, "X", "Y", "Z")
+            ci_deviation(j, "X", ("Y",), ("Z",))
+        assert time.perf_counter() - start < 1.0
+
+    def test_given_values_present_only_with_weight_zero(self):
+        variables = (("X", ("0", "1")), ("Y", ("0", "1")), ("Z", ("0", "1", "2")))
+        table = {key: 0 for key in itertools.product("01", "01", "012")}
+        table.update({("0", "0", "0"): 3, ("1", "1", "0"): 1, ("0", "1", "1"): 2})
+        j = FiniteJoint(variables=variables, table=table)
+        assert_matches_oracle(j)
+        assert ci_deviation(j, "X", "Y", "Z") == Fraction(3, 36)
+
+    def test_one_label_domains(self):
+        rng = random.Random(137)
+        for sizes in ((1, 1), (1, 1, 1), (1, 3, 2), (2, 1, 3, 1)):
+            names = ("X", "Y", "Z", "W")[: len(sizes)]
+            domains = [tuple(str(v) for v in range(size)) for size in sizes]
+            j = random_joint(rng, list(zip(names, domains)))
+            assert_matches_oracle(j)
+            constant = {name for name, size in zip(names, sizes) if size == 1}
+            for left, right, given_names in splits(names):
+                if set(left) <= constant or set(right) <= constant:
+                    assert ci_deviation(j, left, right, given_names) == 0
 
 
 class TestConstructionsAreExact:

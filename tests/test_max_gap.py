@@ -2,7 +2,9 @@
 
 ``oracle_max_pairwise_gap`` is the loop over every group pair that
 ``measures._max_pairwise_gap`` replaced, kept verbatim as the reference: the
-one-pass ``max - min`` version must return the identical gap and witness pair.
+one-pass ``max - min`` version, which takes each rate as an integer
+``(part, whole)`` pair, must return the identical gap and witness pair as the
+oracle does on the same rates as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ def oracle_max_pairwise_gap(
     return best, pair
 
 
-def assert_matches_oracle(values) -> None:
-    gap, pair = _max_pairwise_gap(values)
-    expected_gap, expected_pair = oracle_max_pairwise_gap(values)
+def assert_matches_oracle(pairs: Mapping[str, tuple[int, int]]) -> None:
+    gap, pair = _max_pairwise_gap(pairs)
+    expected_gap, expected_pair = oracle_max_pairwise_gap(
+        {group: Fraction(*rate) for group, rate in pairs.items()}
+    )
     assert (gap, pair) == (expected_gap, expected_pair)
     assert type(gap) is type(expected_gap)
 
@@ -46,10 +50,11 @@ def test_seeded_tie_heavy_maps_match_the_oracle():
     for _ in range(3000):
         groups = [f"g{i}" for i in range(rng.randint(2, 8))]
         denominator = rng.choice((1, 2, 3, 8))
-        values = [Fraction(rng.randint(0, denominator), denominator) for _ in groups]
-        assert_matches_oracle(dict(zip(groups, values)))
-        if denominator != 3:  # multiples of 1/8 are exact floats with exact gaps
-            assert_matches_oracle({g: float(v) for g, v in zip(groups, values)})
+        pairs = [(rng.randint(0, denominator), denominator) for _ in groups]
+        assert_matches_oracle(dict(zip(groups, pairs)))
+        # Unreduced pairs: equal rates with different wholes tie.
+        scales = [rng.randint(1, 3) for _ in groups]
+        assert_matches_oracle({g: (k * p, k * w) for g, k, (p, w) in zip(groups, scales, pairs)})
 
 
 RATE = st.fractions(min_value=0, max_value=1, max_denominator=4)
@@ -57,12 +62,13 @@ RATE = st.fractions(min_value=0, max_value=1, max_denominator=4)
 
 @given(st.lists(RATE, min_size=2, max_size=8))
 def test_hypothesis_maps_match_the_oracle(rates):
-    assert_matches_oracle({f"g{i}": rate for i, rate in enumerate(rates)})
+    assert_matches_oracle(
+        {f"g{i}": (rate.numerator, rate.denominator) for i, rate in enumerate(rates)}
+    )
 
 
 def test_all_equal_rates_name_the_first_two_groups():
-    half = Fraction(1, 2)
-    assert _max_pairwise_gap({"c": half, "a": half, "b": half}) == (0, ("c", "a"))
+    assert _max_pairwise_gap({"c": (1, 2), "a": (2, 4), "b": (3, 6)}) == (0, ("c", "a"))
 
 
 def test_three_measures_on_two_thousand_groups_stay_fast():
