@@ -27,7 +27,6 @@ from .confusion import (
     GroupedConfusion,
     Record,
     is_positive,
-    synthesize_dataset,
     tabulate,
     to_joint,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "separation",
     "sufficiency",
     "swap_attack",
-    "synthesize_dataset",
     "tabulate",
     "to_joint",
 ]

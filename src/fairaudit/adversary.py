@@ -17,7 +17,7 @@ scaled score metric d, with every violating pair reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 from .confusion import ConfusionMatrix, Dataset, GroupedConfusion
@@ -45,12 +45,15 @@ class ReservoirPlan:
 
 @dataclass(frozen=True)
 class ReservoirAttackResult:
+    target_group: str
     plan: ReservoirPlan
+    before: GroupedConfusion
     after: GroupedConfusion
     separation_before: MeasureVerdict
     separation_after: MeasureVerdict
     independence_before: MeasureVerdict
     independence_after: MeasureVerdict
+    attack: str = field(default="reservoir", init=False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,9 @@ def reservoir_attack(
         target, ConfusionMatrix(m.a + plan.z_plus, m.b, m.c + plan.z_minus, m.d)
     )
     return ReservoirAttackResult(
+        target_group=target,
         plan=plan,
+        before=g,
         after=after,
         separation_before=sep_before,
         separation_after=separation(after, eps),

@@ -250,19 +250,3 @@ def is_positive(g: GroupedConfusion) -> bool:
     return all(
         m.a > 0 and m.b > 0 and m.c > 0 and m.d > 0 for m in g.matrices.values()
     )
-
-
-def synthesize_dataset(g: GroupedConfusion) -> Dataset:
-    """Deterministic dataset realizing the grouped counts exactly.
-
-    Inverse of :func:`tabulate` on counts: tabulating the result returns the
-    input matrices cell for cell.
-    """
-    records: list[Record] = []
-    for group, m in g.matrices.items():
-        serial = 0
-        for count, (y, r) in zip((m.a, m.b, m.c, m.d), CELLS):
-            for _ in range(count):
-                records.append(Record(id=f"{group}-{serial:04d}", group=group, y=y, r=r))
-                serial += 1
-    return Dataset(records=tuple(records), groups=g.groups + g.empty_groups)

@@ -10,14 +10,14 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, to_joint
+from .confusion import ConfusionMatrix, GroupedConfusion, to_joint
 from .distributions import DeterministicMap, FiniteJoint, apply_map, ci_deviation, compose_ci
 from .measures import separation, sufficiency
 
 #: Smallest cell mass guaranteed by the positivity generator.
 POSITIVITY_FLOOR = 1e-3
 
-#: Largest number of groups in a random grouped table or scored dataset.
+#: Largest number of groups in a random grouped table.
 MAX_GROUPS = 3
 
 #: Integer weight of a uniform draw of 1; a draw u becomes round(u * RESOLUTION).
@@ -208,29 +208,3 @@ def random_nonproportional_grouped(rng: random.Random) -> GroupedConfusion:
         ):
             return g
     raise AssertionError("failed to generate a non-proportional instance")
-
-
-def random_scored_dataset(rng: random.Random) -> tuple[Dataset, str]:
-    """Scored dataset plus a group guaranteed to contain a false negative and
-    a strictly better-scored true positive (a swap-attack target)."""
-    while True:
-        groups = _group_labels(rng.randint(2, MAX_GROUPS))
-        records = []
-        for group in groups:
-            for i in range(rng.randint(4, 12)):
-                records.append(
-                    Record(
-                        id=f"{group}-{i:03d}",
-                        group=group,
-                        y=rng.random() < 0.6,
-                        r=rng.random() < 0.5,
-                        score=round(rng.random(), 3),
-                    )
-                )
-        ds = Dataset.from_records(records, groups)
-        for group in groups:
-            members = [rec for rec in ds.records if rec.group == group]
-            fn_scores = [rec.score for rec in members if rec.y and not rec.r]
-            tp_scores = [rec.score for rec in members if rec.y and rec.r]
-            if fn_scores and tp_scores and max(tp_scores) > min(fn_scores):
-                return ds, group

@@ -1,20 +1,19 @@
-"""Audit report assembly and deterministic serialization.
-
-Payloads contain only JSON-serializable values, rendered with sorted keys, so
-re-running a command on identical input yields byte-identical output. The one
-exception are the Lipschitz violations of ``attack swap``: plain rows that
-``render`` writes as the objects they stand for. :func:`jsonable` turns
-results into payload values: an object carries the fields of the result it
-reports, an exact rate is ``{"exact": "<fraction>", "value": <float>}``, a
-verdict adds ``status``, a ``GroupedConfusion`` is its ``matrices`` and an
-``Increment`` its ``shifts``. Text output shows fractions with 6-decimal
-floats alongside.
+"""Command results and every output made from them: each CLI command returns
+one result, and this module decides how it reads. :func:`jsonable` turns it
+into JSON values: an object carries the fields of the result it reports, an
+exact rate is ``{"exact": "<fraction>", "value": <float>}``, a verdict adds
+``status``, a ``GroupedConfusion`` is its ``matrices``, an ``Increment`` its
+``shifts`` and a ``FairnessReport`` its ``payload()``. :func:`render` writes
+them with sorted keys, so identical input yields identical bytes; the
+Lipschitz rows of ``attack swap`` stay plain rows that it writes as objects.
+:func:`render_text` picks the renderer of the result's type; text shows
+fractions with 6-decimal floats alongside.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
@@ -87,6 +86,101 @@ def increment_text(inc: Increment) -> str:
     )
 
 
+# ---------------------------------------------------------------------------
+# Command results. A field fixed with ``init=False`` names the command in its
+# JSON: ``attack``, ``command`` or ``demo``.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BreakSearch:
+    """A break search's witness (``None`` if none was found), or why it was skipped."""
+
+    budget: int
+    witness: BreakWitness | None
+    note: str | None = None
+
+
+@dataclass(frozen=True)
+class Counterexample(BreakSearch):
+    command: str = field(default="counterexample", init=False)
+
+
+@dataclass(frozen=True)
+class Demo:
+    """``highlights``: the rates and gaps that show sufficiency and separation breaking."""
+
+    before: FairnessReport
+    increment: Increment
+    after: FairnessReport
+    highlights: dict[str, Any] = field(init=False)
+    demo: str = field(default="accuracy increment breaking sufficiency and separation", init=False)
+
+    def __post_init__(self) -> None:
+        g, (_, suff, sep) = self.after.grouped, self.after.verdicts
+        highlights: dict[str, Any] = {"fpr_gap": sep.component_gaps["fpr_gap"]}
+        for rate, verdict in (("ppv", suff), ("fnr", sep)):
+            highlights[rate] = {group: getattr(g[group], rate) for group in g.groups}
+            highlights[f"{rate}_gap"] = verdict.component_gaps[f"{rate}_gap"]
+        object.__setattr__(self, "highlights", highlights)
+
+
+@dataclass(frozen=True)
+class LipschitzCheck:
+    """The ``violations`` rows are a list, which :func:`jsonable` leaves for :func:`render`."""
+
+    scale: float
+    violations: list[tuple[str, str, float]]
+    skipped_unscored: tuple[str, ...]
+    swapped_pair_flagged: bool
+
+
+@dataclass(frozen=True)
+class SwapAudit:
+    group: str
+    swapped_pair: tuple[str, str]
+    score_gap: float
+    matrices_unchanged: bool
+    matrices: GroupedConfusion
+    verdicts_after: dict[str, MeasureVerdict]
+    lipschitz: LipschitzCheck
+    attack: str = field(default="swap", init=False)
+
+
+@dataclass(frozen=True)
+class Suite:
+    instances: int
+    failures: int
+
+
+@dataclass(frozen=True)
+class CISuite(Suite):
+    non_vacuous: int
+    vacuous: int
+
+
+@dataclass(frozen=True)
+class FlooredCISuite(CISuite):
+    positivity_floor: float
+
+
+@dataclass(frozen=True)
+class JointIndependenceSuites:
+    proportional: Suite
+    nonproportional: Suite
+
+
+@dataclass(frozen=True)
+class PropertySuites:
+    seed: int
+    count: int
+    eps: float
+    ci_properties: dict[str, CISuite]
+    perfect_predictor: Suite
+    joint_independence: JointIndependenceSuites
+    failures_total: int
+
+
 #: Result types whose JSON value is an object of their fields, by name.
 _RECORDS = (
     MeasureVerdict,
@@ -97,6 +191,13 @@ _RECORDS = (
     ConservativenessReport,
     JointIndependenceVerdict,
     BreakWitness,
+    BreakSearch,
+    Demo,
+    LipschitzCheck,
+    SwapAudit,
+    Suite,
+    JointIndependenceSuites,
+    PropertySuites,
 )
 
 
@@ -109,6 +210,8 @@ def jsonable(x: Any) -> Any:
         return jsonable(x.matrices)
     if isinstance(x, Increment):
         return jsonable(x.shifts)
+    if isinstance(x, FairnessReport):
+        return x.payload()
     if isinstance(x, _RECORDS):
         out = {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
         if isinstance(x, MeasureVerdict):
@@ -175,9 +278,7 @@ class FairnessReport:
     verdicts: tuple[MeasureVerdict, MeasureVerdict, MeasureVerdict]
     perfect_report: ConservativenessReport | None
     joint_independence: JointIndependenceVerdict | None
-    break_witness: BreakWitness | None
-    break_budget: int | None
-    break_note: str | None
+    break_search: BreakSearch | None
 
     def all_hold(self) -> bool:
         return all(v.holds is True for v in self.verdicts)
@@ -204,10 +305,8 @@ class FairnessReport:
                 "joint_independence": jsonable(self.joint_independence),
             },
         }
-        if self.break_budget is not None:
-            out["break_search"] = break_payload(
-                self.break_witness, self.break_budget, self.break_note
-            )
+        if self.break_search is not None:
+            out["break_search"] = break_payload(self.break_search)
         return out
 
     def text(self) -> str:
@@ -217,33 +316,22 @@ class FairnessReport:
             "",
             f"input: {g.total} records in {len(g.groups)} group(s)",
         ]
-        for group in g.groups:
-            lines.append(f"  {group}: {matrix_text(g[group])}  N = {g[group].n}")
+        lines += [f"  {group}: {matrix_text(g[group])}  N = {g[group].n}" for group in g.groups]
         if g.empty_groups:
             lines.append(
                 f"  warning: declared group(s) without records, excluded: "
                 f"{', '.join(g.empty_groups)}"
             )
-        lines.append("")
-        lines.append("group statistics")
-        for group in g.groups:
-            lines.append(f"  {group}: {stats_text(g[group])}")
-        lines.append("")
-        lines.append("measures")
-        for v in self.verdicts:
-            lines.append(f"  {verdict_text(v)}")
-        lines.append("")
-        lines.append("conservativeness")
+        lines += ["", "group statistics"]
+        lines += [f"  {group}: {stats_text(g[group])}" for group in g.groups]
+        lines += ["", "measures", *(f"  {verdict_text(v)}" for v in self.verdicts)]
+        lines += ["", "conservativeness"]
         lines.append(f"  perfect predictor: {'no' if self.perfect_report is None else 'yes'}")
         if self.perfect_report is not None:
             ok = "confirmed" if self.perfect_report.holds else "VIOLATED"
-            lines.append(
-                f"  perfect-predictor guarantee (sufficiency & separation): {ok}"
-            )
-            lines.append(
-                f"    independence alongside: "
-                f"{verdict_status(self.perfect_report.independence)}"
-            )
+            independence_status = verdict_status(self.perfect_report.independence)
+            lines.append(f"  perfect-predictor guarantee (sufficiency & separation): {ok}")
+            lines.append(f"    independence alongside: {independence_status}")
         if self.joint_independence is not None:
             ji = self.joint_independence
             lines.append(
@@ -252,43 +340,11 @@ class FairnessReport:
                 f"A independent of (Y,R): {'yes' if ji.joint_independent else 'no'} "
                 f"(deviation {num_text(ji.ci_deviation)})"
             )
-            lines.append(
-                f"    equivalence: {'consistent' if ji.equivalent else 'INCONSISTENT'}"
-            )
-        if self.break_budget is not None:
-            lines.append("")
-            lines.extend(
-                break_text(self.break_witness, self.break_budget, self.break_note)
-            )
+            lines.append(f"    equivalence: {'consistent' if ji.equivalent else 'INCONSISTENT'}")
+        if self.break_search is not None:
+            lines += ["", *break_text(self.break_search)]
         lines.append("")
         return "\n".join(lines)
-
-
-def break_payload(
-    witness: BreakWitness | None, budget: int, note: str | None
-) -> dict[str, Any]:
-    return {"budget": budget, "note": note, "witness": jsonable(witness)}
-
-
-def break_text(witness: BreakWitness | None, budget: int, note: str | None) -> list[str]:
-    lines = [f"accuracy-increment break search (budget = {budget})"]
-    if note is not None:
-        lines.append(f"  skipped: {note}")
-        return lines
-    if witness is None:
-        lines.append("  no measure-breaking increment within budget (NONE)")
-        return lines
-    lines.append(f"  witness increment: {increment_text(witness.increment)}")
-    for group in witness.after.groups:
-        lines.append(
-            f"  {group}: {matrix_text(witness.before[group])} -> "
-            f"{matrix_text(witness.after[group])}, accuracy +"
-            f"{num_text(witness.accuracy_delta[group])}"
-        )
-    lines.append(f"  broken: {', '.join(witness.broken)}")
-    lines.append(f"  after: {verdict_text(witness.sufficiency_after)}")
-    lines.append(f"  after: {verdict_text(witness.separation_after)}")
-    return lines
 
 
 def build_report(
@@ -300,20 +356,138 @@ def build_report(
     verdicts = (independence(g, eps), sufficiency(g, eps), separation(g, eps))
     perfect_report = check_conservativeness(g, eps) if is_perfect(g) else None
     joint = check_joint_independence_iff(g, eps) if is_positive(g) else None
-    witness = None
-    note = None
+    search = None
     if break_budget is not None:
         try:
-            witness = find_break(g, eps, break_budget)
+            search = BreakSearch(break_budget, find_break(g, eps, break_budget))
         except PreconditionError as exc:
-            note = str(exc)
-    return FairnessReport(
-        eps=eps,
-        grouped=g,
-        verdicts=verdicts,
-        perfect_report=perfect_report,
-        joint_independence=joint,
-        break_witness=witness,
-        break_budget=break_budget,
-        break_note=note,
+            search = BreakSearch(break_budget, None, str(exc))
+    return FairnessReport(eps, g, verdicts, perfect_report, joint, search)
+
+
+# ---------------------------------------------------------------------------
+# Text renderers: the lines of one result type each
+# ---------------------------------------------------------------------------
+
+
+def break_payload(search: BreakSearch) -> dict[str, Any]:
+    """The ``break_search`` object of an audit's JSON."""
+    return jsonable(search)
+
+
+def break_text(search: BreakSearch) -> list[str]:
+    lines = [f"accuracy-increment break search (budget = {search.budget})"]
+    witness = search.witness
+    if search.note is not None:
+        lines.append(f"  skipped: {search.note}")
+    elif witness is None:
+        lines.append("  no measure-breaking increment within budget (NONE)")
+    else:
+        lines.append(f"  witness increment: {increment_text(witness.increment)}")
+        for group in witness.after.groups:
+            lines.append(
+                f"  {group}: {matrix_text(witness.before[group])} -> "
+                f"{matrix_text(witness.after[group])}, accuracy +"
+                f"{num_text(witness.accuracy_delta[group])}"
+            )
+        lines.append(f"  broken: {', '.join(witness.broken)}")
+        lines.append(f"  after: {verdict_text(witness.sufficiency_after)}")
+        lines.append(f"  after: {verdict_text(witness.separation_after)}")
+    return lines
+
+
+def demo_text(demo: Demo) -> list[str]:
+    highlights = demo.highlights
+    _, suff_after, sep_after = demo.after.verdicts
+    p, q = demo.after.grouped.groups
+    lines = [
+        "demonstration: an accuracy increment that breaks sufficiency and separation",
+        "",
+        "----- before -----",
+        demo.before.text(),
+        f"increment (accuracy rises in every group): {increment_text(demo.increment)}",
+        "",
+        "----- after -----",
+        demo.after.text(),
+        "highlights",
+    ]
+    for rate, verdict in (("ppv", suff_after), ("fnr", sep_after)):
+        lines.append(
+            f"  {rate}: {p} {num_text(highlights[rate][p])} vs "
+            f"{q} {num_text(highlights[rate][q])}, "
+            f"gap {num_text(highlights[f'{rate}_gap'])} -> "
+            f"{verdict.measure} {'holds' if verdict.holds else 'broken'}"
+        )
+    lines.append(f"  fpr: gap {num_text(highlights['fpr_gap'])} (unchanged)")
+    return lines
+
+
+def reservoir_text(result: ReservoirAttackResult) -> list[str]:
+    plan = result.plan
+    lines = [
+        f"reservoir attack on group {result.target_group!r}",
+        f"  plan: hire z_plus={plan.z_plus}, reject z_minus={plan.z_minus} "
+        f"of a reservoir of z={plan.z} qualified candidates",
+    ]
+    for group in result.before.groups:
+        before, after = matrix_text(result.before[group]), matrix_text(result.after[group])
+        lines.append(f"  {group}: {before} -> {after}")
+    for measure in ("separation", "independence"):
+        for stage in ("before", "after"):
+            lines.append(f"  {stage:6} {verdict_text(getattr(result, f'{measure}_{stage}'))}")
+    return lines
+
+
+def swap_text(swap: SwapAudit) -> list[str]:
+    scan = swap.lipschitz
+    lines = [
+        f"swap attack in group {swap.group!r}",
+        f"  swapped predictions of {swap.swapped_pair[0]} (false negative) and "
+        f"{swap.swapped_pair[1]} (true positive), score gap {swap.score_gap:.6f}",
+        f"  confusion matrices unchanged: {'yes' if swap.matrices_unchanged else 'NO'}",
+        f"  lipschitz violations at scale {scan.scale}: {len(scan.violations)}"
+        f" (swapped pair flagged: {'yes' if scan.swapped_pair_flagged else 'no'})",
+    ]
+    for id_a, id_b, d in scan.violations[:10]:
+        lines.append(f"    {id_a} vs {id_b}: D=1, d={d:.6f}, margin={1.0 - d:.6f}")
+    if len(scan.violations) > 10:
+        lines.append(f"    ... and {len(scan.violations) - 10} more")
+    return lines
+
+
+def props_text(props: PropertySuites) -> list[str]:
+    lines = [
+        f"property verification suites (seed = {props.seed}, "
+        f"{props.count} instances each, eps = {props.eps})",
+        "",
+    ]
+    for k, suite in props.ci_properties.items():
+        floor = isinstance(suite, FlooredCISuite)
+        lines.append(
+            f"  conditional-independence property {k}: "
+            f"{suite.non_vacuous} non-vacuous, {suite.vacuous} vacuous, {suite.failures} failures"
+            + (f", positivity floor {suite.positivity_floor}" if floor else "")
+        )
+    ji = props.joint_independence
+    for label, suite in (
+        ("perfect predictor => sufficiency & separation", props.perfect_predictor),
+        ("positive proportional tables (suff & sep <-> A indep (Y,R), both true)", ji.proportional),
+        ("positive non-proportional tables (both sides false)", ji.nonproportional),
+    ):
+        lines.append(f"  {label}: {suite.failures} failures")
+    return [*lines, "", f"total failures: {props.failures_total}"]
+
+
+def render_text(result: Any) -> str:
+    """A command's text output, from the renderer of its result's type."""
+    if isinstance(result, FairnessReport):
+        return result.text()
+    renderers = (
+        (BreakSearch, break_text),
+        (Demo, demo_text),
+        (ReservoirAttackResult, reservoir_text),
+        (SwapAudit, swap_text),
+        (PropertySuites, props_text),
     )
+    lines = next(write for kind, write in renderers if isinstance(result, kind))(result)
+    return "\n".join([*lines, ""])

@@ -12,12 +12,13 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+from builders import export_csv, random_scored_dataset, synthesize_dataset
+
 from fairaudit.adversary import lipschitz_violations, reservoir_attack, swap_attack
-from fairaudit.cli import export_csv, main
+from fairaudit.cli import main
 from fairaudit.confusion import (
     ConfusionMatrix,
     GroupedConfusion,
-    synthesize_dataset,
     tabulate,
     to_joint,
 )
@@ -42,7 +43,6 @@ from fairaudit.generators import (
     random_perfect_grouped,
     random_product_instance,
     random_proportional_grouped,
-    random_scored_dataset,
 )
 from fairaudit.measures import (
     MEASURES,

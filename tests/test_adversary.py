@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from builders import random_scored_dataset
 
 from fairaudit.adversary import lipschitz_violations, reservoir_attack, swap_attack
 from fairaudit.confusion import (
@@ -15,7 +16,6 @@ from fairaudit.confusion import (
     tabulate,
 )
 from fairaudit.errors import Infeasible, InputError, PreconditionError
-from fairaudit.generators import random_scored_dataset
 from fairaudit.measures import MEASURES, evaluate_measure
 
 BEFORE = {"p": ConfusionMatrix(10, 2, 3, 11), "q": ConfusionMatrix(20, 4, 6, 22)}

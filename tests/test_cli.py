@@ -11,18 +11,20 @@ import time
 from contextlib import redirect_stdout
 
 import pytest
+from builders import export_csv, synthesize_dataset
 
 from fairaudit import cli
-from fairaudit.cli import CsvSchema, export_csv, ingest_counts, ingest_csv, main
+from fairaudit.cli import main
 from fairaudit.confusion import (
     ConfusionMatrix,
     Dataset,
     GroupedConfusion,
     Record,
-    synthesize_dataset,
     tabulate,
 )
 from fairaudit.errors import InputError
+from fairaudit.ingest import CsvSchema, ingest_counts, ingest_csv
+from fairaudit.report import render
 
 BEFORE = GroupedConfusion(
     {"p": ConfusionMatrix(10, 2, 3, 11), "q": ConfusionMatrix(20, 4, 6, 22)}
@@ -236,6 +238,17 @@ class TestIngest:
             "error: --groups lists an empty label, which no record's group can match\n"
         )
 
+    @pytest.mark.parametrize("option", ["--groups", "--positive-labels", "--negative-labels"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_explicitly_empty_option_exit_two(self, before_csv, capsys, option, fmt):
+        code, out = run_cli("audit", before_csv, f"{option}=", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --groups lists an empty label, which no record's group can match\n"
+            if option == "--groups"
+            else "error: label encodings must be nonempty (an empty one matches empty cells)\n"
+        )
+
     @pytest.mark.parametrize("unreadable", sorted(UNREADABLE))
     def test_unreadable_file_rejected_by_both_sinks(self, tmp_path, unreadable):
         path = tmp_path / "bad.csv"
@@ -408,6 +421,20 @@ class TestAttackCommand:
         assert listed == ([["x", "xstar"]] if flagged else [])
         if flagged:
             assert lipschitz["violations"][0]["individual_distance"] == math.nextafter(1.0, 0.0)
+
+    def test_swap_rows_reach_render_as_scan_rows(self, scored_csv, monkeypatch):
+        # Converting every row to a JSON list would cost time on large scans,
+        # so the rows must reach render exactly as the scan returned them.
+        seen = {}
+
+        def spied(payload):
+            seen["rows"] = payload["lipschitz"]["violations"]
+            return render(payload)
+
+        monkeypatch.setattr(cli, "render", spied)
+        code, _ = run_cli("attack", "swap", scored_csv, "--group", "p", "--format", "json")
+        assert code == 0
+        assert seen["rows"] and all(type(row) is tuple for row in seen["rows"])
 
     def test_swap_infeasible_exit_three(self, tmp_path, capsys):
         path = tmp_path / "nofn.csv"

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from builders import synthesize_dataset
 
 from fairaudit.confusion import (
     NEG,
@@ -14,7 +15,6 @@ from fairaudit.confusion import (
     GroupedConfusion,
     Record,
     is_positive,
-    synthesize_dataset,
     tabulate,
     to_joint,
 )

@@ -1,10 +1,12 @@
 """Golden CLI outputs: exit code, stdout and stderr of every command.
 
-Each case runs ``main`` in-process in both formats. The expected stdout of a
-case is ``golden/<case>.<format>``; its exit code and stderr are in
-``golden/status.json``. Inputs are built here from fixed matrices and records,
-or given as raw CSV text, so the goldens pin the whole path from CSV to
-rendered output, error messages and their line numbers included.
+Each case runs ``main`` in-process in both formats, and each run must build
+only its own format: the other format's builders raise if called. The
+expected stdout of a case is ``golden/<case>.<format>``; its exit code and
+stderr are in ``golden/status.json``. Inputs are built here from fixed
+matrices and records, or given as raw CSV text, so the goldens pin the whole
+path from CSV to rendered output, error messages and their line numbers
+included.
 """
 
 import io
@@ -12,15 +14,17 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
+from builders import export_csv, synthesize_dataset
 
-from fairaudit.cli import export_csv, main
+from fairaudit import cli, report
+from fairaudit.cli import main
 from fairaudit.confusion import (
     ConfusionMatrix,
     Dataset,
     GroupedConfusion,
-    synthesize_dataset,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -164,9 +168,43 @@ def run_case(name: str, fmt: str, workdir: Path) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue().replace(str(workdir), "<dir>")
 
 
+def refuse(name: str) -> Callable[..., Any]:
+    def refused(*args: Any, **kwargs: Any) -> Any:
+        raise AssertionError(f"{name} was called")
+
+    return refused
+
+
+#: What a run in each format must not call: the builders of the other
+#: format, patched wherever ``main`` and the renderers look them up.
+OTHER_FORMAT = {
+    "text": [
+        (report, "jsonable"),
+        (cli, "jsonable"),
+        (report, "render"),
+        (cli, "render"),
+        (report, "break_payload"),
+        (report.FairnessReport, "payload"),
+    ],
+    "json": [
+        (report.FairnessReport, "text"),
+        (cli, "render_text"),
+        (cli, "break_text"),
+        *(
+            (report, renderer)
+            for renderer in ("break_text", "demo_text", "reservoir_text", "swap_text", "props_text")
+        ),
+    ],
+}
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(tmp_path: Path, name: str, fmt: str) -> None:
+def test_output_matches_golden(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, name: str, fmt: str
+) -> None:
+    for owner, attr in OTHER_FORMAT[fmt]:
+        monkeypatch.setattr(owner, attr, refuse(attr))
     code, stdout, stderr = run_case(name, fmt, tmp_path)
     status = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
     expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")

@@ -5,7 +5,8 @@ private name is free to change with its module; a caller elsewhere should
 use the public function that does the same job, or the name should be made
 public. The package imports nothing outside the standard library and
 itself. ``report`` is the only module that imports ``json``, so results
-reach JSON along one path. And ``fairaudit.__all__`` lists each name once,
+reach JSON along one path; ``ingest`` is the only one that imports ``csv``,
+and ``cli`` imports neither, so it holds no parsing and no output format. And ``fairaudit.__all__`` lists each name once,
 every listed name resolves, and every public name the package root imports
 is listed, so a deletion cannot leave a dangling export.
 """
@@ -97,18 +98,42 @@ def test_the_check_sees_foreign_imports_only():
     assert foreign_imports(source) == ["numpy", "scipy", "hypothesis"]
 
 
+def package_imports(source: str, package: str) -> list[str]:
+    """Modules of ``package`` (``json.encoder`` of ``json``, say) that
+    ``source`` imports."""
+    return [name for name in imported_modules(source) if name.split(".")[0] == package]
+
+
 def json_imports(source: str) -> list[str]:
     """Modules of the ``json`` package that ``source`` imports."""
-    return [name for name in imported_modules(source) if name.split(".")[0] == "json"]
+    return package_imports(source, "json")
+
+
+def importers_of(package: str) -> list[str]:
+    """The package's modules that import ``package``."""
+    return [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if package_imports(path.read_text(encoding="utf-8"), package)
+    ]
 
 
 def test_only_report_imports_json():
-    importers = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if json_imports(path.read_text(encoding="utf-8"))
-    ]
-    assert importers == ["report.py"]
+    assert importers_of("json") == ["report.py"]
+
+
+def test_only_ingest_imports_csv():
+    assert importers_of("csv") == ["ingest.py"]
+
+
+def test_cli_imports_neither_csv_nor_json():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert package_imports(source, "csv") + package_imports(source, "json") == []
+
+
+def test_the_check_sees_csv_apart_from_lookalikes():
+    source = "import csv\nfrom csv import reader\nimport csvkit\nfrom . import csv_tools\n"
+    assert package_imports(source, "csv") == ["csv", "csv"]
 
 
 def test_the_check_sees_json_in_every_import_form():

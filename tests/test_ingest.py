@@ -27,20 +27,20 @@ from typing import Any, Callable, Iterable, Sequence
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from builders import export_csv, synthesize_dataset
 
-from fairaudit import cli
-from fairaudit.cli import (
+from fairaudit import ingest
+from fairaudit.cli import main
+from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, tabulate
+from fairaudit.errors import InputError
+from fairaudit.ingest import (
     DEFAULT_NEGATIVE,
     DEFAULT_POSITIVE,
     REQUIRED_COLUMNS,
     CsvSchema,
-    export_csv,
     ingest_counts,
     ingest_csv,
-    main,
 )
-from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, synthesize_dataset, tabulate
-from fairaudit.errors import InputError
 
 # ---------------------------------------------------------------------------
 # Oracle: the previous ingest, verbatim
@@ -450,7 +450,7 @@ def test_count_commands_build_no_records(tmp_path: Path, monkeypatch: pytest.Mon
     def forbidden(*args: Any, **kwargs: Any) -> Any:
         raise AssertionError("a per-row record was built")
 
-    monkeypatch.setattr(cli, "Record", forbidden)
+    monkeypatch.setattr(ingest, "Record", forbidden)
 
     def run(*argv: str) -> tuple[int, str]:
         err = io.StringIO()

@@ -25,11 +25,11 @@ from typing import Any
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from builders import export_csv, synthesize_dataset
 
 from fairaudit import cli
 from fairaudit.adversary import reservoir_attack
-from fairaudit.cli import export_csv
-from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, synthesize_dataset
+from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.conservativeness import (
     DIRECTIONS,
     BreakWitness,
@@ -43,7 +43,9 @@ from fairaudit.errors import Infeasible, PreconditionError
 from fairaudit.measures import MeasureVerdict, independence, separation, sufficiency
 from fairaudit.report import (
     STATS,
+    BreakSearch,
     FairnessReport,
+    LipschitzCheck,
     break_payload,
     build_report,
     header,
@@ -153,10 +155,9 @@ def oracle_report_payload(self: FairnessReport) -> dict[str, Any]:
             },
         },
     }
-    if self.break_budget is not None:
-        out["break_search"] = oracle_break_payload(
-            self.break_witness, self.break_budget, self.break_note
-        )
+    search = self.break_search
+    if search is not None:
+        out["break_search"] = oracle_break_payload(search.witness, search.budget, search.note)
     return out
 
 
@@ -300,7 +301,8 @@ def test_break_witnesses_and_none() -> None:
             witness, note = None, str(exc)
         found["note" if note else "witness" if witness else "none"] += 1
         assert_same_json(
-            break_payload(witness, budget, note), oracle_break_payload(witness, budget, note)
+            break_payload(BreakSearch(budget, witness, note)),
+            oracle_break_payload(witness, budget, note),
         )
         if witness is not None:
             assert_same_json(jsonable(witness.increment), increment_payload(witness.increment))
@@ -335,9 +337,9 @@ def test_feasible_reservoir_attacks(tmp_path: Path) -> None:
         path = tmp_path / f"t{i}.csv"
         export_csv(synthesize_dataset(g), str(path))
         argv = ["attack", "reservoir", str(path), "--group", target, "--z-max", "13"]
-        code, payload, _ = cli.cmd_attack(cli.build_parser().parse_args(argv))
+        code, attack = cli.cmd_attack(cli.build_parser().parse_args(argv))
         assert code == 0
-        assert_same_json(payload, oracle_reservoir_payload(g, target, result))
+        assert_same_json(jsonable(attack), oracle_reservoir_payload(g, target, result))
     assert feasible >= 10
 
 
@@ -352,3 +354,10 @@ def test_render_still_rejects_a_result_object() -> None:
     assert jsonable(ds) is ds
     with pytest.raises(TypeError, match="Dataset"):
         render({**header(EPS), "dataset": jsonable(ds)})
+
+
+def test_swap_rows_stay_rows_for_render() -> None:
+    rows = [("a", "b", 0.25), ("a", "c", 0.5)]
+    converted = jsonable(LipschitzCheck(1.0, rows, ("u",), True))
+    assert converted["violations"] is rows
+    assert converted["skipped_unscored"] == ["u"]
