@@ -96,7 +96,7 @@ NO_VIOLATION_CSV = (
     "x,other,0,0,\n"
 )
 
-#: Raw CSV that ``audit`` and ``counterexample`` must reject with exit 2:
+#: Raw CSV that every command reading a CSV must reject with exit 2:
 #: name -> (CSV text, extra CLI arguments). The blank line and the quoted
 #: newline before a bad row pin physical line numbers.
 BAD_CSVS = {
@@ -115,6 +115,24 @@ BAD_CSVS = {
     ),
     "header-only": ("id,group,y_true,y_pred\n", ()),
 }
+
+#: The commands run on each of BAD_CSVS: name -> (arguments before and after the input).
+CSV_COMMANDS = {
+    "audit": (("audit",), ()),
+    "counterexample": (("counterexample",), ()),
+    "attack-swap": (("attack", "swap"), ("--group", "p")),
+}
+
+#: Raw CSV that ``attack swap`` refuses by group: record ``c`` of group ``q``
+#: is unscored, and group ``p``'s one false negative outscores its one true
+#: positive, so no swap exists there.
+SWAP_REFUSALS_CSV = (
+    "id,group,y_true,y_pred,score\n"
+    "a,p,1,0,0.9\n"
+    "b,p,1,1,0.4\n"
+    "c,q,1,0,\n"
+    "d,q,1,1,0.8\n"
+)
 
 #: case name -> (input: matrices, dataset factory, raw CSV text or None;
 #: CLI arguments, where ``{csv}`` is the input).
@@ -145,10 +163,23 @@ CASES = {
         NO_VIOLATION_CSV,
         ("attack", "swap", "{csv}", "--group", "violations", "--scale", "1e-300"),
     ),
+    "attack-swap-empty-group": (
+        scored_dataset,
+        ("attack", "swap", "{csv}", "--group", "p", "--groups", "p,q,r"),
+    ),
+    "attack-swap-error-unscored": (
+        SWAP_REFUSALS_CSV,
+        ("attack", "swap", "{csv}", "--group", "q"),
+    ),
+    "attack-swap-error-unknown-group": (
+        SWAP_REFUSALS_CSV,
+        ("attack", "swap", "{csv}", "--group", "z"),
+    ),
+    "attack-swap-infeasible": (SWAP_REFUSALS_CSV, ("attack", "swap", "{csv}", "--group", "p")),
     **{
-        f"{command}-error-{name}": (text, (command, "{csv}", *extra))
+        f"{command}-error-{name}": (text, (*before, "{csv}", *after, *extra))
         for name, (text, extra) in BAD_CSVS.items()
-        for command in ("audit", "counterexample")
+        for command, (before, after) in CSV_COMMANDS.items()
     },
 }
 
