@@ -23,9 +23,7 @@ from .confusion import (
     NEG,
     POS,
     ConfusionMatrix,
-    Dataset,
     GroupedConfusion,
-    Record,
     is_positive,
     tabulate,
     to_joint,
@@ -77,7 +75,6 @@ __all__ = [
     "BreakWitness",
     "ConfusionMatrix",
     "ConservativenessReport",
-    "Dataset",
     "DeterministicMap",
     "EPS_DEFAULT",
     "FN_TO_TP",
@@ -98,7 +95,6 @@ __all__ = [
     "PreconditionError",
     "PropertyVerdict",
     "ProportionalPreservationReport",
-    "Record",
     "ReservoirAttackResult",
     "ReservoirPlan",
     "SEPARATION",

@@ -72,7 +72,8 @@ def violates(distance: float) -> bool:
 class LipschitzReport:
     #: ``(id_a, id_b, individual_distance)`` rows with ``id_a < id_b``; each
     #: pair's prediction distance is 1, its margin ``1.0 - individual_distance``.
-    violations: tuple[tuple[str, str, float], ...]
+    #: The scan's own sorted list, handed on to the writer as it is.
+    violations: list[tuple[str, str, float]]
     skipped: tuple[str, ...]
 
 
@@ -138,30 +139,34 @@ def swap_attack(ds: Dataset, group: str) -> SwapAttackResult:
     verdict is unchanged, yet the swapped pair violates the Lipschitz
     condition whenever its scaled score gap is below 1. The attacked pair is
     the lowest-scored false negative and the highest-scored true positive,
-    each tie broken by the smaller id, so it has the largest score gap.
+    each tie broken by the smaller id, so it has the largest score gap. The
+    two records are replaced by index; the rest of ``ds`` is shared, and a
+    valid dataset stays valid.
     """
-    members = [rec for rec in ds.records if rec.group == group]
+    members = [(i, rec) for i, rec in enumerate(ds.records) if rec.group == group]
     if not members:
         raise InputError(f"group {group!r} has no records")
-    unscored = [rec.id for rec in members if rec.score is None]
+    unscored = [rec.id for _, rec in members if rec.score is None]
     if unscored:
         raise PreconditionError(
             f"group {group!r} has unscored records: {sorted(unscored)}"
         )
-    false_negatives = [(float(rec.score), rec.id) for rec in members if rec.y and not rec.r]
-    true_positives = [(-float(rec.score), rec.id) for rec in members if rec.y and rec.r]
-    fn_score, x_id = min(false_negatives, default=(math.inf, None))
-    neg_tp_score, star_id = min(true_positives, default=(math.inf, None))
+    false_negatives = [(float(rec.score), rec.id, i) for i, rec in members if rec.y and not rec.r]
+    true_positives = [(-float(rec.score), rec.id, i) for i, rec in members if rec.y and rec.r]
+    fn_score, x_id, x = min(false_negatives, default=(math.inf, None, None))
+    neg_tp_score, star_id, star = min(true_positives, default=(math.inf, None, None))
     tp_score = -neg_tp_score
     if tp_score <= fn_score:
         raise Infeasible(
             f"group {group!r} has no false negative with a higher-scored true positive"
         )
-    after = ds.with_predictions({x_id: True, star_id: False})
+    records = list(ds.records)
+    records[x] = records[x]._replace(r=True)
+    records[star] = records[star]._replace(r=False)
     return SwapAttackResult(
         swapped_pair=(x_id, star_id),
         score_gap=tp_score - fn_score,
-        after=after,
+        after=Dataset(tuple(records), ds.groups),
     )
 
 
@@ -174,14 +179,16 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
     """Find all pairs violating D(prediction) <= d(individuals).
 
     d(x, y) is the absolute score difference divided by ``scale``, a finite
-    number > 0 (NaN would flag no pair, inf every pair); D is the
-    discrete metric on binary predictions (0 when equal, 1 otherwise), so
-    only pairs with different predictions are scanned. Records without
-    scores are skipped and reported. Violations are ``(id_a, id_b, d)`` rows
-    with the smaller id first, sorted by descending margin ``1.0 - d``, then
-    by id pair.
+    number > 0 other than a ``bool`` (NaN would flag no pair, inf every
+    pair, ``True`` would pass for 1); D is the discrete metric on binary
+    predictions (0 when equal, 1 otherwise), so only pairs with different
+    predictions are scanned. Records without scores are skipped and
+    reported. Violations are ``(id_a, id_b, d)`` rows with the smaller id
+    first, sorted by descending margin ``1.0 - d``, then by id pair.
     """
-    if not (isinstance(scale, Real) and math.isfinite(scale) and scale > 0):
+    if isinstance(scale, bool) or not (
+        isinstance(scale, Real) and math.isfinite(scale) and scale > 0
+    ):
         raise InputError(f"scale must be a finite number > 0, got {scale!r}")
     scored = [rec for rec in ds.records if rec.score is not None]
     skipped = tuple(sorted(rec.id for rec in ds.records if rec.score is None))
@@ -192,7 +199,6 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
         for nid, nscore in negatives:
             d = abs(pscore - nscore) / scale
             if violates(d):
-                id_a, id_b = (pid, nid) if pid < nid else (nid, pid)
-                found.append((-(1.0 - d), id_a, id_b, d))
-    found.sort()
-    return LipschitzReport(tuple([(a, b, d) for _, a, b, d in found]), skipped)
+                found.append((pid, nid, d) if pid < nid else (nid, pid, d))
+    found.sort(key=lambda row: (-(1.0 - row[2]), row[0], row[1]))
+    return LipschitzReport(found, skipped)

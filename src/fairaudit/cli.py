@@ -125,7 +125,7 @@ def cmd_attack(args: argparse.Namespace) -> tuple[int, Any]:
         verdicts_after={v.measure: v for v in verdicts},
         lipschitz=LipschitzCheck(
             scale=args.scale,
-            violations=list(lipschitz.violations),
+            violations=lipschitz.violations,
             skipped_unscored=lipschitz.skipped,
             swapped_pair_flagged=violates(result.score_gap / args.scale),
         ),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .distributions import FiniteJoint
 from .errors import InputError
@@ -153,10 +153,10 @@ class GroupedConfusion:
         return GroupedConfusion(updated, self.empty_groups)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One individual: true label ``y``, prediction ``r`` (True means positive),
-    and an optional suitability score in [0, 1]."""
+    and an optional suitability score in [0, 1]. A plain row: it checks
+    nothing, :meth:`Dataset.from_records` does."""
 
     id: str
     group: str
@@ -164,55 +164,46 @@ class Record:
     r: bool
     score: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise InputError(f"score for {self.id!r} must lie in [0, 1], got {self.score}")
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable list of records plus the declared group universe."""
+    """Records plus the declared group universe, held as given.
+
+    ``groups`` of ``None`` declares none: :func:`tabulate` then takes the
+    records' groups in order of first appearance. ``ingest_csv`` builds a
+    dataset from rows it has validated; :meth:`from_records` validates
+    hand-built records.
+    """
 
     records: tuple[Record, ...]
-    groups: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "groups", tuple(self.groups))
-        if not self.groups:
-            raise InputError("at least one group must be declared")
-        if len(set(self.groups)) != len(self.groups):
-            raise InputError("declared groups repeat a label")
-        seen: set[str] = set()
-        declared = set(self.groups)
-        for rec in self.records:
-            if rec.id in seen:
-                raise InputError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            if rec.group not in declared:
-                raise InputError(
-                    f"record {rec.id!r} has undeclared group {rec.group!r}"
-                )
+    groups: tuple[str, ...] | None = None
 
     @classmethod
     def from_records(
         cls, records: Iterable[Record], groups: Sequence[str] | None = None
     ) -> Dataset:
+        """A dataset of hand-built records: every score lies in [0, 1], ids are
+        unique, and each record's group is declared (any group when ``groups``
+        is ``None``). Scores are checked first, then the universe, then each
+        record in order."""
         records = tuple(records)
-        if groups is None:
-            groups = dict.fromkeys(rec.group for rec in records)  # first-appearance order
-        return cls(records=records, groups=tuple(groups))
-
-    def with_predictions(self, overrides: Mapping[str, bool]) -> Dataset:
-        """Copy of the dataset with the listed record predictions replaced."""
-        unknown = set(overrides) - {rec.id for rec in self.records}
-        if unknown:
-            raise InputError(f"unknown record ids: {sorted(unknown)}")
-        records = tuple(
-            Record(rec.id, rec.group, rec.y, overrides.get(rec.id, rec.r), rec.score)
-            for rec in self.records
-        )
-        return Dataset(records=records, groups=self.groups)
+        for rec in records:
+            if rec.score is not None and not 0.0 <= rec.score <= 1.0:
+                raise InputError(f"score for {rec.id!r} must lie in [0, 1], got {rec.score}")
+        groups = None if groups is None else tuple(groups)
+        declared = {rec.group for rec in records} if groups is None else set(groups)
+        if not declared:
+            raise InputError("at least one group must be declared")
+        if groups is not None and len(declared) != len(groups):
+            raise InputError("declared groups repeat a label")
+        seen: set[str] = set()
+        for rec in records:
+            if rec.id in seen:
+                raise InputError(f"duplicate record id {rec.id!r}")
+            seen.add(rec.id)
+            if rec.group not in declared:
+                raise InputError(f"record {rec.id!r} has undeclared group {rec.group!r}")
+        return cls(records, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +212,8 @@ class Dataset:
 
 
 def tabulate(ds: Dataset) -> GroupedConfusion:
-    """Compile one confusion matrix per declared group.
+    """Compile one confusion matrix per declared group, or per group of the
+    records when none is declared.
 
     Groups without records are excluded and reported via ``empty_groups``.
     """

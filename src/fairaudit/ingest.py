@@ -1,7 +1,9 @@
 """CSV ingest, the one module that reads CSV. It accepts rows under the header
 ``id,group,y_true,y_pred[,score]`` with a :class:`CsvSchema`'s label encodings
 and scores in [0, 1], and rejects others with an ``InputError`` naming file and
-line. ``ingest_counts`` counts rows; ``ingest_csv`` keeps one ``Record`` each.
+line. ``ingest_counts`` counts rows; ``ingest_csv`` keeps each row as a
+``Record`` of a ``Dataset``, the way to get scored records from a file. Rows are
+validated once, here; ``Dataset.from_records`` validates hand-built records.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class CsvSchema:
             raise InputError("label encodings must be nonempty (an empty one matches empty cells)")
         if self.groups is not None and not all(label.strip() for label in self.groups):
             raise InputError("--groups lists an empty label, which no record's group can match")
+        if self.groups is not None and len(set(self.groups)) != len(self.groups):
+            raise InputError("declared groups repeat a label")
         shared = sorted(set(self.positive_labels) & set(self.negative_labels))
         if shared:
             raise InputError(
@@ -131,8 +135,6 @@ def _rows(path: str, schema: CsvSchema) -> Iterator[Row]:
             yield rid, group, y, r, score
     if not seen:
         raise InputError(f"{path}: no data rows")
-    if declared is not None and len(declared) != len(schema.groups):
-        raise InputError("declared groups repeat a label")
 
 
 def ingest_counts(path: str, schema: CsvSchema = CsvSchema()) -> GroupedConfusion:
@@ -142,6 +144,5 @@ def ingest_counts(path: str, schema: CsvSchema = CsvSchema()) -> GroupedConfusio
 
 
 def ingest_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read a dataset from CSV, rejecting schema violations with locations."""
-    records = [Record(*row) for row in _rows(path, schema)]
-    return Dataset.from_records(records, schema.groups)
+    """The records of a CSV file, one per row as validated by ``_rows``."""
+    return Dataset(tuple(map(Record._make, _rows(path, schema))), schema.groups)

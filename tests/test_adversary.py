@@ -218,14 +218,14 @@ class TestLipschitzViolations:
         ds = Dataset.from_records(
             [Record("1", "p", True, True, 0.5), Record("2", "p", False, True, 0.5)]
         )
-        assert lipschitz_violations(ds).violations == ()
+        assert lipschitz_violations(ds).violations == []
 
     def test_identical_scores_different_predictions_margin_one(self):
         ds = Dataset.from_records(
             [Record("1", "p", True, True, 0.5), Record("2", "p", True, False, 0.5)]
         )
         report = lipschitz_violations(ds)
-        assert report.violations == (("1", "2", 0.0),)
+        assert report.violations == [("1", "2", 0.0)]
 
     def test_unscored_records_skipped_with_warning(self):
         ds = Dataset.from_records(
@@ -257,13 +257,15 @@ class TestLipschitzViolations:
         )
         assert len(lipschitz_violations(ds, scale=1.0).violations) == 1
         # With scale 0.5 the score distance doubles past D = 1.
-        assert lipschitz_violations(ds, scale=0.5).violations == ()
+        assert lipschitz_violations(ds, scale=0.5).violations == []
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(InputError, match="scale"):
             lipschitz_violations(scored_pair_dataset(), scale=0.0)
 
-    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1.0, "1"])
+    @pytest.mark.parametrize(
+        "scale", [float("nan"), float("inf"), -float("inf"), -1.0, "1", True]
+    )
     def test_scale_must_be_a_finite_positive_number(self, scale):
         with pytest.raises(InputError, match="finite number > 0"):
             lipschitz_violations(scored_pair_dataset(), scale=scale)

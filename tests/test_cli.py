@@ -567,33 +567,69 @@ class TestOutputErrors:
 
 
 class TestBenchmarkReplayContract:
-    """What the benchmark's in-process replay relies on: it wraps
-    ``cli.render`` and ``cli.lipschitz_violations``, binds their arguments by
-    name, and takes ``len`` of the rendered text and of ``.violations``."""
+    """What the benchmark relies on. Its in-process replay wraps functions
+    where ``cli`` binds them, binds their arguments by name, and reads
+    ``len`` of the rendered text, of ``.violations``, of ``ingest_csv``'s
+    ``.records``, and the ``score`` of each record of the scan's ``ds``. Its
+    own tests build records by keyword, datasets with
+    ``Dataset.from_records`` and read ``swap_attack(...).after``. A change
+    that breaks one of these fails here by name, not in a benchmark run."""
 
-    def test_swap_call_sites(self, scored_csv, monkeypatch):
-        calls = {}
+    @staticmethod
+    def spy(monkeypatch, names):
+        """Wrap ``cli``'s bindings of ``names``; return the list of
+        ``(name, bound arguments, result)`` of every call through them."""
+        calls = []
 
-        def spy(name):
+        def wrap(name):
             fn = getattr(cli, name)
             signature = inspect.signature(fn)
 
             def spied(*args, **kwargs):
                 result = fn(*args, **kwargs)
-                calls[name] = (signature.bind(*args, **kwargs).arguments, result)
+                calls.append((name, signature.bind(*args, **kwargs).arguments, result))
                 return result
 
             monkeypatch.setattr(cli, name, spied)
 
-        spy("render")
-        spy("lipschitz_violations")
+        for name in names:
+            wrap(name)
+        return calls
+
+    def test_swap_call_sites(self, scored_csv, monkeypatch):
+        calls = self.spy(monkeypatch, ("render", "lipschitz_violations"))
         code, out = run_cli("attack", "swap", scored_csv, "--group", "p", "--format", "json")
         assert code == 0
-        _, rendered = calls["render"]
+        found = {name: (arguments, result) for name, arguments, result in calls}
+        _, rendered = found["render"]
         assert isinstance(rendered, str) and rendered == out
-        arguments, report = calls["lipschitz_violations"]
+        arguments, report = found["lipschitz_violations"]
         listed = json.loads(out)["lipschitz"]["violations"]
         assert len(listed) > 0
         assert len(report.violations) == len(listed)
         again = cli.lipschitz_violations(ds=arguments["ds"], scale=arguments["scale"])
         assert len(again.violations) == len(listed)
+
+    def test_swap_layers_are_called_through_cli(self, scored_csv, monkeypatch):
+        layers = ("ingest_csv", "tabulate", "swap_attack", "lipschitz_violations")
+        calls = self.spy(monkeypatch, layers)
+        code, _ = run_cli("attack", "swap", scored_csv, "--group", "p", "--format", "json")
+        assert code == 0
+        assert [name for name, _, _ in calls] == [
+            "ingest_csv", "tabulate", "swap_attack", "tabulate", "lipschitz_violations"
+        ]
+        _, _, ingested = calls[0]
+        assert len(ingested.records) == 5
+        _, arguments, _ = calls[-1]
+        assert set(arguments) >= {"ds", "scale"}
+        assert [rec.score for rec in arguments["ds"].records] == [0.6, 0.9, 0.3, 0.8, 0.2]
+
+    def test_benchmark_tests_build_records_by_keyword(self):
+        assert (cli.CsvSchema, cli.ingest_csv) == (CsvSchema, ingest_csv)
+        records = [
+            Record(id="fn", group="g", y=True, r=False, score=0.25),
+            Record(id="tp", group="g", y=True, r=True, score=0.75),
+        ]
+        after = cli.swap_attack(Dataset.from_records(records), "g").after
+        assert tabulate(after).matrices == tabulate(Dataset.from_records(records)).matrices
+        assert len(cli.lipschitz_violations(after).violations) == 1

@@ -179,37 +179,32 @@ class TestDatasetValidation:
 
     def test_undeclared_group_rejected(self):
         with pytest.raises(InputError, match="undeclared"):
-            Dataset(records=(Record("1", "x", True, True),), groups=("p",))
+            Dataset.from_records([Record("1", "x", True, True)], groups=("p",))
 
     def test_score_range_enforced(self):
         with pytest.raises(InputError, match="\\[0, 1\\]"):
-            Record("1", "p", True, True, score=1.5)
+            Dataset.from_records([Record("1", "p", True, True, score=1.5)])
+
+    def test_plain_types_check_nothing(self):
+        # Only from_records validates; a record and a dataset hold what they are given.
+        rec = Record("1", "x", True, True, score=1.5)
+        ds = Dataset(records=(rec, rec), groups=("p", "p"))
+        assert ds.records == (("1", "x", True, True, 1.5),) * 2
+        assert Dataset(records=()).groups is None
 
     def test_derived_groups_in_first_appearance_order(self):
         records = [Record(str(i), group, True, True) for i, group in enumerate("qpqrp")]
-        assert Dataset.from_records(records).groups == ("q", "p", "r")
+        ds = Dataset.from_records(records)
+        assert ds.groups is None
+        assert tabulate(ds).groups == ("q", "p", "r")
 
     def test_many_derived_groups_stay_fast(self):
         # 40k records in 20k groups took 7.8 s with a membership test per record.
         records = [Record(str(i), f"g{i // 2}", True, True) for i in range(40_000)]
         start = time.perf_counter()
-        ds = Dataset.from_records(records)
+        g = tabulate(Dataset.from_records(records))
         assert time.perf_counter() - start < 2.0
-        assert ds.groups == tuple(f"g{k}" for k in range(20_000))
-
-    def test_with_predictions_swaps(self):
-        ds = Dataset.from_records(
-            [Record("1", "p", True, False, 0.5), Record("2", "p", True, True, 0.9)]
-        )
-        flipped = ds.with_predictions({"1": True, "2": False})
-        assert flipped.records[0].r is True
-        assert flipped.records[1].r is False
-        assert flipped.records[0].score == 0.5
-
-    def test_with_predictions_unknown_id_rejected(self):
-        ds = Dataset.from_records([Record("1", "p", True, False)])
-        with pytest.raises(InputError, match="unknown record ids"):
-            ds.with_predictions({"missing": True})
+        assert g.groups == tuple(f"g{k}" for k in range(20_000))
 
 
 class TestGroupedConfusion:

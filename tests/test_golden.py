@@ -12,7 +12,6 @@ included.
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -45,7 +44,7 @@ def scored_dataset() -> Dataset:
     """Forty rows with fixed, spread-out scores (two share a score)."""
     ds = synthesize_dataset(GroupedConfusion(SCORED))
     records = [
-        replace(rec, score=((i * 17) % 40) / 40 if i != 39 else 0.5)
+        rec._replace(score=((i * 17) % 40) / 40 if i != 39 else 0.5)
         for i, rec in enumerate(ds.records)
     ]
     return Dataset(records=tuple(records), groups=ds.groups)

@@ -16,7 +16,16 @@ The payload's matrices come from the matrix builders ``report`` had before
 ``report.jsonable``, kept here so the oracle does not share code with
 ``render``'s callers.
 
-Both run on seeded and hypothesis-generated datasets with tied scores, pairs
+The swap oracle is the earlier ``Record``, ``Dataset`` and ``swap_attack``
+from ``dataset_oracle``: the old types validated every record when built,
+and the old attack copied and revalidated them all. On the same draws, each
+group is attacked by both, and they must agree on the outcome: the swapped
+pair, its score gap, the matrices before and after, and the violation rows
+of the attacked dataset, or the same error. Each draw is also spoiled in one
+of the ways the old types rejected, and ``Dataset.from_records`` must reject
+it with the same message.
+
+All run on seeded and hypothesis-generated datasets with tied scores, pairs
 exactly ``scale`` apart, tiny scales, distinct tiny distances whose margins
 round to 1.0, unscored records, a single prediction value, ids that JSON
 must escape, and groups named like the keys ``render`` looks for.
@@ -29,14 +38,15 @@ import math
 import random
 from dataclasses import dataclass
 from numbers import Real
-from typing import Any
+from typing import Any, Callable
 
+from dataset_oracle import OracleDataset, OracleRecord, oracle_swap_attack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit.adversary import lipschitz_violations
+from fairaudit.adversary import lipschitz_violations, swap_attack
 from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, tabulate
-from fairaudit.errors import InputError
+from fairaudit.errors import AuditError, InputError
 from fairaudit.report import header, render
 
 # ---------------------------------------------------------------------------
@@ -192,15 +202,81 @@ ID_ALPHABET = 'abXY09-"\\\u00e9\U0001f600\n\x01'
 GROUPS = ("violations", '\n  "lipschitz": ', "[]")
 
 
+#: One record's fields: id, group, true label, prediction, score.
+Fields = tuple[str, str, bool, bool, float | None]
+
+
+def record_fields(rows: list[tuple[str, bool, float | None]]) -> list[Fields]:
+    """Records in three groups; ids are given. The label is irrelevant to the
+    scan, and three in four are positive, so many groups can be swapped."""
+    return [(rid, GROUPS[i % 3], i % 4 != 3, r, score) for i, (rid, r, score) in enumerate(rows)]
+
+
 def dataset(rows: list[tuple[str, bool, float | None]]) -> Dataset:
-    """Records in three groups; ids are given, the label is irrelevant to the scan."""
-    return Dataset.from_records(
-        [
-            Record(rid, GROUPS[i % 3], i % 4 == 0, r, score)
-            for i, (rid, r, score) in enumerate(rows)
-        ],
-        GROUPS,
-    )
+    return Dataset.from_records(map(Record._make, record_fields(rows)), GROUPS)
+
+
+def outcome(run: Callable[[], Any]) -> tuple[str, Any]:
+    """``("ok", value)`` or ``("error", message)``."""
+    try:
+        return "ok", run()
+    except AuditError as exc:
+        return "error", f"{type(exc).__name__}: {exc}"
+
+
+def ordered(g: GroupedConfusion) -> tuple[list[tuple[str, ConfusionMatrix]], tuple[str, ...]]:
+    """Matrices in group order and the dropped groups."""
+    return list(g.matrices.items()), g.empty_groups
+
+
+def assert_swaps_match_oracle(rows: list[tuple[str, bool, float | None]], scale: float) -> int:
+    """Attack every group and an unknown one with both types; return the
+    number of swaps made."""
+    fields = record_fields(rows)
+    new_ds = Dataset.from_records(map(Record._make, fields), GROUPS)
+    old_ds = OracleDataset.from_records([OracleRecord(*f) for f in fields], GROUPS)
+    assert ordered(tabulate(new_ds)) == ordered(tabulate(old_ds))
+    swaps = 0
+    for group in (*GROUPS, "unknown"):
+        new = outcome(lambda: swap_attack(new_ds, group))
+        old = outcome(lambda: oracle_swap_attack(old_ds, group))
+        if old[0] == "error":
+            assert new == old
+            continue
+        new_after, old_after = new[1].after, old[1].after
+        assert (new[1].swapped_pair, new[1].score_gap) == (old[1].swapped_pair, old[1].score_gap)
+        assert list(new_after.records) == [tuple(vars(rec).values()) for rec in old_after.records]
+        assert new_after.groups == old_after.groups
+        assert ordered(tabulate(new_after)) == ordered(tabulate(old_after))
+        assert lipschitz_violations(new_after, scale).violations == [
+            (v.id_a, v.id_b, v.individual_distance)
+            for v in oracle_lipschitz_violations(old_after, scale).violations
+        ]
+        swaps += 1
+    return swaps
+
+
+#: Ways to spoil valid records and groups, each rejected by the old types;
+#: some break two rules at once, where the old types said which comes first.
+SPOILERS: tuple[Callable[[list[Fields]], tuple[list[Fields], Any]], ...] = (
+    lambda f: (f + [f[0]], GROUPS),  # a repeated id
+    lambda f: (f[:-1] + [(*f[-1][:4], 1.5)], GROUPS),  # a score above 1
+    lambda f: (f[:1] + [(*f[1][:4], math.nan)] + f[2:], GROUPS),  # a NaN score
+    lambda f: (f + [(*f[0][:4], -0.5)], GROUPS),  # a repeated id with a bad score
+    lambda f: (f + [("new", "undeclared", True, True, 0.5)], GROUPS),  # an undeclared group
+    lambda f: (f + [(f[0][0], "undeclared", True, True, 0.5)], GROUPS),  # and a repeated id
+    lambda f: (f + [("new", "undeclared", True, True, 0.5)], GROUPS + GROUPS[:1]),  # repeats
+    lambda f: (f, ()),  # no declared group
+    lambda f: ([], None),  # no group to derive
+)
+
+
+def assert_rejections_match_oracle(rows: list[tuple[str, bool, float | None]], k: int) -> None:
+    """Spoil the draw the ``k``-th way; both types must reject it alike."""
+    fields, groups = SPOILERS[k % len(SPOILERS)](record_fields(rows))
+    old = outcome(lambda: OracleDataset.from_records([OracleRecord(*f) for f in fields], groups))
+    assert old[0] == "error"
+    assert outcome(lambda: Dataset.from_records(map(Record._make, fields), groups)) == old
 
 
 def seeded_rows(rng: random.Random) -> list[tuple[str, bool, float | None]]:
@@ -219,10 +295,14 @@ def seeded_rows(rng: random.Random) -> list[tuple[str, bool, float | None]]:
 
 def test_seeded_datasets_match_oracle() -> None:
     rng = random.Random(4099)
-    found = 0
-    for _ in range(400):
-        found += assert_matches_oracle(dataset(seeded_rows(rng)), rng.choice(SCALES))
-    assert found > 1000
+    found = swaps = 0
+    for k in range(400):
+        rows = seeded_rows(rng)
+        scale = rng.choice(SCALES)
+        found += assert_matches_oracle(dataset(rows), scale)
+        swaps += assert_swaps_match_oracle(rows, scale)
+        assert_rejections_match_oracle(rows, k)
+    assert found > 1000 and swaps > 200
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,6 +323,8 @@ def test_hypothesis_datasets_match_oracle(
     rows: list[tuple[str, bool, float | None]], scale: float
 ) -> None:
     assert_matches_oracle(dataset(rows), scale)
+    assert_swaps_match_oracle(rows, scale)
+    assert_rejections_match_oracle(rows, len(rows) + len(rows[0][0]))
 
 
 def test_pair_exactly_scale_apart_is_not_a_violation() -> None:
