@@ -167,13 +167,9 @@ class Record(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Records plus the declared group universe, held as given.
-
-    ``groups`` of ``None`` declares none: :func:`tabulate` then takes the
-    records' groups in order of first appearance. ``ingest_csv`` builds a
-    dataset from rows it has validated; :meth:`from_records` validates
-    hand-built records.
-    """
+    """Records plus the declared group universe, held as given; ``None``
+    declares none, and :func:`tabulate` then takes the records' groups in
+    order of first appearance. :meth:`from_records` validates records."""
 
     records: tuple[Record, ...]
     groups: tuple[str, ...] | None = None
@@ -182,10 +178,9 @@ class Dataset:
     def from_records(
         cls, records: Iterable[Record], groups: Sequence[str] | None = None
     ) -> Dataset:
-        """A dataset of hand-built records: every score lies in [0, 1], ids are
-        unique, and each record's group is declared (any group when ``groups``
-        is ``None``). Scores are checked first, then the universe, then each
-        record in order."""
+        """Hand-built records as a dataset. Raises ``InputError`` for a score
+        outside [0, 1] (checked first), an empty or repeated group universe, a
+        repeated id, or a group outside ``groups``."""
         records = tuple(records)
         for rec in records:
             if rec.score is not None and not 0.0 <= rec.score <= 1.0:

@@ -1,9 +1,8 @@
 """CSV ingest, the one module that reads CSV. It accepts rows under the header
 ``id,group,y_true,y_pred[,score]`` with a :class:`CsvSchema`'s label encodings
 and scores in [0, 1], and rejects others with an ``InputError`` naming file and
-line. ``ingest_counts`` counts rows; ``ingest_csv`` keeps each row as a
-``Record`` of a ``Dataset``, the way to get scored records from a file. Rows are
-validated once, here; ``Dataset.from_records`` validates hand-built records.
+line. ``ingest_counts`` counts rows; ``ingest_csv`` keeps each row as a ``Record``
+and checks nothing again (``Dataset.from_records`` validates hand-built ones).
 """
 
 from __future__ import annotations
