@@ -166,6 +166,11 @@ CASES = {
         scored_dataset,
         ("attack", "swap", "{csv}", "--group", "p", "--groups", "p,q,r"),
     ),
+    "attack-reservoir-empty-group": (
+        PASSING,
+        ("attack", "reservoir", "{csv}", "--group", "q", "--z-max", "13", "--groups", "p,q,r"),
+    ),
+    "counterexample-empty-group": (PASSING, ("counterexample", "{csv}", "--groups", "p,q,r")),
     "attack-swap-error-unscored": (
         SWAP_REFUSALS_CSV,
         ("attack", "swap", "{csv}", "--group", "q"),
