@@ -59,6 +59,7 @@ from .report import (  # break_payload and break_text stay bound for perfbench/r
     break_payload,
     break_text,
     build_report,
+    empty_groups_warning,
     header,
     jsonable,
     render,
@@ -94,6 +95,14 @@ def _load(args: argparse.Namespace) -> GroupedConfusion:
     return ingest_counts(args.input, _schema_from_args(args))
 
 
+def _warned(g: GroupedConfusion) -> GroupedConfusion:
+    """``g``, once its declared groups without records are named on stderr
+    (audit names them in its output)."""
+    if g.empty_groups:
+        print(empty_groups_warning(g), file=sys.stderr)
+    return g
+
+
 def cmd_audit(args: argparse.Namespace) -> tuple[int, Any]:
     report = build_report(_load(args), args.eps, args.budget if args.find_break else None)
     return (0 if report.all_hold() else 1), report
@@ -108,10 +117,10 @@ def cmd_demo(args: argparse.Namespace) -> tuple[int, Any]:
 
 def cmd_attack(args: argparse.Namespace) -> tuple[int, Any]:
     if args.kind == "reservoir":
-        return 0, reservoir_attack(_load(args), args.group, args.z_max, args.eps)
+        return 0, reservoir_attack(_warned(_load(args)), args.group, args.z_max, args.eps)
 
     ds = ingest_csv(args.input, _schema_from_args(args))
-    g = tabulate(ds)
+    g = _warned(tabulate(ds))
     result = swap_attack(ds, args.group)
     after_g = tabulate(result.after)
     lipschitz = lipschitz_violations(result.after, args.scale)
@@ -178,7 +187,7 @@ def cmd_check_props(args: argparse.Namespace) -> tuple[int, Any]:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> tuple[int, Any]:
-    return 0, Counterexample(args.budget, find_break(_load(args), args.eps, args.budget))
+    return 0, Counterexample(args.budget, find_break(_warned(_load(args)), args.eps, args.budget))
 
 
 # ---------------------------------------------------------------------------

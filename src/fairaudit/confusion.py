@@ -229,7 +229,7 @@ def to_joint(g: GroupedConfusion) -> FiniteJoint:
         for count, (y, r) in zip((m.a, m.b, m.c, m.d), CELLS)
     }
     variables = (("A", g.groups), ("Y", (POS, NEG)), ("R", (POS, NEG)))
-    return FiniteJoint(variables=variables, table=table)
+    return FiniteJoint.from_valid(variables, table)
 
 
 def is_positive(g: GroupedConfusion) -> bool:

@@ -18,6 +18,11 @@ divided once by the squared denominator. Given values take positions in order
 of first appearance, so a sparse table over a large given domain costs only
 its own cells.
 
+A joint's cells are checked once, where it enters the library: the public
+constructor checks every key and weight, while the joints derived from valid
+parts (marginals, mapped, composed, generated and count joints) are built by
+:meth:`FiniteJoint.from_valid`, which checks only the variables and the mass.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
@@ -67,7 +72,23 @@ class FiniteJoint:
 
     def __post_init__(self) -> None:
         variables = tuple((name, tuple(domain)) for name, domain in self.variables)
-        object.__setattr__(self, "variables", variables)
+        self._settle(variables, dict(self.table), check_cells=True)
+
+    @classmethod
+    def from_valid(
+        cls, variables: tuple[tuple[str, tuple[str, ...]], ...], table: dict[tuple[str, ...], int]
+    ) -> FiniteJoint:
+        """A joint on parts known valid, kept as given: ``variables`` are
+        ``(name, domain)`` tuples, every key of ``table`` lies in their grid and
+        every weight is a non-negative int. The cells are not checked again;
+        the variables are, and a table without mass is still rejected."""
+        joint = object.__new__(cls)
+        joint._settle(variables, table, check_cells=False)
+        return joint
+
+    def _settle(self, variables: tuple, table: dict, check_cells: bool) -> None:
+        """Set every field, checking the variables and, with ``check_cells``,
+        each cell of ``table``."""
         names = [name for name, _ in variables]
         positions = {name: i for i, name in enumerate(names)}
         if len(positions) != len(names):
@@ -78,15 +99,16 @@ class FiniteJoint:
                 raise InputError(f"variable {name!r} has an empty domain")
             if len(positions_of) != len(domain):
                 raise InputError(f"variable {name!r} repeats domain labels: {domain}")
-        table = dict(self.table)
-        for key, weight in table.items():
-            if len(key) != len(variables) or not all(map(dict.__contains__, labels, key)):
-                raise InputError(f"assignment {key!r} does not match declared variables")
-            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
-                raise InputError(f"weight at {key!r} must be a non-negative int, got {weight!r}")
+        if check_cells:
+            for key, w in table.items():
+                if len(key) != len(variables) or not all(map(dict.__contains__, labels, key)):
+                    raise InputError(f"assignment {key!r} does not match declared variables")
+                if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                    raise InputError(f"weight at {key!r} must be a non-negative int, got {w!r}")
         denominator = sum(table.values())
         if denominator == 0:
             raise InputError("joint has no mass: every weight is 0")
+        object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "_positions", positions)
@@ -114,8 +136,10 @@ class FiniteJoint:
         return itertools.product(*(dom for _, dom in self.variables))
 
     def min_cell(self) -> Fraction:
-        """Smallest mass over the full assignment grid (0 for sparse cells)."""
-        weight = min(self.table.get(key, 0) for key in self.assignments())
+        """Smallest mass over the full assignment grid: 0 when the table, whose
+        keys all lie in the grid, has fewer cells than the grid."""
+        grid = math.prod(len(domain) for _, domain in self.variables)
+        weight = min(self.table.values()) if len(self.table) == grid else 0
         return Fraction(weight, self.denominator)
 
 
@@ -198,7 +222,7 @@ def marginal(j: FiniteJoint, keep: Iterable[str]) -> FiniteJoint:
         raise InputError(f"unknown variable names: {sorted(unknown)}")
     kept = tuple((name, dom) for name, dom in j.variables if name in keep_set)
     table = _aggregate(j, tuple(name for name, _ in kept))
-    return FiniteJoint(variables=kept, table=table)
+    return FiniteJoint.from_valid(kept, table)
 
 
 def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
@@ -208,16 +232,10 @@ def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
     domain."""
     if h.target in j.names:
         raise InputError(f"target variable {h.target!r} already present")
-    source_dom = j.domain(h.source)
-    target_dom: list[str] = []
-    for value in source_dom:
-        mapped = h(value)
-        if mapped not in target_dom:
-            target_dom.append(mapped)
+    target_dom = tuple(dict.fromkeys(map(h, j.domain(h.source))))
     src_idx = j.index(h.source)
     table = {key + (h(key[src_idx]),): weight for key, weight in j.table.items()}
-    variables = j.variables + ((h.target, tuple(target_dom)),)
-    return FiniteJoint(variables=variables, table=table)
+    return FiniteJoint.from_valid(j.variables + ((h.target, target_dom),), table)
 
 
 def compose_ci(
@@ -236,8 +254,11 @@ def compose_ci(
     z_dom = tuple(pz)
     if not z_dom:
         raise InputError("pz must be nonempty")
-    if any(p < 0 for p in pz.values()):
-        raise InputError("pz has negative mass")
+
+    def check_weights(weights: Mapping[str, int], label: str) -> None:
+        for p in weights.values():
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+                raise InputError(f"each weight of {label} must be a non-negative int, got {p!r}")
 
     def check_rows(rows: Mapping[str, Mapping[str, int]], label: str) -> tuple[str, ...]:
         domain: tuple[str, ...] | None = None
@@ -249,11 +270,11 @@ def compose_ci(
                 domain = tuple(row)
             elif set(row) != set(domain):
                 raise InputError(f"{label} rows disagree on the domain")
-            if any(p < 0 for p in row.values()):
-                raise InputError(f"{label} row for z={z!r} has negative mass")
+            check_weights(row, f"{label} row for z={z!r}")
         assert domain is not None
         return domain
 
+    check_weights(pz, "pz")
     x_dom = check_rows(px_given_z, "px_given_z")
     y_dom = check_rows(py_given_z, "py_given_z")
 
@@ -263,8 +284,7 @@ def compose_ci(
         for x in x_dom
         for y in y_dom
     }
-    variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom))
-    return FiniteJoint(variables=variables, table=table)
+    return FiniteJoint.from_valid((("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table)
 
 
 # ---------------------------------------------------------------------------

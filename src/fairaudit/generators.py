@@ -44,7 +44,7 @@ def random_joint(
     keys = [()]
     for _, domain in variables:
         keys = [key + (value,) for key in keys for value in domain]
-    return FiniteJoint(variables=variables, table=dict(zip(keys, _weights(rng, len(keys)))))
+    return FiniteJoint.from_valid(variables, dict(zip(keys, _weights(rng, len(keys)))))
 
 
 def random_sizes(rng: random.Random, count: int, low: int = 2, high: int = 3) -> list[int]:
@@ -100,7 +100,7 @@ def random_chain_instance(rng: random.Random) -> FiniteJoint:
         for w in w_dom
     }
     variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom), ("W", w_dom))
-    return FiniteJoint(variables=variables, table=table)
+    return FiniteJoint.from_valid(variables, table)
 
 
 def random_pair_ci_instance(rng: random.Random) -> FiniteJoint:
@@ -119,7 +119,7 @@ def random_pair_ci_instance(rng: random.Random) -> FiniteJoint:
         for z in z_dom
     }
     variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom), ("W", w_dom))
-    return FiniteJoint(variables=variables, table=table)
+    return FiniteJoint.from_valid(variables, table)
 
 
 def random_product_instance(rng: random.Random) -> FiniteJoint:
@@ -138,9 +138,7 @@ def random_product_instance(rng: random.Random) -> FiniteJoint:
         for j, y in enumerate(y_dom)
         for k, z in enumerate(z_dom)
     }
-    joint = FiniteJoint(
-        variables=(("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table=table
-    )
+    joint = FiniteJoint.from_valid((("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table)
     if joint.min_cell() < POSITIVITY_FLOOR:
         raise AssertionError(
             f"positivity generator produced a cell below floor={POSITIVITY_FLOOR}"

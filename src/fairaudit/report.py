@@ -79,6 +79,11 @@ def stats_text(m: ConfusionMatrix) -> str:
     return "  ".join(f"{name} {num_text(getattr(m, name))}" for name in STATS)
 
 
+def empty_groups_warning(g: GroupedConfusion) -> str:
+    """Names the declared groups without records, which every command excludes."""
+    return f"warning: declared group(s) without records, excluded: {', '.join(g.empty_groups)}"
+
+
 def increment_text(inc: Increment) -> str:
     return ", ".join(
         f"{s.group}: {s.count} {'FN->TP' if s.direction == 'fn_to_tp' else 'FP->TN'}"
@@ -318,10 +323,7 @@ class FairnessReport:
         ]
         lines += [f"  {group}: {matrix_text(g[group])}  N = {g[group].n}" for group in g.groups]
         if g.empty_groups:
-            lines.append(
-                f"  warning: declared group(s) without records, excluded: "
-                f"{', '.join(g.empty_groups)}"
-            )
+            lines.append(f"  {empty_groups_warning(g)}")
         lines += ["", "group statistics"]
         lines += [f"  {group}: {stats_text(g[group])}" for group in g.groups]
         lines += ["", "measures", *(f"  {verdict_text(v)}" for v in self.verdicts)]

@@ -8,6 +8,10 @@ single-pass kernel must give the identical ``Fraction`` on every input.
 The generators build integer weights, so every instance that is conditionally
 independent by construction has deviation exactly 0, and every functional
 instance has violation mass exactly 0.
+
+Every joint the library derives on these draws (generated, composed, mapped,
+count and marginal joints) must also equal the public constructor's joint on
+its parts (``assert_revalidates``), and ``min_cell`` must match the grid walk.
 """
 
 import itertools
@@ -18,9 +22,16 @@ from typing import Sequence
 
 from hypothesis import given
 from hypothesis import strategies as st
+from joint_oracle import assert_revalidates, oracle_min_cell
 
 from fairaudit.confusion import to_joint
-from fairaudit.distributions import FiniteJoint, apply_map, check_ci_property, ci_deviation
+from fairaudit.distributions import (
+    FiniteJoint,
+    apply_map,
+    check_ci_property,
+    ci_deviation,
+    marginal,
+)
 from fairaudit.errors import InputError
 from fairaudit.generators import (
     random_chain_instance,
@@ -100,10 +111,13 @@ def splits(names):
 
 
 def assert_matches_oracle(j: FiniteJoint) -> None:
+    assert_revalidates(j)
+    assert j.min_cell() == oracle_min_cell(j)
     for left, right, given_names in splits(j.names):
         deviation = ci_deviation(j, left, right, given_names)
         assert isinstance(deviation, Fraction)
         assert deviation == oracle_ci_deviation(j, left, right, given_names)
+        assert_revalidates(marginal(j, left + right + given_names))
 
 
 class TestSingleAggregateMatchesOracle:
@@ -167,6 +181,7 @@ def test_hypothesis_joints_match_the_oracle(case):
     assert ci_deviation(j, left, right, given_names) == oracle_ci_deviation(
         j, left, right, given_names
     )
+    assert_revalidates(marginal(j, left + right + given_names))
 
 
 class TestKernelEdgeCases:
@@ -216,28 +231,37 @@ class TestConstructionsAreExact:
     def test_ci_instances(self):
         rng = random.Random(107)
         for _ in range(self.DRAWS):
-            assert ci_deviation(random_ci_instance(rng), "X", "Y", "Z") == 0
+            j = random_ci_instance(rng)
+            assert_revalidates(j)
+            assert ci_deviation(j, "X", "Y", "Z") == 0
 
     def test_chain_instances(self):
         rng = random.Random(109)
         for _ in range(self.DRAWS):
             j = random_chain_instance(rng)
+            assert_revalidates(j)
             assert ci_deviation(j, "X", "Y", "Z") == 0
             assert ci_deviation(j, "X", "W", ("Y", "Z")) == 0
 
     def test_pair_ci_instances(self):
         rng = random.Random(113)
         for _ in range(self.DRAWS):
-            assert ci_deviation(random_pair_ci_instance(rng), "X", ("W", "Y"), "Z") == 0
+            j = random_pair_ci_instance(rng)
+            assert_revalidates(j)
+            assert ci_deviation(j, "X", ("W", "Y"), "Z") == 0
 
     def test_product_instances(self):
         rng = random.Random(127)
         for _ in range(self.DRAWS):
-            assert ci_deviation(random_product_instance(rng), "X", ("Y", "Z")) == 0
+            j = random_product_instance(rng)
+            assert_revalidates(j)
+            assert j.min_cell() == oracle_min_cell(j)
+            assert ci_deviation(j, "X", ("Y", "Z")) == 0
 
     def test_functional_instances(self):
         rng = random.Random(131)
         for _ in range(self.DRAWS):
             j, h = random_functional_instance(rng)
+            assert_revalidates(j)
             verdict = check_ci_property(3, j, h)
             assert verdict.premises == {"y_equals_h_of_z_violation_mass": 0}

@@ -1,11 +1,17 @@
 """Tests for finite joint distributions and the conditional-independence checks."""
 
+import io
 import itertools
 import math
 import random
+import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from joint_oracle import oracle_min_cell, oracle_target_domain
+
+from fairaudit import cli
 
 from fairaudit.distributions import (
     EPS_DEFAULT,
@@ -98,6 +104,47 @@ class TestFiniteJointValidation:
         j = FiniteJoint(variables=(("X", BIN),), table={("0",): 1})
         assert j.prob(("1",)) == 0
         assert j.min_cell() == 0
+
+
+class TestMinCell:
+    def test_matches_the_grid_walk_on_sparse_and_dense_joints(self):
+        rng = random.Random(139)
+        for _ in range(200):
+            names = ("X", "Y", "Z")[: rng.randint(1, 3)]
+            dense = random_joint(rng, [(name, BIN[: rng.randint(1, 2)] + ("2",)) for name in names])
+            table = dict(dense.table)
+            for key in rng.sample(sorted(table), rng.randint(0, len(table) - 1)):
+                table[key] = rng.choice((0, 1, None))
+            table = {key: w for key, w in table.items() if w is not None}
+            if not any(table.values()):
+                table[next(iter(dense.table))] = 1
+            for j in (dense, FiniteJoint(dense.variables, table)):
+                assert j.min_cell() == oracle_min_cell(j)
+
+    def test_costs_the_table_not_the_grid(self):
+        # Ten cells over a 1000 x 1000 x 2 grid: the walk took about 0.2 s a call.
+        dom = tuple(str(i) for i in range(1000))
+        table = {(str(i), str(7 * i), "1"): i + 1 for i in range(10)}
+        j = FiniteJoint((("X", dom), ("Y", dom), ("Z", BIN)), table)
+        start = time.perf_counter()
+        for _ in range(20):
+            assert j.min_cell() == 0
+        assert time.perf_counter() - start < 1.0
+        verdict = check_ci_property(5, j)
+        assert (verdict.status, verdict.premises["positivity_min_cell"]) == (VACUOUS, 0)
+
+
+class TestDerivedJoints:
+    def test_check_props_builds_no_joint_through_the_public_constructor(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("FiniteJoint.__post_init__ was called")
+
+        out = io.StringIO()
+        monkeypatch.setattr(FiniteJoint, "__post_init__", refused)
+        with redirect_stdout(out):
+            code = cli.main(["check-props", "--count", "20", "--format", "json"])
+        assert code == 0
+        assert '"failures_total": 0' in out.getvalue()
 
 
 class TestCountJoint:
@@ -287,6 +334,20 @@ class TestComposeCI:
         with pytest.raises(InputError, match="missing a row"):
             compose_ci(pz, partial, partial)
 
+    @pytest.mark.parametrize("weight", [True, False, "1", None])
+    @pytest.mark.parametrize("where", ["pz", "px", "py"])
+    def test_non_int_weight_rejected(self, where, weight):
+        pz = {"0": 1, "1": 2}
+        rows = {z: {"0": 1, "1": 1} for z in pz}
+        bad = {"0": {"0": weight, "1": 1}, "1": {"0": 1, "1": 1}}
+        args = {
+            "pz": ({"0": weight, "1": 2}, rows, rows),
+            "px": (pz, bad, rows),
+            "py": (pz, rows, bad),
+        }[where]
+        with pytest.raises(InputError, match="must be a non-negative int"):
+            compose_ci(*args)
+
 
 class TestApplyMap:
     def test_appends_target_variable(self):
@@ -308,6 +369,29 @@ class TestApplyMap:
         h = DeterministicMap(source="X", target="U", mapping={"0": "u"})
         with pytest.raises(InputError, match="not defined"):
             apply_map(j, h)
+
+    def test_target_domain_in_first_appearance_order(self):
+        rng = random.Random(149)
+        for _ in range(200):
+            j = random_joint(rng, [("X", tuple(str(i) for i in range(rng.randint(1, 12))))])
+            targets = [f"u{i}" for i in range(rng.randint(1, 12))]
+            for h in (
+                random_map(rng, "X", "U", j.domain("X")),
+                DeterministicMap("X", "U", {x: rng.choice(targets) for x in j.domain("X")}),
+            ):
+                assert apply_map(j, h).domain("U") == oracle_target_domain(j, h)
+
+    def test_injective_map_over_a_hundred_thousand_labels(self):
+        # A list-membership test per label made this quadratic: 16,000
+        # labels took 1.3 s.
+        dom = tuple(f"x{i}" for i in range(100_000))
+        j = FiniteJoint((("X", dom), ("Y", BIN)), {("x5", "0"): 1, ("x99999", "1"): 2})
+        h = DeterministicMap("X", "U", {x: f"u{x}" for x in dom})
+        start = time.perf_counter()
+        extended = apply_map(j, h)
+        assert time.perf_counter() - start < 1.0
+        assert extended.domain("U") == tuple(f"u{x}" for x in dom)
+        assert extended.table == {("x5", "0", "ux5"): 1, ("x99999", "1", "ux99999"): 2}
 
 
 class TestCheckCIProperty:

@@ -3,7 +3,8 @@
 ``oracle_joint_independence_deviation`` is the integer cross-multiplication
 on counts that ``check_joint_independence_iff`` used before it called the
 general kernel ``ci_deviation`` on the count joint, kept verbatim as the
-reference: both must give the identical ``Fraction``.
+reference: both must give the identical ``Fraction``. The count joint itself
+must equal the public constructor's joint on its parts.
 """
 
 import itertools
@@ -12,8 +13,9 @@ from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
+from joint_oracle import assert_revalidates
 
-from fairaudit.confusion import NEG, POS, ConfusionMatrix, GroupedConfusion
+from fairaudit.confusion import NEG, POS, ConfusionMatrix, GroupedConfusion, to_joint
 from fairaudit.conservativeness import check_joint_independence_iff
 from fairaudit.generators import (
     random_nonproportional_grouped,
@@ -49,6 +51,7 @@ def oracle_joint_independence_deviation(g: GroupedConfusion) -> Fraction:
 
 
 def assert_matches_oracle(g: GroupedConfusion) -> None:
+    assert_revalidates(to_joint(g))
     deviation = check_joint_independence_iff(g).ci_deviation
     assert isinstance(deviation, Fraction)
     assert deviation == oracle_joint_independence_deviation(g)
