@@ -12,7 +12,6 @@ import pytest
 from joint_oracle import oracle_min_cell, oracle_target_domain
 
 from fairaudit import cli
-
 from fairaudit.distributions import (
     EPS_DEFAULT,
     FAIL,
@@ -111,14 +110,14 @@ class TestMinCell:
         rng = random.Random(139)
         for _ in range(200):
             names = ("X", "Y", "Z")[: rng.randint(1, 3)]
-            dense = random_joint(rng, [(name, BIN[: rng.randint(1, 2)] + ("2",)) for name in names])
-            table = dict(dense.table)
-            for key in rng.sample(sorted(table), rng.randint(0, len(table) - 1)):
-                table[key] = rng.choice((0, 1, None))
-            table = {key: w for key, w in table.items() if w is not None}
-            if not any(table.values()):
-                table[next(iter(dense.table))] = 1
-            for j in (dense, FiniteJoint(dense.variables, table)):
+            domains = [("0", "1", "2")[: rng.randint(2, 3)] for _ in names]
+            dense = random_joint(rng, list(zip(names, domains)))
+            keys = sorted(dense.table)
+            kept = rng.sample(keys, rng.randint(1, len(keys)))
+            sparse = FiniteJoint(dense.variables, {key: dense.table[key] + 1 for key in kept})
+            full = {key: weight + 1 for key, weight in dense.table.items()}
+            zeroed = FiniteJoint(dense.variables, {**full, keys[0]: 0})
+            for j in (dense, sparse, zeroed):
                 assert j.min_cell() == oracle_min_cell(j)
 
     def test_costs_the_table_not_the_grid(self):
@@ -135,6 +134,13 @@ class TestMinCell:
 
 
 class TestDerivedJoints:
+    def test_table_without_mass_rejected(self):
+        rows = {"0": {"0": 1, "1": 1}}
+        with pytest.raises(InputError, match="no mass"):
+            compose_ci({"0": 0}, rows, rows)
+        with pytest.raises(InputError, match="no mass"):
+            FiniteJoint.from_valid((("X", BIN),), {("0",): 0})
+
     def test_check_props_builds_no_joint_through_the_public_constructor(self, monkeypatch):
         def refused(self):
             raise AssertionError("FiniteJoint.__post_init__ was called")
