@@ -6,6 +6,10 @@ joint of (A, Y, R), with equal verdicts; verifies the algebraic properties
 relating the measures on randomized instances; and demonstrates
 gerrymandering attacks that preserve group verdicts while violating
 individual fairness.
+
+Records and results are immutable named tuples, read by field name and equal to
+the plain tuple of their values; ``_replace`` skips a constructor's checks.
+``GroupedConfusion``, ``FiniteJoint`` and ``Dataset`` are immutable, not tuples.
 """
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ scaled score metric d, with every violating pair reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from numbers import Real
+from typing import NamedTuple
 
 from .confusion import ConfusionMatrix, Dataset, GroupedConfusion
 from .distributions import EPS_DEFAULT
@@ -26,25 +27,22 @@ from .errors import Infeasible, InputError, PreconditionError
 from .measures import MeasureVerdict, independence, separation
 
 
-@dataclass(frozen=True)
-class ReservoirPlan:
+class ReservoirPlan(namedtuple("ReservoirPlan", "z z_plus z_minus")):
     """Split of a reservoir of ``z`` qualified candidates into ``z_plus``
     hired and ``z_minus`` rejected, sized so the target group's TP:FN ratio
     is exactly preserved."""
 
-    z: int
-    z_plus: int
-    z_minus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.z_plus < 0 or self.z_minus < 0:
+    def __new__(cls, z: int, z_plus: int, z_minus: int) -> ReservoirPlan:
+        if z_plus < 0 or z_minus < 0:
             raise InputError("reservoir split must be nonnegative")
-        if self.z != self.z_plus + self.z_minus:
+        if z != z_plus + z_minus:
             raise InputError("z must equal z_plus + z_minus")
+        return super().__new__(cls, z, z_plus, z_minus)
 
 
-@dataclass(frozen=True)
-class ReservoirAttackResult:
+class ReservoirAttackResult(NamedTuple):
     target_group: str
     plan: ReservoirPlan
     before: GroupedConfusion
@@ -53,11 +51,10 @@ class ReservoirAttackResult:
     separation_after: MeasureVerdict
     independence_before: MeasureVerdict
     independence_after: MeasureVerdict
-    attack: str = field(default="reservoir", init=False)
+    attack: str = "reservoir"
 
 
-@dataclass(frozen=True)
-class SwapAttackResult:
+class SwapAttackResult(NamedTuple):
     swapped_pair: tuple[str, str]
     score_gap: float
     after: Dataset
@@ -68,8 +65,7 @@ def violates(distance: float) -> bool:
     return 1.0 > distance
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
+class LipschitzReport(NamedTuple):
     #: ``(id_a, id_b, individual_distance)`` rows with ``id_a < id_b``; each
     #: pair's prediction distance is 1, its margin ``1.0 - individual_distance``.
     #: The scan's own sorted list, handed on to the writer as it is.

@@ -141,7 +141,9 @@ def cmd_attack(args: argparse.Namespace) -> tuple[int, Any]:
     )
 
 
-def _run_ci_suite(rng: random.Random, k: int, count: int, eps: float) -> CISuite:
+def _run_ci_suite(
+    rng: random.Random, k: int, count: int, eps: float
+) -> CISuite | FlooredCISuite:
     statuses = []
     for i in range(count):
         h = None

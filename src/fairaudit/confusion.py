@@ -9,8 +9,7 @@ verdicts instead of silently passing.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -35,22 +34,18 @@ RATES = {
 }
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(namedtuple("ConfusionMatrix", "a b c d")):
     """2x2 count table for one group: a=TP, b=FP, c=FN, d=TN."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
+    def __new__(cls, a: int, b: int, c: int, d: int) -> ConfusionMatrix:
+        for name, value in zip("abcd", (a, b, c, d)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise InputError(f"cell {name} must be a nonnegative integer, got {value!r}")
-        if self.n < 1:
+        if a + b + c + d < 1:
             raise InputError("confusion matrix must count at least one record")
+        return super().__new__(cls, a, b, c, d)
 
     @property
     def n(self) -> int:
@@ -61,7 +56,7 @@ class ConfusionMatrix:
         return Fraction(self.a + self.d, self.n)
 
     def _rate(self, name: str) -> Fraction | None:
-        part, whole = RATES[name](self.a, self.b, self.c, self.d)
+        part, whole = RATES[name](*self)
         return Fraction(part, whole) if whole else None
 
     @property
@@ -82,7 +77,7 @@ class ConfusionMatrix:
 
     @property
     def selection_rate(self) -> Fraction:
-        return Fraction(*RATES["selection_rate"](self.a, self.b, self.c, self.d))
+        return Fraction(*RATES["selection_rate"](*self))
 
     def scaled(self, k: int) -> ConfusionMatrix:
         if k < 1:
@@ -90,24 +85,37 @@ class ConfusionMatrix:
         return ConfusionMatrix(self.a * k, self.b * k, self.c * k, self.d * k)
 
 
-@dataclass(frozen=True)
 class GroupedConfusion:
     """One confusion matrix per group, in a fixed group order.
 
     ``empty_groups`` records declared groups that were dropped by
     :func:`tabulate` for having no records. Fairness measures require at
     least two populated groups; a single-group table is representable so the
-    drop-with-warning path stays usable.
+    drop-with-warning path stays usable. Immutable; compared by value.
     """
 
-    matrices: Mapping[str, ConfusionMatrix]
-    empty_groups: tuple[str, ...] = ()
+    __slots__ = ("matrices", "empty_groups")
 
-    def __post_init__(self) -> None:
-        if not self.matrices:
+    def __init__(
+        self, matrices: Mapping[str, ConfusionMatrix], empty_groups: Iterable[str] = ()
+    ) -> None:
+        if not matrices:
             raise InputError("at least one group is required")
-        object.__setattr__(self, "matrices", dict(self.matrices))
-        object.__setattr__(self, "empty_groups", tuple(self.empty_groups))
+        object.__setattr__(self, "matrices", dict(matrices))
+        object.__setattr__(self, "empty_groups", tuple(empty_groups))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.matrices, self.empty_groups) == (other.matrices, other.empty_groups)
+
+    def __repr__(self) -> str:
+        return f"GroupedConfusion(matrices={self.matrices!r}, empty_groups={self.empty_groups!r})"
 
     @classmethod
     def from_counts(
@@ -165,14 +173,33 @@ class Record(NamedTuple):
     score: float | None = None
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Records plus the declared group universe, held as given; ``None``
     declares none, and :func:`tabulate` then takes the records' groups in
-    order of first appearance. :meth:`from_records` validates records."""
+    order of first appearance. :meth:`from_records` validates records.
+    Immutable; compared by value; not a tuple, which JSON would write as an array."""
 
-    records: tuple[Record, ...]
-    groups: tuple[str, ...] | None = None
+    __slots__ = ("records", "groups")
+
+    def __init__(self, records: tuple[Record, ...], groups: tuple[str, ...] | None = None) -> None:
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "groups", groups)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.records, self.groups) == (other.records, other.groups)
+
+    def __hash__(self) -> int:
+        return hash((self.records, self.groups))
+
+    def __repr__(self) -> str:
+        return f"Dataset(records={self.records!r}, groups={self.groups!r})"
 
     @classmethod
     def from_records(
@@ -226,7 +253,7 @@ def to_joint(g: GroupedConfusion) -> FiniteJoint:
     table = {
         (group, LABEL[y], LABEL[r]): count
         for group, m in g.matrices.items()
-        for count, (y, r) in zip((m.a, m.b, m.c, m.d), CELLS)
+        for count, (y, r) in zip(m, CELLS)
     }
     variables = (("A", g.groups), ("Y", (POS, NEG)), ("R", (POS, NEG)))
     return FiniteJoint.from_valid(variables, table)

@@ -12,9 +12,9 @@ verifies the one increment family that provably cannot break them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .confusion import ConfusionMatrix, GroupedConfusion, is_positive, to_joint
 from .distributions import EPS_DEFAULT, ci_deviation
@@ -33,44 +33,41 @@ FP_TO_TN = "fp_to_tn"
 DIRECTIONS = (FN_TO_TP, FP_TO_TN)
 
 
-@dataclass(frozen=True)
-class GroupShift:
+class GroupShift(namedtuple("GroupShift", "group direction count")):
     """Move ``count`` records of one group from a false cell to the matching
     true cell (FN to TP, or FP to TN)."""
 
-    group: str
-    direction: str
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS:
-            raise InputError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 0:
-            raise InputError(f"shift count must be a nonnegative integer, got {self.count!r}")
+    def __new__(cls, group: str, direction: str, count: int) -> GroupShift:
+        if direction not in DIRECTIONS:
+            raise InputError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise InputError(f"shift count must be a nonnegative integer, got {count!r}")
+        return super().__new__(cls, group, direction, count)
 
 
-@dataclass(frozen=True)
-class Increment:
+class Increment(namedtuple("Increment", "shifts")):
     """An accuracy-increasing move: per-group error-cell shifts, at least one
     of them positive."""
 
-    shifts: tuple[GroupShift, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shifts", tuple(self.shifts))
-        groups = [shift.group for shift in self.shifts]
+    def __new__(cls, shifts: Iterable[GroupShift]) -> Increment:
+        shifts = tuple(shifts)
+        groups = [shift.group for shift in shifts]
         if len(set(groups)) != len(groups):
             raise InputError(f"increment repeats a group: {groups}")
-        if not any(shift.count > 0 for shift in self.shifts):
+        if not any(shift.count > 0 for shift in shifts):
             raise InputError("increment must shift at least one record")
+        return super().__new__(cls, shifts)
 
     @property
     def total(self) -> int:
         return sum(shift.count for shift in self.shifts)
 
 
-@dataclass(frozen=True)
-class ConservativenessReport:
+class ConservativenessReport(NamedTuple):
     """Prop-style report for a perfect predictor: sufficiency and separation
     must hold, while independence may still fail and is reported alongside."""
 
@@ -80,8 +77,7 @@ class ConservativenessReport:
     holds: bool
 
 
-@dataclass(frozen=True)
-class JointIndependenceVerdict:
+class JointIndependenceVerdict(NamedTuple):
     """Both sides of the equivalence on positive tables:
     (sufficiency and separation)  iff  A independent of the (Y, R) pair."""
 
@@ -91,37 +87,42 @@ class JointIndependenceVerdict:
     ci_deviation: Fraction
 
 
-@dataclass(frozen=True)
-class BreakWitness:
+class BreakWitness(
+    namedtuple(
+        "BreakWitness",
+        "increment before after accuracy_delta broken sufficiency_after separation_after",
+    )
+):
     """An increment that strictly increases accuracy in every shifted group
     yet breaks measures that held before."""
 
-    increment: Increment
-    before: GroupedConfusion
-    after: GroupedConfusion
-    accuracy_delta: Mapping[str, Fraction]
-    broken: tuple[str, ...]
-    sufficiency_after: MeasureVerdict
-    separation_after: MeasureVerdict
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "accuracy_delta", dict(self.accuracy_delta))
-        object.__setattr__(self, "broken", tuple(self.broken))
+    def __new__(
+        cls, increment: Increment, before: GroupedConfusion, after: GroupedConfusion,
+        accuracy_delta: Mapping[str, Fraction], broken: Iterable[str],
+        sufficiency_after: MeasureVerdict, separation_after: MeasureVerdict,
+    ) -> BreakWitness:
+        fields = (dict(accuracy_delta), tuple(broken), sufficiency_after, separation_after)
+        return super().__new__(cls, increment, before, after, *fields)
 
 
-@dataclass(frozen=True)
-class ProportionalPreservationReport:
+class ProportionalPreservationReport(
+    namedtuple(
+        "ProportionalPreservationReport",
+        "multipliers increment after sufficiency separation preserved",
+    )
+):
     """Result of applying FN-to-TP shifts proportional to group multipliers."""
 
-    multipliers: Mapping[str, int]
-    increment: Increment
-    after: GroupedConfusion
-    sufficiency: MeasureVerdict
-    separation: MeasureVerdict
-    preserved: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "multipliers", dict(self.multipliers))
+    def __new__(
+        cls, multipliers: Mapping[str, int], increment: Increment, after: GroupedConfusion,
+        sufficiency: MeasureVerdict, separation: MeasureVerdict, preserved: bool,
+    ) -> ProportionalPreservationReport:
+        fields = (dict(multipliers), increment, after, sufficiency, separation, preserved)
+        return super().__new__(cls, *fields)
 
 
 # ---------------------------------------------------------------------------

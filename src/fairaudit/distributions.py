@@ -15,16 +15,17 @@ satisfied instead of dividing by zero. It is homogeneous of degree 2 in the
 weights, so it is computed on the integer weights, summed in one pass into
 flat lists indexed by the positions of the (given, left, right) values, and
 divided once by the squared denominator. Given values take positions in order
-of first appearance, so a sparse table over a large given domain costs only
-its own cells.
+of first appearance, so a call costs the table's cells plus ng·|L|·|R| sums for
+the ng given values the table holds and the left and right domains L and R.
 
 A joint's cells are checked once, where it enters the library: the public
 constructor checks every key and weight, while the joints derived from valid
 parts (marginals, mapped, composed, generated and count joints) are built by
 :meth:`FiniteJoint.from_valid`, which checks only the variables and the mass.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+All values are immutable after construction (a joint refuses assignment; maps
+and verdicts are named tuples) and every operation is a pure function, so
+everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -51,7 +52,6 @@ VACUOUS = "vacuous"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiniteJoint:
     """Joint distribution over named variables with finite domains.
 
@@ -59,20 +59,31 @@ class FiniteJoint:
     domain label per variable, in declaration order. Assignments missing
     from ``table`` carry zero mass. Weights are non-negative integers, not
     all zero; a cell's mass is its weight over ``denominator``, the sum of
-    the weights, which is set at construction.
+    the weights, which is set at construction. Immutable; compared by value.
     """
 
-    variables: tuple[tuple[str, tuple[str, ...]], ...]
-    table: Mapping[tuple[str, ...], int]
-    denominator: int = field(init=False)
-    #: Variable name -> its position in ``variables``.
-    _positions: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    #: Per variable, in order: domain label -> its position in the domain.
-    _labels: tuple[Mapping[str, int], ...] = field(init=False, repr=False, compare=False)
+    # _positions: variable name -> its position in ``variables``; _labels: per
+    # variable, in order, domain label -> its position in the domain.
+    __slots__ = ("variables", "table", "denominator", "_positions", "_labels")
 
-    def __post_init__(self) -> None:
-        variables = tuple((name, tuple(domain)) for name, domain in self.variables)
-        self._settle(variables, dict(self.table), check_cells=True)
+    def __init__(
+        self, variables: Iterable[tuple[str, Iterable[str]]], table: Mapping[tuple[str, ...], int]
+    ) -> None:
+        variables = tuple((name, tuple(domain)) for name, domain in variables)
+        self._settle(variables, dict(table), check_cells=True)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.variables, self.table) == (other.variables, other.table)
+
+    def __repr__(self) -> str:
+        return f"FiniteJoint(variables={self.variables!r}, table={self.table!r})"
 
     @classmethod
     def from_valid(
@@ -108,11 +119,8 @@ class FiniteJoint:
         denominator = sum(table.values())
         if denominator == 0:
             raise InputError("joint has no mass: every weight is 0")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "_labels", labels)
+        for name, value in zip(self.__slots__, (variables, table, denominator, positions, labels)):
+            object.__setattr__(self, name, value)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -143,21 +151,18 @@ class FiniteJoint:
         return Fraction(weight, self.denominator)
 
 
-@dataclass(frozen=True)
-class DeterministicMap:
+class DeterministicMap(namedtuple("DeterministicMap", "source target mapping")):
     """A total function between variable domains, used as the ``h`` of the
     functional conditional-independence properties (``U = h(X)``)."""
 
-    source: str
-    target: str
-    mapping: Mapping[str, str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.mapping:
+    def __new__(cls, source: str, target: str, mapping: Mapping[str, str]) -> DeterministicMap:
+        if not mapping:
             raise InputError("mapping must be nonempty")
-        if self.source == self.target:
+        if source == target:
             raise InputError("source and target must be distinct variable names")
-        object.__setattr__(self, "mapping", dict(self.mapping))
+        return super().__new__(cls, source, target, dict(mapping))
 
     def __call__(self, value: str) -> str:
         try:
@@ -168,21 +173,20 @@ class DeterministicMap:
             ) from None
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(namedtuple("PropertyVerdict", "status premises conclusions")):
     """Outcome of checking one conditional-independence property.
 
     ``status`` is ``"vacuous"`` when the premises fail within eps; in that
     case no conclusion is asserted and ``conclusions`` is empty.
     """
 
-    status: str
-    premises: Mapping[str, Fraction] = field(default_factory=dict)
-    conclusions: Mapping[str, Fraction] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "premises", dict(self.premises))
-        object.__setattr__(self, "conclusions", dict(self.conclusions))
+    def __new__(
+        cls, status: str, premises: Mapping[str, Fraction] = {},
+        conclusions: Mapping[str, Fraction] = {},
+    ) -> PropertyVerdict:
+        return super().__new__(cls, status, dict(premises), dict(conclusions))
 
 
 # ---------------------------------------------------------------------------

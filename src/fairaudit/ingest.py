@@ -8,8 +8,7 @@ and checks nothing again (``Dataset.from_records`` validates hand-built ones).
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Any, Iterator
 
 from .confusion import Dataset, GroupedConfusion, Record
@@ -20,34 +19,34 @@ DEFAULT_POSITIVE = ("1", "true", "yes", "+", "positive")
 DEFAULT_NEGATIVE = ("0", "false", "no", "-", "negative")
 
 
-@dataclass(frozen=True)
-class CsvSchema:
+class CsvSchema(namedtuple("CsvSchema", "positive_labels negative_labels groups")):
     """Label encodings and (optionally) the declared group universe.
 
     Encodings are stored stripped and lower-cased, as cells are read, so
     matching is case- and space-insensitive.
     """
 
-    positive_labels: tuple[str, ...] = DEFAULT_POSITIVE
-    negative_labels: tuple[str, ...] = DEFAULT_NEGATIVE
-    groups: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for option in ("positive_labels", "negative_labels"):
-            labels = tuple(label.strip().lower() for label in getattr(self, option))
-            object.__setattr__(self, option, labels)
-        if not all(self.positive_labels + self.negative_labels):
+    def __new__(
+        cls, positive_labels: tuple[str, ...] = DEFAULT_POSITIVE,
+        negative_labels: tuple[str, ...] = DEFAULT_NEGATIVE, groups: tuple[str, ...] | None = None,
+    ) -> CsvSchema:
+        positive_labels = tuple(label.strip().lower() for label in positive_labels)
+        negative_labels = tuple(label.strip().lower() for label in negative_labels)
+        if not all(positive_labels + negative_labels):
             raise InputError("label encodings must be nonempty (an empty one matches empty cells)")
-        if self.groups is not None and not all(label.strip() for label in self.groups):
+        if groups is not None and not all(label.strip() for label in groups):
             raise InputError("--groups lists an empty label, which no record's group can match")
-        if self.groups is not None and len(set(self.groups)) != len(self.groups):
+        if groups is not None and len(set(groups)) != len(groups):
             raise InputError("declared groups repeat a label")
-        shared = sorted(set(self.positive_labels) & set(self.negative_labels))
+        shared = sorted(set(positive_labels) & set(negative_labels))
         if shared:
             raise InputError(
                 f"label encoding(s) {', '.join(map(repr, shared))} "
                 "listed as both positive and negative"
             )
+        return super().__new__(cls, positive_labels, negative_labels, groups)
 
 
 #: One validated data row: id, group, true label, prediction, optional score.

@@ -22,7 +22,7 @@ verdict holds when it is within ``eps``. Any undefined constituent rate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping
 
@@ -43,8 +43,9 @@ _COMPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class MeasureVerdict:
+class MeasureVerdict(
+    namedtuple("MeasureVerdict", "measure disparity component_gaps holds witnesses eps")
+):
     """Result of evaluating one fairness measure.
 
     ``disparity`` is the maximum over the component gaps, or ``None`` when the
@@ -52,15 +53,14 @@ class MeasureVerdict:
     the maximum gap.
     """
 
-    measure: str
-    disparity: Fraction | None
-    component_gaps: Mapping[str, Fraction | None]
-    holds: bool | None
-    witnesses: tuple[str, str] | None
-    eps: float = EPS_DEFAULT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "component_gaps", dict(self.component_gaps))
+    def __new__(
+        cls, measure: str, disparity: Fraction | None,
+        component_gaps: Mapping[str, Fraction | None], holds: bool | None,
+        witnesses: tuple[str, str] | None, eps: float = EPS_DEFAULT,
+    ) -> MeasureVerdict:
+        return super().__new__(cls, measure, disparity, dict(component_gaps), holds, witnesses, eps)
 
     @property
     def comparable(self) -> bool:
@@ -130,7 +130,7 @@ def evaluate_measure(
 ) -> MeasureVerdict:
     """Evaluate a measure by comparing exact per-group rates."""
     rates = {
-        label: {group: RATES[rate](m.a, m.b, m.c, m.d) for group, m in g.matrices.items()}
+        label: {group: RATES[rate](*m) for group, m in g.matrices.items()}
         for label, rate in _components(measure).items()
     }
     return _rate_verdict(measure, rates, eps)

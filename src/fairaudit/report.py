@@ -13,10 +13,10 @@ fractions with 6-decimal floats alongside.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .adversary import ReservoirAttackResult, ReservoirPlan
@@ -92,13 +92,12 @@ def increment_text(inc: Increment) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command results. A field fixed with ``init=False`` names the command in its
-# JSON: ``attack``, ``command`` or ``demo``.
+# Command results. A fixed last field names the command in its JSON:
+# ``attack``, ``command`` or ``demo``.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BreakSearch:
+class BreakSearch(NamedTuple):
     """A break search's witness (``None`` if none was found), or why it was skipped."""
 
     budget: int
@@ -106,32 +105,31 @@ class BreakSearch:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class Counterexample(BreakSearch):
-    command: str = field(default="counterexample", init=False)
+class Counterexample(NamedTuple):
+    """The break search of ``counterexample``: a :class:`BreakSearch` that names its command."""
+
+    budget: int
+    witness: BreakWitness | None
+    note: str | None = None
+    command: str = "counterexample"
 
 
-@dataclass(frozen=True)
-class Demo:
+class Demo(namedtuple("Demo", "before increment after highlights demo")):
     """``highlights``: the rates and gaps that show sufficiency and separation breaking."""
 
-    before: FairnessReport
-    increment: Increment
-    after: FairnessReport
-    highlights: dict[str, Any] = field(init=False)
-    demo: str = field(default="accuracy increment breaking sufficiency and separation", init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        g, (_, suff, sep) = self.after.grouped, self.after.verdicts
+    def __new__(cls, before: FairnessReport, increment: Increment, after: FairnessReport) -> Demo:
+        g, (_, suff, sep) = after.grouped, after.verdicts
         highlights: dict[str, Any] = {"fpr_gap": sep.component_gaps["fpr_gap"]}
         for rate, verdict in (("ppv", suff), ("fnr", sep)):
             highlights[rate] = {group: getattr(g[group], rate) for group in g.groups}
             highlights[f"{rate}_gap"] = verdict.component_gaps[f"{rate}_gap"]
-        object.__setattr__(self, "highlights", highlights)
+        demo = "accuracy increment breaking sufficiency and separation"
+        return super().__new__(cls, before, increment, after, highlights, demo)
 
 
-@dataclass(frozen=True)
-class LipschitzCheck:
+class LipschitzCheck(NamedTuple):
     """The ``violations`` rows are a list, which :func:`jsonable` leaves for :func:`render`."""
 
     scale: float
@@ -140,8 +138,7 @@ class LipschitzCheck:
     swapped_pair_flagged: bool
 
 
-@dataclass(frozen=True)
-class SwapAudit:
+class SwapAudit(NamedTuple):
     group: str
     swapped_pair: tuple[str, str]
     score_gap: float
@@ -149,38 +146,39 @@ class SwapAudit:
     matrices: GroupedConfusion
     verdicts_after: dict[str, MeasureVerdict]
     lipschitz: LipschitzCheck
-    attack: str = field(default="swap", init=False)
+    attack: str = "swap"
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     instances: int
     failures: int
 
 
-@dataclass(frozen=True)
-class CISuite(Suite):
+class CISuite(NamedTuple):
+    instances: int
+    failures: int
     non_vacuous: int
     vacuous: int
 
 
-@dataclass(frozen=True)
-class FlooredCISuite(CISuite):
+class FlooredCISuite(NamedTuple):
+    instances: int
+    failures: int
+    non_vacuous: int
+    vacuous: int
     positivity_floor: float
 
 
-@dataclass(frozen=True)
-class JointIndependenceSuites:
+class JointIndependenceSuites(NamedTuple):
     proportional: Suite
     nonproportional: Suite
 
 
-@dataclass(frozen=True)
-class PropertySuites:
+class PropertySuites(NamedTuple):
     seed: int
     count: int
     eps: float
-    ci_properties: dict[str, CISuite]
+    ci_properties: dict[str, CISuite | FlooredCISuite]
     perfect_predictor: Suite
     joint_independence: JointIndependenceSuites
     failures_total: int
@@ -197,10 +195,13 @@ _RECORDS = (
     JointIndependenceVerdict,
     BreakWitness,
     BreakSearch,
+    Counterexample,
     Demo,
     LipschitzCheck,
     SwapAudit,
     Suite,
+    CISuite,
+    FlooredCISuite,
     JointIndependenceSuites,
     PropertySuites,
 )
@@ -218,7 +219,7 @@ def jsonable(x: Any) -> Any:
     if isinstance(x, FairnessReport):
         return x.payload()
     if isinstance(x, _RECORDS):
-        out = {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
+        out = {name: jsonable(value) for name, value in zip(x._fields, x)}
         if isinstance(x, MeasureVerdict):
             out["status"] = verdict_status(x)
         return out
@@ -274,8 +275,7 @@ def render(payload: Mapping[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(NamedTuple):
     """Everything an audit run produces, ready to serialize."""
 
     eps: float
@@ -377,7 +377,7 @@ def break_payload(search: BreakSearch) -> dict[str, Any]:
     return jsonable(search)
 
 
-def break_text(search: BreakSearch) -> list[str]:
+def break_text(search: BreakSearch | Counterexample) -> list[str]:
     lines = [f"accuracy-increment break search (budget = {search.budget})"]
     witness = search.witness
     if search.note is not None:
@@ -485,7 +485,7 @@ def render_text(result: Any) -> str:
     if isinstance(result, FairnessReport):
         return result.text()
     renderers = (
-        (BreakSearch, break_text),
+        ((BreakSearch, Counterexample), break_text),
         (Demo, demo_text),
         (ReservoirAttackResult, reservoir_text),
         (SwapAudit, swap_text),

@@ -6,7 +6,6 @@ the reference: the bounded-composition version must yield the identical
 sequence of increments, and ``find_break`` the identical witness.
 """
 
-import dataclasses
 import itertools
 import random
 from typing import Iterator
@@ -136,7 +135,7 @@ class TestOracle:
         # Identical groups satisfy both measures whenever their rates are
         # defined, so find_break walks the candidates; a zero b or c leaves
         # one direction per group, and b = c = 0 leaves none.
-        m = dataclasses.replace(m, **{zeroed: 0})
+        m = m._replace(**{zeroed: 0})
         g = GroupedConfusion({f"g{i}": m for i in range(groups)})
         assert_same_search(g, budget)
 

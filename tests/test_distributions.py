@@ -142,11 +142,11 @@ class TestDerivedJoints:
             FiniteJoint.from_valid((("X", BIN),), {("0",): 0})
 
     def test_check_props_builds_no_joint_through_the_public_constructor(self, monkeypatch):
-        def refused(self):
-            raise AssertionError("FiniteJoint.__post_init__ was called")
+        def refused(self, *args, **kwargs):
+            raise AssertionError("FiniteJoint.__init__ was called")
 
         out = io.StringIO()
-        monkeypatch.setattr(FiniteJoint, "__post_init__", refused)
+        monkeypatch.setattr(FiniteJoint, "__init__", refused)
         with redirect_stdout(out):
             code = cli.main(["check-props", "--count", "20", "--format", "json"])
         assert code == 0

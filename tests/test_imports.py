@@ -6,12 +6,17 @@ use the public function that does the same job, or the name should be made
 public. The package imports nothing outside the standard library and
 itself. ``report`` is the only module that imports ``json``, so results
 reach JSON along one path; ``ingest`` is the only one that imports ``csv``,
-and ``cli`` imports neither, so it holds no parsing and no output format. And ``fairaudit.__all__`` lists each name once,
-every listed name resolves, and every public name the package root imports
-is listed, so a deletion cannot leave a dangling export.
+and ``cli`` imports neither, so it holds no parsing and no output format. No
+module imports ``dataclasses``, and starting the CLI loads neither it nor
+``inspect``, which would add a few milliseconds to every run's start-up. And
+``fairaudit.__all__`` lists each name once, every listed name resolves, and
+every public name the package root imports is listed, so a deletion cannot
+leave a dangling export.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -129,6 +134,19 @@ def test_only_ingest_imports_csv():
 def test_cli_imports_neither_csv_nor_json():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert package_imports(source, "csv") + package_imports(source, "json") == []
+
+
+def test_no_module_imports_dataclasses():
+    assert importers_of("dataclasses") == []
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, fairaudit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_the_check_sees_csv_apart_from_lookalikes():

@@ -120,7 +120,7 @@ FIXED_EPS = (0.0, EPS_DEFAULT, 0.05, math.inf, NAN)
 
 def fields(v: MeasureVerdict) -> list:
     """The verdict's field values; a list compares a nan eps to itself by identity."""
-    return list(vars(v).values())
+    return list(v)
 
 
 def assert_matches_oracle(g: GroupedConfusion, eps_values=FIXED_EPS) -> None:
