@@ -117,6 +117,9 @@ class GroupedConfusion:
     def __repr__(self) -> str:
         return f"GroupedConfusion(matrices={self.matrices!r}, empty_groups={self.empty_groups!r})"
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self.matrices, self.empty_groups)
+
     @classmethod
     def from_counts(
         cls, counts: Mapping[tuple[str, bool, bool], int], groups: Sequence[str] | None = None
@@ -200,6 +203,9 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(records={self.records!r}, groups={self.groups!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.records, self.groups)
 
     @classmethod
     def from_records(

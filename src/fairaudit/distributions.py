@@ -85,6 +85,9 @@ class FiniteJoint:
     def __repr__(self) -> str:
         return f"FiniteJoint(variables={self.variables!r}, table={self.table!r})"
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self.variables, self.table)
+
     @classmethod
     def from_valid(
         cls, variables: tuple[tuple[str, tuple[str, ...]], ...], table: dict[tuple[str, ...], int]

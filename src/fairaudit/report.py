@@ -128,6 +128,9 @@ class Demo(namedtuple("Demo", "before increment after highlights demo")):
         demo = "accuracy increment breaking sufficiency and separation"
         return super().__new__(cls, before, increment, after, highlights, demo)
 
+    def __getnewargs__(self) -> tuple:
+        return self.before, self.increment, self.after
+
 
 class LipschitzCheck(NamedTuple):
     """The ``violations`` rows are a list, which :func:`jsonable` leaves for :func:`render`."""

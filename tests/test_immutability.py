@@ -2,6 +2,7 @@
 ``report`` is immutable and compared by value: assigning or deleting a field
 and adding an attribute raise ``AttributeError``, and an instance rebuilt from
 the same arguments is equal, with an equal hash where every field is hashable.
+Copies, deep copies and pickled round trips are equal too.
 
 Each instance is built twice from the same arguments, which come from the
 library's own results on the CLI's demo table and a seeded scored dataset.
@@ -9,6 +10,8 @@ library's own results on the CLI's demo table and a seeded scored dataset.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from typing import Any
@@ -133,6 +136,7 @@ def test_immutable_and_compared_by_value(kind: type) -> None:
         x.extra = 1
     rebuilt = kind(*ARGUMENTS[kind])
     assert rebuilt == x and not rebuilt != x
+    assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
     try:
         hash(tuple(getattr(x, name) for name in fields(x)))
     except TypeError:
