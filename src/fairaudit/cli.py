@@ -83,11 +83,9 @@ DEMO_BEFORE = {
 def _schema_from_args(args: argparse.Namespace) -> CsvSchema:
     """The schema of the options given; an empty value reaches ``CsvSchema``."""
     kwargs: dict[str, Any] = {}
-    for option in ("positive_labels", "negative_labels"):
+    for option in ("positive_labels", "negative_labels", "groups"):
         if getattr(args, option) is not None:
             kwargs[option] = tuple(getattr(args, option).split(","))
-    if args.groups is not None:
-        kwargs["groups"] = tuple(label.strip() for label in args.groups.split(","))
     return CsvSchema(**kwargs)
 
 

@@ -211,8 +211,8 @@ _RECORDS = (
 
 
 def jsonable(x: Any) -> Any:
-    """The JSON value of a result, as the module docstring lists; dicts and
-    tuples are converted element by element, anything else is returned as is."""
+    """The JSON value of a result, as the module docstring lists: dicts and tuples
+    element by element, an unlisted named tuple a ``TypeError``, anything else as is."""
     if isinstance(x, Fraction):
         return {"exact": str(x), "value": float(x)}
     if isinstance(x, GroupedConfusion):
@@ -226,6 +226,8 @@ def jsonable(x: Any) -> Any:
         if isinstance(x, MeasureVerdict):
             out["status"] = verdict_status(x)
         return out
+    if hasattr(x, "_fields"):
+        raise TypeError(f"{type(x).__name__} is a named tuple but not a result jsonable lists")
     if isinstance(x, dict):
         return {key: jsonable(value) for key, value in x.items()}
     if isinstance(x, tuple):

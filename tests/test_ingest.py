@@ -14,7 +14,10 @@ the oracle let the csv module's own error through, ingest now raises that
 error's message as an ``InputError`` with the file and line. A declared
 universe that repeats a label is the one deliberate difference: the oracle
 found it only after reading the whole file, and only if no row failed first;
-``CsvSchema`` now refuses it before the file is opened.
+``CsvSchema`` now refuses it before the file is opened. Declared group labels
+are the other: ``CsvSchema`` strips them, as it strips encodings and as the
+CLI always did, where the oracle kept them as given, so that a label declared
+with surrounding space matched no row and ``("a", " a")`` passed as two labels.
 """
 
 from __future__ import annotations
@@ -365,6 +368,91 @@ def test_error_cases_match_oracle(
 ) -> None:
     kind, message = assert_matches_oracle(write(text, tmp_path), groups)
     assert kind == "error" and expected in message
+
+
+# ---------------------------------------------------------------------------
+# Each raw (group, y_true, y_pred) triple is checked once
+# ---------------------------------------------------------------------------
+
+#: 500 valid rows in three groups, with labels spelled five ways.
+MANY = "".join(
+    f"r{i},{('p', ' q ', 'g0')[i % 3]},{('Yes', ' no ', '1')[i % 4 % 3]},{('0', 'TRUE')[i % 2]},\n"
+    for i in range(500)
+)
+
+
+@pytest.mark.parametrize("groups", (None, ("p", "q", "g0"), ("g0", "q", "unused", "p")))
+@pytest.mark.parametrize(
+    "body, expected, undeclared",
+    [
+        # A triple seen valid, then a failing row, then the same triple again.
+        ("a,p,1,0,\nb,p,1,maybe,\nc,p,1,0,\n", ":3: cannot parse y_pred='maybe'", None),
+        ("a,p,1,0,\nb,p,nope,0,\nc,p,1,0,\n", ":3: cannot parse y_true='nope'", None),
+        ("a,p,1,0,\na,p,1,0,\nc,p,1,0,\n", ":3: duplicate id 'a'", None),
+        ("a,p,1,0,\nb,p,1,0,2\nc,p,1,0,\n", ":3: score for 'b' must lie", None),
+        ("a,p,1,0,\nb, ,1,0,\nc,p,1,0,\n", ":3: empty group", None),
+        ("a,p,1,0,\nb,t,1,0,\nc,p,1,0,\n", ":3: group 't' not among", "ok"),
+        # The failing row spells a seen triple's cells anew.
+        ("a,p,1,0,\nb, p ,1,x,\nc,p,1,0,\n", ":3: cannot parse y_pred='x'", None),
+        # A bad spelling that first appears after many valid rows.
+        (MANY + "z,p,Yes,nope,\n", ":502: cannot parse y_pred='nope'", None),
+        (MANY + "z, q ,Yse,0,\n", ":502: cannot parse y_true='Yse'", None),
+        (MANY + "z,r,1,0,\n", ":502: group 'r' not among", "ok"),
+        (MANY + "z,g0,1,0,7\n", ":502: score for 'z' must lie", None),
+        # Raw spellings that normalise to the same key.
+        ("a,p,Yes,YES,\nb,p, yes ,yes,\nc,p,YES, Yes ,\nd,p,yes,YES,\n", "ok", None),
+        ("a,g0,1,0,\nb, g0 ,1,0,\nc,g0 ,1,0,\nd,\tg0,1,0,\n", "ok", None),
+        ("a, g0 ,Yes,no,\nb,g0,YES,NO,\nc, g0 , yes , no ,\nd,q,Yes,no,\n", "ok", None),
+    ],
+)
+def test_each_triple_is_checked_once(
+    tmp_path: Path,
+    body: str,
+    expected: str,
+    undeclared: str | None,
+    groups: tuple[str, ...] | None,
+) -> None:
+    # ``undeclared`` is the outcome with no groups declared, where it differs.
+    path = write("id,group,y_true,y_pred,score\n" + body, tmp_path)
+    kind, value = assert_matches_oracle(path, groups)
+    if groups is None and undeclared is not None:
+        expected = undeclared
+    if expected == "ok":
+        assert kind == "ok"
+    else:
+        assert kind == "error" and f"{path}{expected}" in value
+
+
+def test_declared_groups_are_stripped(tmp_path: Path) -> None:
+    path = write("id,group,y_true,y_pred\na,a,1,1\nb, b ,0,1\nc,c,1,0\n", tmp_path)
+    schema = CsvSchema(groups=(" a", "b ", "\tc"))
+    assert schema.groups == ("a", "b", "c")
+    cells = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    matrices = [(group, ConfusionMatrix(*cell)) for group, cell in zip("abc", cells)]
+    assert counted(ingest_counts(path, schema)) == (matrices, ())
+    assert rows_of(ingest_csv(path, schema).records) == [
+        ("a", "a", True, True, None),
+        ("b", "b", False, True, None),
+        ("c", "c", True, False, None),
+    ]
+    # The oracle kept the labels as given, so no row of group a matched.
+    assert oracle_outcome(path, (" a", "b ", "\tc")) == (
+        "error",
+        f"InputError: {path}:2: group 'a' not among declared groups (' a', 'b ', '\\tc')",
+    )
+    with pytest.raises(InputError, match=r":4: group 'c' not among declared groups \('a', 'b'\)"):
+        ingest_counts(path, CsvSchema(groups=("a ", " b")))
+    with pytest.raises(InputError, match="declared groups repeat a label"):
+        CsvSchema(groups=("a", " a"))
+    with pytest.raises(InputError, match="empty label"):
+        CsvSchema(groups=("a", " "))
+    # The CLI stripped --groups itself before; its output is unchanged.
+    outputs = []
+    for groups in ("a,b,c", " a, b ,c\t"):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            outputs.append((main(["audit", path, "--groups", groups]), out.getvalue()))
+    assert outputs[0] == outputs[1] and outputs[0][0] in (0, 1)
 
 
 def test_declared_order_and_empty_groups(tmp_path: Path) -> None:

@@ -39,7 +39,9 @@ from fairaudit.conservativeness import (
     check_joint_independence_iff,
     find_break,
 )
+from fairaudit.distributions import PropertyVerdict
 from fairaudit.errors import Infeasible, PreconditionError
+from fairaudit.ingest import CsvSchema
 from fairaudit.measures import MeasureVerdict, independence, separation, sufficiency
 from fairaudit.report import (
     STATS,
@@ -354,6 +356,15 @@ def test_render_still_rejects_a_result_object() -> None:
     assert jsonable(ds) is ds
     with pytest.raises(TypeError, match="Dataset"):
         render({**header(EPS), "dataset": jsonable(ds)})
+    # A named tuple is a tuple, which JSON would write as a bare array of its
+    # values; one that is not a listed result is refused instead, also nested.
+    unlisted = (PropertyVerdict("vacuous", ()), ds.records[0], CsvSchema(groups=("p",)))
+    for result in unlisted:
+        name = type(result).__name__
+        with pytest.raises(TypeError, match=name):
+            jsonable(result)
+        with pytest.raises(TypeError, match=name):
+            jsonable({"results": (1, result)})
 
 
 def test_swap_rows_stay_rows_for_render() -> None:
