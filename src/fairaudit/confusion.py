@@ -176,36 +176,13 @@ class Record(NamedTuple):
     score: float | None = None
 
 
-class Dataset:
+class Dataset(NamedTuple):
     """Records plus the declared group universe, held as given; ``None``
     declares none, and :func:`tabulate` then takes the records' groups in
-    order of first appearance. :meth:`from_records` validates records.
-    Immutable; compared by value; not a tuple, which JSON would write as an array."""
+    order of first appearance. :meth:`from_records` validates records."""
 
-    __slots__ = ("records", "groups")
-
-    def __init__(self, records: tuple[Record, ...], groups: tuple[str, ...] | None = None) -> None:
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "groups", groups)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.records, self.groups) == (other.records, other.groups)
-
-    def __hash__(self) -> int:
-        return hash((self.records, self.groups))
-
-    def __repr__(self) -> str:
-        return f"Dataset(records={self.records!r}, groups={self.groups!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.records, self.groups)
+    records: tuple[Record, ...]
+    groups: tuple[str, ...] | None = None
 
     @classmethod
     def from_records(

@@ -14,15 +14,16 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .confusion import ConfusionMatrix, GroupedConfusion, is_positive, to_joint
-from .distributions import EPS_DEFAULT, ci_deviation
+from .distributions import EPS_DEFAULT, ci_deviation, within
 from .errors import InputError, PreconditionError
 from .measures import (
     SEPARATION,
     SUFFICIENCY,
     MeasureVerdict,
+    cells_hold,
     independence,
     separation,
     sufficiency,
@@ -175,7 +176,7 @@ def check_joint_independence_iff(
         )
     suff_and_sep = bool(sufficiency(g, eps).holds) and bool(separation(g, eps).holds)
     deviation = ci_deviation(to_joint(g), "A", ("Y", "R"))
-    joint_independent = deviation <= eps
+    joint_independent = bool(within(deviation.numerator, deviation.denominator, eps))
     return JointIndependenceVerdict(
         suff_and_sep=suff_and_sep,
         joint_independent=joint_independent,
@@ -189,29 +190,26 @@ def check_joint_independence_iff(
 # ---------------------------------------------------------------------------
 
 
+def _shifted(m: Sequence[int], direction: str, count: int) -> tuple[int, int, int, int]:
+    """Cells ``(a, b, c, d)`` after moving ``count`` records of a group:
+    FN to TP moves them from c to a, FP to TN from b to d."""
+    a, b, c, d = m
+    return (a + count, b, c - count, d) if direction == FN_TO_TP else (a, b - count, c, d + count)
+
+
 def apply_increment(g: GroupedConfusion, inc: Increment) -> GroupedConfusion:
     """Shift error-cell records to the matching true cell per group.
 
-    FN to TP moves k from c to a; FP to TN moves k from b to d. Group sizes
-    never change and accuracy strictly increases in every shifted group.
+    Group sizes never change and accuracy strictly increases in every
+    shifted group.
     """
     updated = dict(g.matrices)
-    for shift in inc.shifts:
-        m = g[shift.group]
-        if shift.count == 0:
-            continue
-        if shift.direction == FN_TO_TP:
-            if shift.count > m.c:
-                raise InputError(
-                    f"group {shift.group!r}: cannot shift {shift.count} of {m.c} false negatives"
-                )
-            updated[shift.group] = ConfusionMatrix(m.a + shift.count, m.b, m.c - shift.count, m.d)
-        else:
-            if shift.count > m.b:
-                raise InputError(
-                    f"group {shift.group!r}: cannot shift {shift.count} of {m.b} false positives"
-                )
-            updated[shift.group] = ConfusionMatrix(m.a, m.b - shift.count, m.c, m.d + shift.count)
+    for group, direction, count in inc.shifts:
+        m = g[group]
+        source, kind = (m.c, "negatives") if direction == FN_TO_TP else (m.b, "positives")
+        if count > source:
+            raise InputError(f"group {group!r}: cannot shift {count} of {source} false {kind}")
+        updated[group] = ConfusionMatrix(*_shifted(m, direction, count))
     return GroupedConfusion(updated, g.empty_groups)
 
 
@@ -251,31 +249,29 @@ def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[i
             return
 
 
-def _candidate_increments(g: GroupedConfusion, budget: int) -> Iterator[Increment]:
-    """Feasible increments that shift every group, in deterministic order:
-    smallest total shift first, then count vectors in lexicographic order by
-    group, then FN-to-TP before FP-to-TN per group.
+def _candidate_increments(
+    g: GroupedConfusion, budget: int
+) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
+    """Feasible increments that shift every group, as their counts and
+    directions in group order, in deterministic order: smallest total shift
+    first, then count vectors in lexicographic order by group, then FN-to-TP
+    before FP-to-TN per group.
 
     A group's count can be at most ``max(b, c)``, its cap: a larger count
     has no feasible direction. Only count vectors within the caps are
     generated, so the cost follows the feasible candidates, not budget^m,
     and totals above the sum of the caps are never visited.
     """
-    groups = g.groups
-    matrices = [g[group] for group in groups]
+    matrices = list(g.matrices.values())
     caps = tuple(max(m.b, m.c) for m in matrices)
     for total in range(len(caps), min(budget, sum(caps)) + 1):
         for counts in _bounded_compositions(total, caps):
             choices = [
-                [
-                    GroupShift(group, direction, count)
-                    for direction, source in ((FN_TO_TP, m.c), (FP_TO_TN, m.b))
-                    if count <= source
-                ]
-                for group, m, count in zip(groups, matrices, counts)
+                [way for way, source in ((FN_TO_TP, m.c), (FP_TO_TN, m.b)) if count <= source]
+                for m, count in zip(matrices, counts)
             ]
-            for shifts in itertools.product(*choices):
-                yield Increment(shifts)
+            for directions in itertools.product(*choices):
+                yield counts, directions
 
 
 def find_break(
@@ -288,7 +284,8 @@ def find_break(
     construction the measures are known to be vulnerable to) and are
     enumerated deterministically; the first breaking increment is returned,
     or ``None`` when no feasible increment within ``budget`` breaks either
-    measure.
+    measure. Each candidate is decided on its shifted cells, and only the
+    first breaking one is built into a witness.
     """
     failing = [
         verdict.measure
@@ -299,16 +296,15 @@ def find_break(
         raise PreconditionError(
             f"measures must hold before searching: {', '.join(failing)} did not"
         )
-    for increment in _candidate_increments(g, budget):
-        after = apply_increment(g, increment)
-        suff_after = sufficiency(after, eps)
-        sep_after = separation(after, eps)
+    matrices = list(g.matrices.values())
+    for counts, directions in _candidate_increments(g, budget):
+        cells = list(map(_shifted, matrices, directions, counts))
         broken = tuple(
-            name
-            for name, verdict in ((SUFFICIENCY, suff_after), (SEPARATION, sep_after))
-            if verdict.holds is False
+            name for name in (SUFFICIENCY, SEPARATION) if cells_hold(name, cells, eps) is False
         )
         if broken:
+            increment = Increment(map(GroupShift, g.groups, directions, counts))
+            after = apply_increment(g, increment)
             deltas = {
                 group: after[group].accuracy - g[group].accuracy for group in g.groups
             }
@@ -318,8 +314,8 @@ def find_break(
                 after=after,
                 accuracy_delta=deltas,
                 broken=broken,
-                sufficiency_after=suff_after,
-                separation_after=sep_after,
+                sufficiency_after=sufficiency(after, eps),
+                separation_after=separation(after, eps),
             )
     return None
 

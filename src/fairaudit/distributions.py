@@ -23,6 +23,10 @@ constructor checks every key and weight, while the joints derived from valid
 parts (marginals, mapped, composed, generated and count joints) are built by
 :meth:`FiniteJoint.from_valid`, which checks only the variables and the mass.
 
+Every tolerance test is :func:`within`: ``part / whole`` is within eps when
+it is at most eps's exact binary value, decided on integers; an infinite eps
+admits every value, and a nan eps leaves each one neither within nor above.
+
 All values are immutable after construction (a joint refuses assignment; maps
 and verdicts are named tuples) and every operation is a pure function, so
 everything here is safe to share across threads.
@@ -45,6 +49,14 @@ EPS_DEFAULT = 1e-9
 PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
+
+
+def within(part: int, whole: int, eps: float) -> bool | None:
+    """Whether ``part / whole`` (``whole > 0``) is within eps; ``None`` at a nan eps."""
+    if math.isfinite(eps):
+        num, den = eps.as_integer_ratio()
+        return part * den <= num * whole
+    return None if math.isnan(eps) else eps > 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +410,14 @@ def check_ci_property(
     Returns a vacuous verdict when the premises fail within ``eps``; a
     vacuous premise asserts nothing and is distinct from a failure.
     """
-    # Fraction(eps) is exact, so comparing with it gives what comparing with
-    # eps would, without converting eps on every comparison; inf and nan
-    # have no Fraction and stay floats.
-    limit = Fraction(eps) if math.isfinite(eps) else eps
+
+    def fits(dev: Fraction) -> bool | None:
+        return within(*dev.as_integer_ratio(), eps)
+
     if k == 1:
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
-        if premise > limit:
+        if fits(premise) is False:
             return PropertyVerdict(VACUOUS, premises)
         conclusions = {"y_indep_x_given_z": ci_deviation(j, "Y", "X", "Z")}
     elif k == 2:
@@ -413,7 +425,7 @@ def check_ci_property(
             raise InputError("property 2 needs a DeterministicMap from X")
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
-        if premise > limit:
+        if fits(premise) is False:
             return PropertyVerdict(VACUOUS, premises)
         extended = apply_map(j, h)
         u = h.target
@@ -426,7 +438,7 @@ def check_ci_property(
             raise InputError("property 3 needs a DeterministicMap from Z onto Y")
         premise = _functional_violation_mass(j, h)
         premises = {"y_equals_h_of_z_violation_mass": premise}
-        if premise > limit:
+        if fits(premise) is False:
             return PropertyVerdict(VACUOUS, premises)
         conclusions = {"x_indep_y_given_z": ci_deviation(j, "X", "Y", "Z")}
     elif k == 4:
@@ -439,9 +451,9 @@ def check_ci_property(
             "x_indep_wy_given_z": dev_c,
         }
         conclusions = {}
-        if dev_a <= limit and dev_b <= limit:
+        if fits(dev_a) and fits(dev_b):
             conclusions["forward_x_indep_wy_given_z"] = dev_c
-        if dev_c <= limit:
+        if fits(dev_c):
             conclusions["backward_x_indep_y_given_z"] = dev_a
             conclusions["backward_x_indep_w_given_yz"] = dev_b
         if not conclusions:
@@ -455,11 +467,11 @@ def check_ci_property(
             "x_indep_y_given_z": dev_xy,
             "x_indep_z_given_y": dev_xz,
         }
-        if min_cell <= 0 or dev_xy > limit or dev_xz > limit:
+        if min_cell <= 0 or fits(dev_xy) is False or fits(dev_xz) is False:
             return PropertyVerdict(VACUOUS, premises)
         conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
     else:
         raise InputError(f"property id must be 1..5, got {k!r}")
 
-    status = PASS if all(dev <= limit for dev in conclusions.values()) else FAIL
+    status = PASS if all(map(fits, conclusions.values())) else FAIL
     return PropertyVerdict(status, premises, conclusions)

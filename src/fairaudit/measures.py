@@ -10,12 +10,14 @@ there are two routes to the rates:
   (A, Y, R), so each rate is the conditional probability it stands for, e.g.
   PPV = P(Y=+ | A=a, R=+), the (conditional) independence of the measure.
 
-Both routes turn cells into each rate's integer ``(part, whole)`` by
-``confusion.RATES`` and feed one verdict builder, which compares rates by
-cross-multiplication and builds one ``Fraction`` per component gap, so on the
-count joint of a table they return equal verdicts for every eps.
-``disparity`` is the largest gap between two groups' values of one rate; the
-verdict holds when it is within ``eps``. Any undefined constituent rate
+Both routes feed per-group cells ``(a, b, c, d)`` to one kernel,
+:func:`cell_gaps`, which turns them into each rate's integer ``(part, whole)``
+by ``confusion.RATES`` and compares rates by cross-multiplication. The verdict
+builds one ``Fraction`` per component gap, so on the count joint of a table
+the routes return equal verdicts for every eps; the break search asks the
+kernel through :func:`cells_hold` and builds nothing. ``disparity`` is the
+largest gap between two groups' values of one rate; the verdict holds when it
+is within ``eps`` by ``distributions.within``. Any undefined constituent rate
 (``whole`` is 0) makes the verdict NOT-COMPARABLE (``holds`` and
 ``disparity`` are ``None``), which is deliberately neither a pass nor a fail.
 """
@@ -24,10 +26,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
 from .confusion import CELLS, LABEL, NEG, POS, RATES, GroupedConfusion
-from .distributions import EPS_DEFAULT, FiniteJoint
+from .distributions import EPS_DEFAULT, FiniteJoint, within
 from .errors import InputError, PreconditionError
 
 INDEPENDENCE = "independence"
@@ -67,54 +69,59 @@ class MeasureVerdict(
         return self.holds is not None
 
 
-def _max_pairwise_gap(rates: Mapping[str, tuple[int, int]]) -> tuple[Fraction, tuple[str, str]]:
-    """Largest |difference| over group pairs, ``max - min``, in one pass over
-    rates given as ``(part, whole)`` with ``whole > 0``, compared by
-    cross-multiplication.
-
-    The witness is the first maximizing pair in group-pair order: the first
-    group holding an extreme value with the first later group holding the
-    other extreme, or the first two groups when all values are equal.
+def cell_gaps(
+    measure: str, cells: Collection[Sequence[int]]
+) -> dict[str, tuple[int, int, int, int] | None]:
+    """Gap label -> ``(part, whole, i, j)``: the largest gap ``part / whole``
+    between two groups' values of that rate over per-group cells
+    ``(a, b, c, d)``, found as ``max - min`` in one pass by cross-multiplication,
+    and the positions of the first pair attaining it; ``None`` when some
+    group's rate is undefined. The first pair is the first group holding an
+    extreme value with the first later group holding the other extreme, or
+    positions 0 and 1 when all values are equal.
     """
-    groups, pairs = list(rates), list(rates.values())
-    high = low = 0  # the first group holding the largest and the smallest rate
-    for i, (part, whole) in enumerate(pairs):
-        if part * pairs[high][1] > pairs[high][0] * whole:
-            high = i
-        elif part * pairs[low][1] < pairs[low][0] * whole:
-            low = i
-    (hp, hw), (lp, lw) = pairs[high], pairs[low]
-    gap = Fraction(hp * lw - lp * hw, hw * lw)
-    if not gap:
-        return gap, (groups[0], groups[1])
-    return gap, (groups[min(high, low)], groups[max(high, low)])
-
-
-def _rate_verdict(
-    measure: str,
-    rates: Mapping[str, Mapping[str, tuple[int, int]]],
-    eps: float,
-) -> MeasureVerdict:
-    """Evaluate a measure from per-group rates as ``(part, whole)`` keyed by
-    gap label, e.g. ``{"ppv_gap": {"p": (5, 6), "q": (10, 12)}, ...}``.
-
-    Both routes end here, so they agree whenever they feed it equal rates.
-    """
-    groups = tuple(next(iter(rates.values())))
-    if len(groups) < 2:
-        raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
-    gaps: dict[str, Fraction | None] = {}
-    witnesses: dict[str, tuple[str, str]] = {}
-    for label, per_group in rates.items():
-        if any(whole == 0 for _, whole in per_group.values()):
+    gaps: dict[str, tuple[int, int, int, int] | None] = {}
+    for label, rate in _components(measure).items():
+        rates = [RATES[rate](*m) for m in cells]
+        if any(whole == 0 for _, whole in rates):
             gaps[label] = None
             continue
-        gaps[label], witnesses[label] = _max_pairwise_gap(per_group)
-    if any(gap is None for gap in gaps.values()):
+        high = low = 0  # the first position holding the largest and the smallest rate
+        for i, (part, whole) in enumerate(rates):
+            if part * rates[high][1] > rates[high][0] * whole:
+                high = i
+            elif part * rates[low][1] < rates[low][0] * whole:
+                low = i
+        (hp, hw), (lp, lw) = rates[high], rates[low]
+        gap = hp * lw - lp * hw
+        gaps[label] = (gap, hw * lw, *sorted((high, low))) if gap else (0, 1, 0, 1)
+    return gaps
+
+
+def cells_hold(measure: str, cells: Collection[Sequence[int]], eps: float) -> bool | None:
+    """The ``holds`` of ``measure``'s verdict on per-group cells, without
+    building the verdict or a ``Fraction``."""
+    gaps = cell_gaps(measure, cells).values()
+    if None in gaps:
+        return None
+    return all(within(part, whole, eps) for part, whole, _, _ in gaps)
+
+
+def _cell_verdict(
+    measure: str, cells: Mapping[str, Sequence[int]], eps: float
+) -> MeasureVerdict:
+    """Evaluate a measure on per-group cells ``(a, b, c, d)``; both routes end here."""
+    gaps_at = cell_gaps(measure, cells.values())
+    groups = tuple(cells)
+    if len(groups) < 2:
+        raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
+    gaps = {label: None if gap is None else Fraction(*gap[:2]) for label, gap in gaps_at.items()}
+    if None in gaps.values():
         return MeasureVerdict(measure, None, gaps, None, None, eps)
     winner = max(gaps, key=gaps.__getitem__)  # first label with the largest gap
-    disparity = gaps[winner]
-    return MeasureVerdict(measure, disparity, gaps, disparity <= eps, witnesses[winner], eps)
+    part, whole, i, j = gaps_at[winner]
+    holds = bool(within(part, whole, eps))
+    return MeasureVerdict(measure, gaps[winner], gaps, holds, (groups[i], groups[j]), eps)
 
 
 def _components(measure: str) -> Mapping[str, str]:
@@ -129,11 +136,7 @@ def evaluate_measure(
     g: GroupedConfusion, measure: str, eps: float = EPS_DEFAULT
 ) -> MeasureVerdict:
     """Evaluate a measure by comparing exact per-group rates."""
-    rates = {
-        label: {group: RATES[rate](*m) for group, m in g.matrices.items()}
-        for label, rate in _components(measure).items()
-    }
-    return _rate_verdict(measure, rates, eps)
+    return _cell_verdict(measure, g.matrices, eps)
 
 
 def independence(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
@@ -172,8 +175,4 @@ def measure_via_distribution(
     cells = {a: [0, 0, 0, 0] for a in j.domain("A")}  # tp, fp, fn, tn
     for key, weight in j.table.items():
         cells[key[a_at]][slot[key[y_at], key[r_at]]] += weight
-    rates = {
-        label: {a: RATES[rate](*counts) for a, counts in cells.items()}
-        for label, rate in _components(measure).items()
-    }
-    return _rate_verdict(measure, rates, eps)
+    return _cell_verdict(measure, cells, eps)

@@ -1,12 +1,19 @@
-"""Differential and bound tests for the break-search enumerator.
+"""Differential and bound tests for the break search.
 
 ``oracle_candidate_increments`` is the filter-over-``budget^m`` enumerator
-that ``conservativeness._candidate_increments`` replaced, kept verbatim as
-the reference: the bounded-composition version must yield the identical
-sequence of increments, and ``find_break`` the identical witness.
+that ``conservativeness._candidate_increments`` replaced, and
+``oracle_find_break`` the search that built and measured every candidate's
+``Increment`` and ``GroupedConfusion``; both are kept verbatim apart from the
+names. The bounded-composition enumerator must yield the identical sequence
+of increments, and ``find_break``, which decides each candidate on its
+shifted cells, the identical witness or precondition error at every eps
+tested: 0, 1e-9, 0.02, 0.05, inf, nan and the float value of each component
+gap of the input.
 """
 
+import collections
 import itertools
+import math
 import random
 from typing import Iterator
 
@@ -19,13 +26,19 @@ from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.conservativeness import (
     DIRECTIONS,
     FN_TO_TP,
+    BreakWitness,
     GroupShift,
     Increment,
     _bounded_compositions,
     _candidate_increments,
+    apply_increment,
     find_break,
 )
+from fairaudit.distributions import EPS_DEFAULT
 from fairaudit.errors import PreconditionError
+from fairaudit.measures import SEPARATION, SUFFICIENCY, separation, sufficiency
+
+EPS_VALUES = (0.0, 1e-9, 0.02, 0.05, math.inf, math.nan)
 
 
 def proportional_table(rng: random.Random) -> GroupedConfusion:
@@ -62,24 +75,83 @@ def oracle_candidate_increments(g: GroupedConfusion, budget: int) -> Iterator[In
                     )
 
 
-def find_break_with(enumerator, g: GroupedConfusion, budget: int):
-    """``find_break`` run over the given candidate enumerator, or the
-    ``PreconditionError`` it raised."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(conservativeness, "_candidate_increments", enumerator)
-        try:
-            return find_break(g, budget=budget)
-        except PreconditionError as exc:
-            return str(exc)
+def oracle_find_break(
+    g: GroupedConfusion, eps: float = EPS_DEFAULT, budget: int = 2
+) -> BreakWitness | None:
+    """Search for an accuracy increment that breaks sufficiency or separation.
+
+    Requires both measures to hold on the input. Candidates shift at least
+    one record in every group (so accuracy rises in each group, mirroring the
+    construction the measures are known to be vulnerable to) and are
+    enumerated deterministically; the first breaking increment is returned,
+    or ``None`` when no feasible increment within ``budget`` breaks either
+    measure.
+    """
+    failing = [
+        verdict.measure
+        for verdict in (sufficiency(g, eps), separation(g, eps))
+        if verdict.holds is not True
+    ]
+    if failing:
+        raise PreconditionError(
+            f"measures must hold before searching: {', '.join(failing)} did not"
+        )
+    for increment in oracle_candidate_increments(g, budget):
+        after = apply_increment(g, increment)
+        suff_after = sufficiency(after, eps)
+        sep_after = separation(after, eps)
+        broken = tuple(
+            name
+            for name, verdict in ((SUFFICIENCY, suff_after), (SEPARATION, sep_after))
+            if verdict.holds is False
+        )
+        if broken:
+            deltas = {
+                group: after[group].accuracy - g[group].accuracy for group in g.groups
+            }
+            return BreakWitness(
+                increment=increment,
+                before=g,
+                after=after,
+                accuracy_delta=deltas,
+                broken=broken,
+                sufficiency_after=suff_after,
+                separation_after=sep_after,
+            )
+    return None
+
+
+def candidate_increments(g: GroupedConfusion, budget: int) -> list[Increment]:
+    """``_candidate_increments``' counts and directions as increments."""
+    return [
+        Increment(map(GroupShift, g.groups, directions, counts))
+        for counts, directions in _candidate_increments(g, budget)
+    ]
+
+
+def eps_values(g: GroupedConfusion) -> tuple[float, ...]:
+    """``EPS_VALUES`` and the float value of each component gap of ``g``'s
+    sufficiency and separation that is defined."""
+    try:
+        verdicts = (sufficiency(g), separation(g))
+    except PreconditionError:  # a single group has no gaps
+        return EPS_VALUES
+    gaps = (gap for verdict in verdicts for gap in verdict.component_gaps.values())
+    return EPS_VALUES + tuple(float(gap) for gap in gaps if gap is not None)
+
+
+def outcome(search, g: GroupedConfusion, eps: float, budget: int):
+    """The search's witness (or ``None``), or the ``PreconditionError`` it raised."""
+    try:
+        return search(g, eps, budget)
+    except PreconditionError as exc:
+        return str(exc)
 
 
 def assert_same_search(g: GroupedConfusion, budget: int) -> None:
-    assert list(_candidate_increments(g, budget)) == list(
-        oracle_candidate_increments(g, budget)
-    )
-    assert find_break_with(_candidate_increments, g, budget) == find_break_with(
-        oracle_candidate_increments, g, budget
-    )
+    assert candidate_increments(g, budget) == list(oracle_candidate_increments(g, budget))
+    for eps in eps_values(g):
+        assert outcome(find_break, g, eps, budget) == outcome(oracle_find_break, g, eps, budget)
 
 
 cells = st.integers(min_value=0, max_value=4)
@@ -145,7 +217,7 @@ class TestBound:
 
     @pytest.mark.parametrize("budget", [30, 10**9])
     def test_single_candidate_and_no_witness(self, budget):
-        candidates = list(_candidate_increments(self.GROUPS, budget))
+        candidates = candidate_increments(self.GROUPS, budget)
         assert candidates == [
             Increment(tuple(GroupShift(f"g{i}", FN_TO_TP, 1) for i in range(6)))
         ]
@@ -163,3 +235,24 @@ class TestBound:
                 for counts in itertools.product(*(range(1, cap + 1) for cap in caps))
                 if sum(counts) == total
             ]
+
+    def test_a_rejected_candidate_builds_nothing(self, monkeypatch):
+        # Three groups whose 9,120 feasible increments at budget 20 break
+        # nothing at eps 0.02: the search walks them all and returns None
+        # without building an increment's matrices or applying it.
+        g = GroupedConfusion({f"g{i}": ConfusionMatrix(2000, 300, 300, 2000) for i in range(3)})
+        assert sum(1 for _ in _candidate_increments(g, 20)) == 9120
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counting
+
+        apply, new = conservativeness.apply_increment, ConfusionMatrix.__new__
+        monkeypatch.setattr(conservativeness, "apply_increment", counted("apply", apply))
+        monkeypatch.setattr(ConfusionMatrix, "__new__", staticmethod(counted("matrix", new)))
+        assert find_break(g, 0.02, 20) is None
+        assert calls == {}

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 import pytest
 from builders import export_csv, synthesize_dataset
 
-from fairaudit import cli
+from fairaudit import cli, conservativeness
 from fairaudit.cli import main
 from fairaudit.confusion import (
     ConfusionMatrix,
@@ -570,7 +570,9 @@ class TestBenchmarkReplayContract:
     """What the benchmark relies on. Its in-process replay wraps functions
     where ``cli`` binds them, binds their arguments by name, and reads
     ``len`` of the rendered text, of ``.violations``, of ``ingest_csv``'s
-    ``.records``, and the ``score`` of each record of the scan's ``ds``. Its
+    ``.records``, and the ``score`` of each record of the scan's ``ds``, and
+    it counts the break search's increments through
+    ``conservativeness.apply_increment``. Its
     own tests build records by keyword, datasets with
     ``Dataset.from_records`` and read ``swap_attack(...).after``. A change
     that breaks one of these fails here by name, not in a benchmark run."""
@@ -633,3 +635,19 @@ class TestBenchmarkReplayContract:
         after = cli.swap_attack(Dataset.from_records(records), "g").after
         assert tabulate(after).matrices == tabulate(Dataset.from_records(records)).matrices
         assert len(cli.lipschitz_violations(after).violations) == 1
+
+    def test_find_break_applies_its_witness_through_the_module(self, monkeypatch):
+        # The replay counts the search's increments by replacing
+        # conservativeness.apply_increment, which the search now calls only
+        # to build its witness.
+        applied = []
+        apply = conservativeness.apply_increment
+
+        def spied(g, increment):
+            applied.append(increment)
+            return apply(g, increment)
+
+        monkeypatch.setattr(conservativeness, "apply_increment", spied)
+        witness = cli.find_break(BEFORE, 1e-9, 2)
+        assert witness is not None and applied == [witness.increment]
+        assert witness.after == apply(BEFORE, witness.increment)

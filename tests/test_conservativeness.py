@@ -1,5 +1,6 @@
 """Tests for perfect-predictor guarantees and the increment break search."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fairaudit.conservativeness import (
     is_perfect,
 )
 from fairaudit.errors import InputError, PreconditionError
+from fairaudit.measures import separation, sufficiency
 from fairaudit.generators import (
     random_nonproportional_grouped,
     random_perfect_grouped,
@@ -110,6 +112,21 @@ class TestJointIndependenceIff:
     def test_non_positive_rejected(self):
         with pytest.raises(PreconditionError, match="positive"):
             check_joint_independence_iff(GroupedConfusion(PERFECT))
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, 0.02])
+    def test_sides_match_comparing_the_fractions_with_eps(self, eps):
+        # Each side as the exact Fractions compare with the float eps: inf
+        # admits every deviation and gap, nan none.
+        rng = random.Random(83)
+        tables = [GroupedConfusion(BEFORE), GroupedConfusion(AFTER)]
+        tables += [random_positive_grouped(rng) for _ in range(30)]
+        tables += [random_proportional_grouped(rng) for _ in range(10)]
+        for g in tables:
+            verdict = check_joint_independence_iff(g, eps)
+            gaps = [m(g).disparity for m in (sufficiency, separation)]
+            assert verdict.suff_and_sep is all(gap <= eps for gap in gaps)
+            assert verdict.joint_independent is (verdict.ci_deviation <= eps)
+            assert verdict.equivalent is (verdict.suff_and_sep == verdict.joint_independent)
 
 
 class TestIncrement:

@@ -353,7 +353,8 @@ def test_none_and_plain_values_pass_through() -> None:
 
 def test_render_still_rejects_a_result_object() -> None:
     ds = synthesize_dataset(grouped([(1, 1, 1, 1), (2, 0, 0, 1)]))
-    assert jsonable(ds) is ds
+    with pytest.raises(TypeError, match="Dataset"):
+        jsonable(ds)
     with pytest.raises(TypeError, match="Dataset"):
         render({**header(EPS), "dataset": jsonable(ds)})
     # A named tuple is a tuple, which JSON would write as a bare array of its

@@ -1,10 +1,11 @@
 """Differential and bound tests for the largest pairwise rate gap.
 
-``oracle_max_pairwise_gap`` is the loop over every group pair that
-``measures._max_pairwise_gap`` replaced, kept verbatim as the reference: the
-one-pass ``max - min`` version, which takes each rate as an integer
-``(part, whole)`` pair, must return the identical gap and witness pair as the
-oracle does on the same rates as ``Fraction``s.
+``oracle_max_pairwise_gap`` is the loop over every group pair that the
+one-pass ``max - min`` of ``measures.cell_gaps`` replaced, kept verbatim as
+the reference. ``max_pairwise_gap`` feeds each rate, an integer
+``(part, whole)`` pair, to ``cell_gaps`` as a group's PPV, the cells
+``(part, whole - part, 0, 1)``; it must return the identical gap and witness
+pair as the oracle does on the same rates as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
-from fairaudit.measures import _max_pairwise_gap, independence, separation, sufficiency
+from fairaudit.measures import SUFFICIENCY, cell_gaps, independence, separation, sufficiency
 
 
 def oracle_max_pairwise_gap(
@@ -36,8 +37,16 @@ def oracle_max_pairwise_gap(
     return best, pair
 
 
+def max_pairwise_gap(rates: Mapping[str, tuple[int, int]]) -> tuple[Fraction, tuple[str, str]]:
+    """``cell_gaps`` on ``rates`` as PPVs, as a ``Fraction`` gap and a group pair."""
+    groups = list(rates)
+    cells = [(part, whole - part, 0, 1) for part, whole in rates.values()]
+    part, whole, i, j = cell_gaps(SUFFICIENCY, cells)["ppv_gap"]
+    return Fraction(part, whole), (groups[i], groups[j])
+
+
 def assert_matches_oracle(pairs: Mapping[str, tuple[int, int]]) -> None:
-    gap, pair = _max_pairwise_gap(pairs)
+    gap, pair = max_pairwise_gap(pairs)
     expected_gap, expected_pair = oracle_max_pairwise_gap(
         {group: Fraction(*rate) for group, rate in pairs.items()}
     )
@@ -68,7 +77,7 @@ def test_hypothesis_maps_match_the_oracle(rates):
 
 
 def test_all_equal_rates_name_the_first_two_groups():
-    assert _max_pairwise_gap({"c": (1, 2), "a": (2, 4), "b": (3, 6)}) == (0, ("c", "a"))
+    assert max_pairwise_gap({"c": (1, 2), "a": (2, 4), "b": (3, 6)}) == (0, ("c", "a"))
 
 
 def test_three_measures_on_two_thousand_groups_stay_fast():
