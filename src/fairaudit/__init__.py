@@ -9,7 +9,6 @@ individual fairness.
 
 Records and results are immutable named tuples, read by field name and equal to
 the plain tuple of their values; ``_replace`` skips a constructor's checks.
-``GroupedConfusion`` and ``FiniteJoint`` are immutable, not tuples.
 """
 
 __version__ = "0.1.0"

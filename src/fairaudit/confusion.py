@@ -85,40 +85,24 @@ class ConfusionMatrix(namedtuple("ConfusionMatrix", "a b c d")):
         return ConfusionMatrix(self.a * k, self.b * k, self.c * k, self.d * k)
 
 
-class GroupedConfusion:
+class GroupedConfusion(namedtuple("GroupedConfusion", "matrices empty_groups")):
     """One confusion matrix per group, in a fixed group order.
 
     ``empty_groups`` records declared groups that were dropped by
     :func:`tabulate` for having no records. Fairness measures require at
     least two populated groups; a single-group table is representable so the
-    drop-with-warning path stays usable. Immutable; compared by value.
+    drop-with-warning path stays usable. ``g[group]`` looks a matrix up by
+    group label, never by position.
     """
 
-    __slots__ = ("matrices", "empty_groups")
+    __slots__ = ()
 
-    def __init__(
-        self, matrices: Mapping[str, ConfusionMatrix], empty_groups: Iterable[str] = ()
-    ) -> None:
+    def __new__(
+        cls, matrices: Mapping[str, ConfusionMatrix], empty_groups: Iterable[str] = ()
+    ) -> GroupedConfusion:
         if not matrices:
             raise InputError("at least one group is required")
-        object.__setattr__(self, "matrices", dict(matrices))
-        object.__setattr__(self, "empty_groups", tuple(empty_groups))
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.matrices, self.empty_groups) == (other.matrices, other.empty_groups)
-
-    def __repr__(self) -> str:
-        return f"GroupedConfusion(matrices={self.matrices!r}, empty_groups={self.empty_groups!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.matrices, self.empty_groups)
+        return super().__new__(cls, dict(matrices), tuple(empty_groups))
 
     @classmethod
     def from_counts(

@@ -331,7 +331,7 @@ def group_multipliers(g: GroupedConfusion) -> dict[str, int] | None:
         if m.n % base.n:
             return None
         k = m.n // base.n
-        if (m.a, m.b, m.c, m.d) != (base.a * k, base.b * k, base.c * k, base.d * k):
+        if m != base.scaled(k):
             return None
         multipliers[group] = k
     return multipliers

@@ -14,9 +14,10 @@ support of Z and is total: zero-mass conditioning cells are vacuously
 satisfied instead of dividing by zero. It is homogeneous of degree 2 in the
 weights, so it is computed on the integer weights, summed in one pass into
 flat lists indexed by the positions of the (given, left, right) values, and
-divided once by the squared denominator. Given values take positions in order
-of first appearance, so a call costs the table's cells plus ng·|L|·|R| sums for
-the ng given values the table holds and the left and right domains L and R.
+divided once by the squared denominator. Each call numbers the positions
+afresh: left and right values by their place in their domains L and R, given
+values in order of first appearance, so a call costs the table's cells plus
+ng·|L|·|R| sums for the ng given values the table holds.
 
 A joint's cells are checked once, where it enters the library: the public
 constructor checks every key and weight, while the joints derived from valid
@@ -27,9 +28,9 @@ Every tolerance test is :func:`within`: ``part / whole`` is within eps when
 it is at most eps's exact binary value, decided on integers; an infinite eps
 admits every value, and a nan eps leaves each one neither within nor above.
 
-All values are immutable after construction (a joint refuses assignment; maps
-and verdicts are named tuples) and every operation is a pure function, so
-everything here is safe to share across threads.
+All values are immutable named tuples (joints, maps and verdicts) and every
+operation is a pure function, so everything here is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -64,41 +65,45 @@ def within(part: int, whole: int, eps: float) -> bool | None:
 # ---------------------------------------------------------------------------
 
 
-class FiniteJoint:
+def _domains(variables: tuple[tuple[str, tuple[str, ...]], ...]) -> list[set[str]]:
+    """Each variable's domain as a set, once the names are distinct and every
+    domain is nonempty without a repeated label."""
+    names = [name for name, _ in variables]
+    if len(set(names)) != len(names):
+        raise InputError(f"duplicate variable names: {names}")
+    domains = [set(domain) for _, domain in variables]
+    for (name, domain), labels in zip(variables, domains):
+        if not domain:
+            raise InputError(f"variable {name!r} has an empty domain")
+        if len(labels) != len(domain):
+            raise InputError(f"variable {name!r} repeats domain labels: {domain}")
+    return domains
+
+
+class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
     """Joint distribution over named variables with finite domains.
 
     ``variables`` fixes the key layout: each key of ``table`` assigns one
     domain label per variable, in declaration order. Assignments missing
     from ``table`` carry zero mass. Weights are non-negative integers, not
     all zero; a cell's mass is its weight over ``denominator``, the sum of
-    the weights, which is set at construction. Immutable; compared by value.
+    the weights.
     """
 
-    # _positions: variable name -> its position in ``variables``; _labels: per
-    # variable, in order, domain label -> its position in the domain.
-    __slots__ = ("variables", "table", "denominator", "_positions", "_labels")
+    __slots__ = ()
 
-    def __init__(
-        self, variables: Iterable[tuple[str, Iterable[str]]], table: Mapping[tuple[str, ...], int]
-    ) -> None:
+    def __new__(
+        cls, variables: Iterable[tuple[str, Iterable[str]]], table: Mapping[tuple[str, ...], int]
+    ) -> FiniteJoint:
         variables = tuple((name, tuple(domain)) for name, domain in variables)
-        self._settle(variables, dict(table), check_cells=True)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.variables, self.table) == (other.variables, other.table)
-
-    def __repr__(self) -> str:
-        return f"FiniteJoint(variables={self.variables!r}, table={self.table!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.variables, self.table)
+        table = dict(table)
+        domains = _domains(variables)
+        for key, w in table.items():
+            if len(key) != len(variables) or not all(map(set.__contains__, domains, key)):
+                raise InputError(f"assignment {key!r} does not match declared variables")
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                raise InputError(f"weight at {key!r} must be a non-negative int, got {w!r}")
+        return cls.from_valid(variables, table)
 
     @classmethod
     def from_valid(
@@ -108,34 +113,14 @@ class FiniteJoint:
         ``(name, domain)`` tuples, every key of ``table`` lies in their grid and
         every weight is a non-negative int. The cells are not checked again;
         the variables are, and a table without mass is still rejected."""
-        joint = object.__new__(cls)
-        joint._settle(variables, table, check_cells=False)
-        return joint
-
-    def _settle(self, variables: tuple, table: dict, check_cells: bool) -> None:
-        """Set every field, checking the variables and, with ``check_cells``,
-        each cell of ``table``."""
-        names = [name for name, _ in variables]
-        positions = {name: i for i, name in enumerate(names)}
-        if len(positions) != len(names):
-            raise InputError(f"duplicate variable names: {names}")
-        labels = tuple({label: i for i, label in enumerate(domain)} for _, domain in variables)
-        for (name, domain), positions_of in zip(variables, labels):
-            if not domain:
-                raise InputError(f"variable {name!r} has an empty domain")
-            if len(positions_of) != len(domain):
-                raise InputError(f"variable {name!r} repeats domain labels: {domain}")
-        if check_cells:
-            for key, w in table.items():
-                if len(key) != len(variables) or not all(map(dict.__contains__, labels, key)):
-                    raise InputError(f"assignment {key!r} does not match declared variables")
-                if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                    raise InputError(f"weight at {key!r} must be a non-negative int, got {w!r}")
-        denominator = sum(table.values())
-        if denominator == 0:
+        _domains(variables)
+        if sum(table.values()) == 0:
             raise InputError("joint has no mass: every weight is 0")
-        for name, value in zip(self.__slots__, (variables, table, denominator, positions, labels)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, variables, table)
+
+    @property
+    def denominator(self) -> int:
+        return sum(self.table.values())
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -145,10 +130,10 @@ class FiniteJoint:
         return self.variables[self.index(name)][1]
 
     def index(self, name: str) -> int:
-        try:
-            return self._positions[name]
-        except (KeyError, TypeError):
-            raise InputError(f"unknown variable {name!r}; have {self.names}") from None
+        for i, (known, _) in enumerate(self.variables):
+            if known == name:
+                return i
+        raise InputError(f"unknown variable {name!r}; have {self.names}")
 
     def prob(self, assignment: tuple[str, ...]) -> Fraction:
         """Mass of one full assignment (zero if absent from the table)."""
@@ -233,7 +218,7 @@ def marginal(j: FiniteJoint, keep: Iterable[str]) -> FiniteJoint:
 
     Kept variables retain their original declaration order.
     """
-    keep_set = set(_as_names(keep) if isinstance(keep, str) else keep)
+    keep_set = set(_as_names(keep))
     if not keep_set:
         raise InputError("keep must name at least one variable")
     unknown = keep_set - set(j.names)
@@ -312,11 +297,11 @@ def compose_ci(
 
 
 def _side(j: FiniteJoint, names: tuple[str, ...]) -> tuple[operator.itemgetter, Mapping]:
-    """Reader of one side's value off a key, and each value's position: a
-    variable's label positions, or a fused side's product grid."""
+    """Reader of one side's value off a key, and each value's position: in a
+    variable's domain, or in a fused side's product grid."""
     at = [j.index(name) for name in names]
     if len(at) == 1:
-        return operator.itemgetter(at[0]), j._labels[at[0]]
+        return operator.itemgetter(at[0]), dict(zip(j.variables[at[0]][1], itertools.count()))
     grid = itertools.product(*(j.variables[i][1] for i in at))
     return operator.itemgetter(*at), dict(zip(grid, itertools.count()))
 
@@ -370,7 +355,7 @@ def ci_deviation(
             deviation = abs(w * pg - pl * pr)
             if deviation > worst:
                 worst = deviation
-    return Fraction(worst, j.denominator**2)
+    return Fraction(worst, sum(p_g) ** 2)  # p_g holds each weight once: it sums to j.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ the same seed always yields the same instances.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -41,9 +42,7 @@ def random_joint(
 ) -> FiniteJoint:
     """Generic random joint with integer weights from uniform draws in [0, 1]."""
     variables = tuple((name, tuple(domain)) for name, domain in variables)
-    keys = [()]
-    for _, domain in variables:
-        keys = [key + (value,) for key in keys for value in domain]
+    keys = list(itertools.product(*(domain for _, domain in variables)))
     return FiniteJoint.from_valid(variables, dict(zip(keys, _weights(rng, len(keys)))))
 
 

@@ -40,6 +40,8 @@ class CsvSchema(namedtuple("CsvSchema", "positive_labels negative_labels groups"
         if not all(positive_labels + negative_labels):
             raise InputError("label encodings must be nonempty (an empty one matches empty cells)")
         groups = None if groups is None else tuple(label.strip() for label in groups)
+        if groups == ():
+            raise InputError("at least one group must be declared")
         if groups is not None and not all(groups):
             raise InputError("--groups lists an empty label, which no record's group can match")
         if groups is not None and len(set(groups)) != len(groups):

@@ -17,14 +17,13 @@ from fairaudit.distributions import DeterministicMap, FiniteJoint
 
 def assert_revalidates(j: FiniteJoint) -> None:
     """``j`` passes the public constructor's checks and equals its result,
-    private fields and field types included."""
+    field and denominator types included."""
     validated = FiniteJoint(j.variables, dict(j.table))
     assert j == validated
-    for name in ("variables", "table", "denominator", "_positions", "_labels"):
+    for name in ("variables", "table", "denominator"):
         assert getattr(j, name) == getattr(validated, name), name
         assert type(getattr(j, name)) is type(getattr(validated, name)), name
     assert all(type(pair) is tuple and type(pair[1]) is tuple for pair in j.variables)
-    assert all(type(labels) is dict for labels in j._labels)
 
 
 def oracle_min_cell(j: FiniteJoint) -> Fraction:

@@ -212,6 +212,8 @@ class TestGroupedConfusion:
         g = GroupedConfusion(BEFORE)
         with pytest.raises(InputError, match="unknown group"):
             g["z"]
+        with pytest.raises(InputError, match="unknown group 0"):
+            g[0]  # a label, never a position of the tuple
 
     def test_replace_keeps_order(self):
         g = GroupedConfusion(BEFORE)

@@ -14,7 +14,6 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from typing import Any
 
 import pytest
 from builders import random_scored_dataset, synthesize_dataset
@@ -62,13 +61,6 @@ from fairaudit.report import (
 )
 
 EPS = 1e-9
-
-
-def fields(x: Any) -> tuple[str, ...]:
-    """The field names of a record: a named tuple's, or a plain class's public slots."""
-    return getattr(x, "_fields", None) or tuple(
-        name for name in type(x).__slots__ if not name.startswith("_")
-    )
 
 
 def arguments() -> dict[type, tuple]:
@@ -127,7 +119,7 @@ ARGUMENTS = arguments()
 @pytest.mark.parametrize("kind", ARGUMENTS, ids=lambda kind: kind.__name__)
 def test_immutable_and_compared_by_value(kind: type) -> None:
     x = kind(*ARGUMENTS[kind])
-    for name in fields(x):
+    for name in x._fields:
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(x, name))
         with pytest.raises(AttributeError):
@@ -138,7 +130,14 @@ def test_immutable_and_compared_by_value(kind: type) -> None:
     assert rebuilt == x and not rebuilt != x
     assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
     try:
-        hash(tuple(getattr(x, name) for name in fields(x)))
+        hash(tuple(x))
     except TypeError:
         return  # a field is a dict or a list
     assert hash(rebuilt) == hash(x)
+
+
+@pytest.mark.parametrize("kind", [GroupedConfusion, FiniteJoint], ids=lambda kind: kind.__name__)
+def test_repr_is_a_constructor_call(kind: type) -> None:
+    # Only the fields show: a joint's denominator is derived, not an argument.
+    x = kind(*ARGUMENTS[kind])
+    assert eval(repr(x), {"ConfusionMatrix": ConfusionMatrix, kind.__name__: kind}) == x

@@ -39,7 +39,7 @@ from dataset_oracle import OracleDataset, OracleRecord
 
 from fairaudit import ingest
 from fairaudit.cli import main
-from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, tabulate
+from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, tabulate
 from fairaudit.errors import InputError
 from fairaudit.ingest import (
     DEFAULT_NEGATIVE,
@@ -453,6 +453,14 @@ def test_declared_groups_are_stripped(tmp_path: Path) -> None:
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             outputs.append((main(["audit", path, "--groups", groups]), out.getvalue()))
     assert outputs[0] == outputs[1] and outputs[0][0] in (0, 1)
+
+
+def test_an_empty_group_universe_is_refused_up_front() -> None:
+    # By the schema, before any file is read, as Dataset.from_records refuses it.
+    with pytest.raises(InputError, match="at least one group must be declared"):
+        CsvSchema(groups=())
+    with pytest.raises(InputError, match="at least one group must be declared"):
+        Dataset.from_records((), groups=())
 
 
 def test_declared_order_and_empty_groups(tmp_path: Path) -> None:
