@@ -99,7 +99,8 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
         table = dict(table)
         domains = _domains(variables)
         for key, w in table.items():
-            if len(key) != len(variables) or not all(map(set.__contains__, domains, key)):
+            shaped = type(key) is tuple and len(key) == len(variables)
+            if not (shaped and all(map(set.__contains__, domains, key))):
                 raise InputError(f"assignment {key!r} does not match declared variables")
             if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise InputError(f"weight at {key!r} must be a non-negative int, got {w!r}")

@@ -16,7 +16,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .adversary import ReservoirAttackResult, ReservoirPlan
@@ -240,22 +240,34 @@ def header(eps: float) -> dict[str, Any]:
     return {"tool": {"name": "fairaudit", "version": __version__}, "eps": eps}
 
 
+class _Memo(dict):
+    """``memo[x]`` is ``fn(x)``, computed on the first lookup of ``x``."""
+
+    def __init__(self, fn: Callable[[Any], str]) -> None:
+        self.fn = fn
+
+    def __missing__(self, key: Any) -> str:
+        value = self[key] = self.fn(key)
+        return value
+
+
 def violations_json(rows: Sequence[tuple[str, str, float]]) -> str:
     """The ``lipschitz.violations`` array of ``attack swap`` for
     ``(id_a, id_b, d)`` rows, exactly as ``json.dumps(..., sort_keys=True,
     indent=2)`` writes the list of ``{"ids": [id_a, id_b],
     "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}``
-    at nesting depth 2, with one f-string per row and no dict."""
-    if not rows:
-        return "[]"
-    enc = encode_basestring_ascii
+    at nesting depth 2, with one f-string per row; each distinct id is
+    encoded once, and the text after the ids once per distinct ``d``."""
+    names = _Memo(encode_basestring_ascii)
+    tails = _Memo(
+        lambda d: f'\n        ],\n        "individual_distance": {d!r},'
+        f'\n        "margin": {1.0 - d!r},\n        "prediction_distance": 1.0\n      }}'
+    )
     items = ",".join(
-        f'\n      {{\n        "ids": [\n          {enc(a)},\n          {enc(b)}\n        ],'
-        f'\n        "individual_distance": {d!r},\n        "margin": {1.0 - d!r},'
-        f'\n        "prediction_distance": 1.0\n      }}'
+        f'\n      {{\n        "ids": [\n          {names[a]},\n          {names[b]}{tails[d]}'
         for a, b, d in rows
     )
-    return f"[{items}\n    ]"
+    return f"[{items}\n    ]" if items else "[]"
 
 
 def render(payload: Mapping[str, Any]) -> str:

@@ -99,6 +99,12 @@ class TestFiniteJointValidation:
         with pytest.raises(InputError, match="does not match"):
             FiniteJoint(variables=(("X", BIN),), table={("2",): 1})
 
+    def test_key_that_is_not_a_tuple_rejected(self):
+        # A string with one label character per variable passes the length
+        # and domain checks, but prob(("0", "1")) would not find its cell.
+        with pytest.raises(InputError, match=r"assignment '01' does not match declared variables"):
+            FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table={"01": 1, ("1", "0"): 1})
+
     def test_sparse_cells_read_as_zero(self):
         j = FiniteJoint(variables=(("X", BIN),), table={("0",): 1})
         assert j.prob(("1",)) == 0

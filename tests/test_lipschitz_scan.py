@@ -29,6 +29,13 @@ All run on seeded and hypothesis-generated datasets with tied scores, pairs
 exactly ``scale`` apart, tiny scales, distinct tiny distances whose margins
 round to 1.0, unscored records, a single prediction value, ids that JSON
 must escape, and groups named like the keys ``render`` looks for.
+
+The scan bisects each positive's run of violating negatives, and the writer
+formats each distinct id and distance once. The edge cases at the end aim
+at both: equal distances on either side of a positive, signed zeros, all
+negatives on one side, subnormal scales, rows sharing ids and distances,
+and no run at all. One test bounds the predicate calls by two bisections
+per positive, where a scan of every pair makes P x N.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
 from typing import Any, Callable
@@ -44,10 +52,11 @@ from dataset_oracle import OracleDataset, OracleRecord, oracle_swap_attack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import adversary
 from fairaudit.adversary import lipschitz_violations, swap_attack
 from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, tabulate
 from fairaudit.errors import AuditError, InputError
-from fairaudit.report import header, render
+from fairaudit.report import header, render, violations_json
 
 # ---------------------------------------------------------------------------
 # Oracle: the previous scan, verbatim
@@ -360,3 +369,104 @@ def test_zero_subnormal_and_exponent_distances_render_as_json_does() -> None:
     text = render({"lipschitz": {"violations": lipschitz_violations(ds).violations}})
     for distance, margin in (("0.0", "1.0"), ("5e-324", "1.0"), ("1e-20", "1.0")):
         assert f'"individual_distance": {distance},\n        "margin": {margin},' in text
+
+
+# ---------------------------------------------------------------------------
+# Edge cases of the bisected scan and the memoized writer
+# ---------------------------------------------------------------------------
+
+
+def test_equal_distances_on_both_sides_of_a_positive() -> None:
+    # 0.25 and 0.75 are 0.25 from 0.5, 0.0 and 1.0 are 0.5 from it: each
+    # margin is shared by a negative on either side, so the id pair decides.
+    rows = [("m", True, 0.5), ("z", False, 0.25), ("a", False, 0.75), ("y", False, 0.0),
+            ("b", False, 1.0), ("c", True, 0.25), ("x", False, 0.5)]
+    for scale in (1.0, 0.5, 0.25, 2.0):
+        assert_matches_oracle(dataset(rows), scale)
+    assert [row[:2] for row in lipschitz_violations(dataset(rows)).violations][:3] == [
+        ("c", "z"), ("m", "x"), ("a", "m")
+    ]
+
+
+def test_identical_scores_and_signed_zeros() -> None:
+    # -0.0 is a valid score and compares equal to 0.0: at a subnormal scale
+    # only the pairs at distance 0.0 violate, and no row holds -0.0.
+    rows = [("p", True, 0.0), ("q", True, -0.0), ("n", False, -0.0), ("o", False, 0.0),
+            ("r", True, 0.5), ("s", False, 0.5), ("t", False, 0.5)]
+    for scale, count in ((1.0, 12), (5e-324, 6)):
+        assert assert_matches_oracle(dataset(rows), scale) == count
+    assert {d for _, _, d in lipschitz_violations(dataset(rows), 5e-324).violations} == {0.0}
+    assert all(
+        math.copysign(1.0, d) == 1.0 for _, _, d in lipschitz_violations(dataset(rows)).violations
+    )
+
+
+def test_all_negatives_on_one_side_of_every_positive() -> None:
+    low = [(f"n{i}", False, i / 16) for i in range(5)]
+    high = [(f"p{i}", True, 1.0 - i / 16) for i in range(5)]
+    for rows in (low + high, [(rid, not r, score) for rid, r, score in low + high]):
+        for scale in (1.0, 0.75, 0.5, 1e-3):
+            assert_matches_oracle(dataset(rows), scale)
+
+
+def test_tiny_scales_overflow_and_underflow() -> None:
+    # At 5e-324 a gap of one subnormal is exactly 1.0 apart and any gap of
+    # 2.5e-308 or more divides to inf, so only equal scores violate; at
+    # 1e-300 the three scores below it also violate with each other.
+    scores = (0.0, 5e-324, 1e-323, 1e-300, 2e-300, 3e-300, 0.5, 1.0)
+    rows = [(f"{k}{i}", k == "p", s) for i, s in enumerate(scores) for k in "pn"]
+    for scale, count in ((5e-324, 8), (1e-300, 8 + 6)):
+        assert assert_matches_oracle(dataset(rows), scale) == count
+
+
+def test_many_rows_share_ids_and_distances() -> None:
+    # 40 x 40 records on eight dyadic scores: 1,600 rows with 80 ids and a
+    # handful of distances, so the writer reuses its encodings.
+    rng = random.Random(20)
+    ids = ('q"', "b\\", "\u00e9", "\U0001f600", "n\n", "c\x01", "x", "y")
+    rows = [(f"{ids[i % 8]}{i}", i % 2 == 0, rng.choice(SCORES[5:])) for i in range(80)]
+    assert assert_matches_oracle(dataset(rows), 1.0) == 1600
+
+
+def test_writer_matches_the_dict_dump_on_repeated_ids_and_distances() -> None:
+    rng = random.Random(21)
+    ids = ('q"', "b\\", "\u00e9", "\U0001f600", "n\n", "c\x01")
+    distances = (0.0, 5e-324, 1e-20, 0.25, 0.3, 0.999999)
+    rows = [(rng.choice(ids), rng.choice(ids), rng.choice(distances)) for _ in range(500)]
+    expected = [
+        {"ids": [a, b], "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}
+        for a, b, d in rows
+    ]
+    text = json.dumps({"v": {"violations": expected}}, sort_keys=True, indent=2)
+    assert text == f'{{\n  "v": {{\n    "violations": {violations_json(rows)}\n  }}\n}}'
+    assert violations_json([]) == "[]"
+
+
+def test_no_positive_has_a_violating_run() -> None:
+    rows = [(f"r{i}", i % 2 == 0, i / 64) for i in range(64)]
+    for scale in (1 / 64, 1e-3, 5e-324):
+        assert assert_matches_oracle(dataset(rows), scale) == 0
+        assert '"violations": []' in render(
+            {"lipschitz": {"violations": lipschitz_violations(dataset(rows), scale).violations}}
+        )
+
+
+def test_the_scan_bisects_instead_of_testing_every_pair(monkeypatch) -> None:
+    # 2,000 distinct scores 1/2000 apart at scale 1e-9: no pair violates.
+    # Two bisections per positive call the predicate at most
+    # ceil(log2(N + 1)) + 1 times each; testing every pair calls it P x N times.
+    rng = random.Random(22)
+    records = [Record(f"r{i}", "g", True, rng.random() < 0.5, i / 2000) for i in range(2000)]
+    ds = Dataset.from_records(records)
+    calls = Counter()
+    violates = adversary.violates
+
+    def counting(distance: float) -> bool:
+        calls["violates"] += 1
+        return violates(distance)
+
+    monkeypatch.setattr(adversary, "violates", counting)
+    assert lipschitz_violations(ds, 1e-9).violations == []
+    positives = sum(rec.r for rec in records)
+    negatives = len(records) - positives
+    assert 0 < calls["violates"] <= 2 * positives * (math.ceil(math.log2(negatives + 1)) + 1)
