@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from numbers import Real
 from typing import NamedTuple
 
@@ -184,7 +184,8 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
     first, sorted by descending margin ``1.0 - d``, then by id pair. Cost: a
     sort of the negatives by score, two bisections per positive (float
     arithmetic is monotone, so its violating negatives are one run of that
-    order), then the violating rows.
+    order), then the violating rows, grouped by margin: a sort of the
+    distinct margins, and of the id pairs only where a margin repeats.
     """
     if isinstance(scale, bool) or not (
         isinstance(scale, Real) and math.isfinite(scale) and scale > 0
@@ -195,13 +196,27 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
     positives = [(rec.id, float(rec.score)) for rec in scored if rec.r]
     negatives = sorted((float(rec.score), rec.id) for rec in scored if not rec.r)
     scores = [t for t, _ in negatives]
-    buckets = defaultdict(list)
+    # d - 1.0 is -(1.0 - d) bit for bit, so a bucket holds one margin: its
+    # one row, or a list of the rows once a second arrives.
+    buckets = {}
     for pid, p in positives:
         lo = bisect_left(scores, True, key=lambda t: t >= p or violates(abs(p - t) / scale))
         hi = bisect_left(scores, True, lo, key=lambda t: t > p and not violates(abs(p - t) / scale))
         for t, nid in negatives[lo:hi]:
             d = abs(p - t) / scale
-            # d - 1.0 is -(1.0 - d) bit for bit, so a bucket holds one margin.
-            buckets[d - 1.0].append((pid, nid, d) if pid < nid else (nid, pid, d))
-    found = [row for key in sorted(buckets) for row in sorted(buckets[key])]
+            row = (pid, nid, d) if pid < nid else (nid, pid, d)
+            held = buckets.setdefault(d - 1.0, row)
+            if held is not row:
+                if held.__class__ is list:
+                    held.append(row)
+                else:
+                    buckets[d - 1.0] = [held, row]
+    found = []
+    for key in sorted(buckets):
+        held = buckets[key]
+        if held.__class__ is list:
+            held.sort()
+            found += held
+        else:
+            found.append(held)
     return LipschitzReport(found, skipped)

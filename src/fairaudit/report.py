@@ -5,7 +5,9 @@ exact rate is ``{"exact": "<fraction>", "value": <float>}``, a verdict adds
 ``status``, a ``GroupedConfusion`` is its ``matrices``, an ``Increment`` its
 ``shifts`` and a ``FairnessReport`` its ``payload()``. :func:`render` writes
 them with sorted keys, so identical input yields identical bytes; the
-Lipschitz rows of ``attack swap`` stay plain rows that it writes as objects.
+Lipschitz rows of ``attack swap`` stay plain rows that it writes as objects,
+joining the text around them and their pieces once, so no full-size
+intermediate string is built.
 :func:`render_text` picks the renderer of the result's type; text shows
 fractions with 6-decimal floats alongside.
 """
@@ -241,14 +243,54 @@ def header(eps: float) -> dict[str, Any]:
 
 
 class _Memo(dict):
-    """``memo[x]`` is ``fn(x)``, computed on the first lookup of ``x``."""
+    """``memo[x]`` is ``fn(x)``, computed on the first lookup of ``x``; with a
+    ``limit``, a lookup that misses when the memo is full empties it first."""
 
-    def __init__(self, fn: Callable[[Any], str]) -> None:
+    def __init__(self, fn: Callable[[Any], str], limit: int | None = None) -> None:
         self.fn = fn
+        self.limit = limit
 
     def __missing__(self, key: Any) -> str:
+        if self.limit is not None and len(self) >= self.limit:
+            self.clear()
         value = self[key] = self.fn(key)
         return value
+
+
+#: The most row tails the writer keeps. The scan's rows come grouped by
+#: margin, so the distances that repeat share one margin's group and few are
+#: live at once; continuous scores give nearly every row its own distance.
+TAIL_MEMO = 256
+
+
+def _violation_pieces(
+    rows: Sequence[tuple[str, str, float]], before: str, after: str
+) -> list[str]:
+    """The pieces whose join is ``before``, then the array :func:`violations_json`
+    writes for ``rows``, then ``after``: three a row, its first id, its second
+    id and its tail (the text after the ids), each a string shared by the
+    rows that repeat it."""
+    if not rows:
+        return [before, "[]", after]
+    heads = _Memo(
+        lambda a: f',\n      {{\n        "ids": [\n          {encode_basestring_ascii(a)},'
+    )
+    names = _Memo(lambda b: f"\n          {encode_basestring_ascii(b)}")
+    tails = _Memo(
+        lambda d: f'\n        ],\n        "individual_distance": {d!r},'
+        f'\n        "margin": {1.0 - d!r},\n        "prediction_distance": 1.0\n      }}',
+        TAIL_MEMO,
+    )
+    pieces = [before, "["]
+    last = None
+    for a, b, d in rows:
+        if d != last:  # equal distances mostly come in runs
+            last = d
+            tail = tails[d]
+        pieces += (heads[a], names[b], tail)
+    pieces[2] = pieces[2][1:]  # the first row takes no comma
+    pieces += ("\n    ]", after)
+    return pieces
 
 
 def violations_json(rows: Sequence[tuple[str, str, float]]) -> str:
@@ -256,24 +298,17 @@ def violations_json(rows: Sequence[tuple[str, str, float]]) -> str:
     ``(id_a, id_b, d)`` rows, exactly as ``json.dumps(..., sort_keys=True,
     indent=2)`` writes the list of ``{"ids": [id_a, id_b],
     "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}``
-    at nesting depth 2, with one f-string per row; each distinct id is
-    encoded once, and the text after the ids once per distinct ``d``."""
-    names = _Memo(encode_basestring_ascii)
-    tails = _Memo(
-        lambda d: f'\n        ],\n        "individual_distance": {d!r},'
-        f'\n        "margin": {1.0 - d!r},\n        "prediction_distance": 1.0\n      }}'
-    )
-    items = ",".join(
-        f'\n      {{\n        "ids": [\n          {names[a]},\n          {names[b]}{tails[d]}'
-        for a, b, d in rows
-    )
-    return f"[{items}\n    ]" if items else "[]"
+    at nesting depth 2. Each distinct id is encoded once, and each distance
+    formatted once while it is among the last :data:`TAIL_MEMO`."""
+    return "".join(_violation_pieces(rows, "", ""))
 
 
 def render(payload: Mapping[str, Any]) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline. The
-    rows of a top-level ``lipschitz`` object's ``violations`` are written by
-    :func:`violations_json`; they sort last in that object."""
+    rows of a top-level ``lipschitz`` object's ``violations`` are written as
+    :func:`violations_json` writes them (they sort last in that object), in
+    one join of the text before them, their pieces and the text after them,
+    so the output is built once."""
     lipschitz = payload.get("lipschitz")
     if lipschitz is None:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -284,7 +319,9 @@ def render(payload: Mapping[str, Any]) -> str:
     # the top-level key is the only line starting '  "lipschitz": ' and its
     # object ends at the next line that is "  }", right after the "[]".
     end = text.index("\n  }", text.index('\n  "lipschitz": '))
-    return text[: end - 2] + violations_json(lipschitz["violations"]) + text[end:] + "\n"
+    return "".join(
+        _violation_pieces(lipschitz["violations"], text[: end - 2], text[end:] + "\n")
+    )
 
 
 # ---------------------------------------------------------------------------

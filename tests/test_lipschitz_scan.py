@@ -35,7 +35,9 @@ formats each distinct id and distance once. The edge cases at the end aim
 at both: equal distances on either side of a positive, signed zeros, all
 negatives on one side, subnormal scales, rows sharing ids and distances,
 and no run at all. One test bounds the predicate calls by two bisections
-per positive, where a scan of every pair makes P x N.
+per positive, where a scan of every pair makes P x N. Continuous scores,
+where nearly every distance is distinct, go through the oracle too, and one
+test bounds ``render``'s peak memory on them by a multiple of its output.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
 from typing import Any, Callable
 
+import pytest
 from dataset_oracle import OracleDataset, OracleRecord, oracle_swap_attack
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,7 +60,7 @@ from fairaudit import adversary
 from fairaudit.adversary import lipschitz_violations, swap_attack
 from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, tabulate
 from fairaudit.errors import AuditError, InputError
-from fairaudit.report import header, render, violations_json
+from fairaudit.report import TAIL_MEMO, header, render, violations_json
 
 # ---------------------------------------------------------------------------
 # Oracle: the previous scan, verbatim
@@ -336,6 +340,23 @@ def test_hypothesis_datasets_match_oracle(
     assert_rejections_match_oracle(rows, len(rows) + len(rows[0][0]))
 
 
+def test_continuous_scores_match_oracle() -> None:
+    # Floats drawn at random give nearly every pair its own distance, so most
+    # margins hold one row; the dyadic SCORES mixed in make others hold
+    # several. Both kinds must come out in the oracle's order.
+    rng = random.Random(4111)
+    sizes = Counter()
+    for _ in range(40):
+        n = rng.randint(10, 60)
+        scores = [rng.choice(SCORES) if rng.random() < 0.3 else rng.random() for _ in range(n)]
+        ds = dataset([(f"r{i}", rng.random() < 0.5, score) for i, score in enumerate(scores)])
+        scale = rng.choice((1.0, 0.5, 0.3, 1e-3))
+        assert_matches_oracle(ds, scale)
+        rows = lipschitz_violations(ds, scale).violations
+        sizes.update(Counter(d - 1.0 for _, _, d in rows).values())
+    assert sizes[1] > 1000 and sum(sizes.values()) - sizes[1] > 100
+
+
 def test_pair_exactly_scale_apart_is_not_a_violation() -> None:
     ds = dataset([("a", True, 0.25), ("b", False, 0.75), ("c", False, 0.5)])
     assert assert_matches_oracle(ds, 0.5) == 1  # only a-c, at distance 0.5
@@ -428,11 +449,21 @@ def test_many_rows_share_ids_and_distances() -> None:
     assert assert_matches_oracle(dataset(rows), 1.0) == 1600
 
 
-def test_writer_matches_the_dict_dump_on_repeated_ids_and_distances() -> None:
+@pytest.mark.parametrize(
+    "distances",
+    [
+        (0.0, 5e-324, 1e-20, 0.25, 0.3, 0.999999),
+        # More distinct distances than the writer keeps tails for, most of
+        # them repeated out of turn, before and after it lets tails go.
+        tuple(random.Random(23).random() for _ in range(3 * TAIL_MEMO)),
+    ],
+)
+def test_writer_matches_the_dict_dump_on_repeated_ids_and_distances(
+    distances: tuple[float, ...]
+) -> None:
     rng = random.Random(21)
     ids = ('q"', "b\\", "\u00e9", "\U0001f600", "n\n", "c\x01")
-    distances = (0.0, 5e-324, 1e-20, 0.25, 0.3, 0.999999)
-    rows = [(rng.choice(ids), rng.choice(ids), rng.choice(distances)) for _ in range(500)]
+    rows = [(rng.choice(ids), rng.choice(ids), rng.choice(distances)) for _ in range(2000)]
     expected = [
         {"ids": [a, b], "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}
         for a, b, d in rows
@@ -440,6 +471,26 @@ def test_writer_matches_the_dict_dump_on_repeated_ids_and_distances() -> None:
     text = json.dumps({"v": {"violations": expected}}, sort_keys=True, indent=2)
     assert text == f'{{\n  "v": {{\n    "violations": {violations_json(rows)}\n  }}\n}}'
     assert violations_json([]) == "[]"
+
+
+def test_render_holds_little_beyond_its_output() -> None:
+    # 150 x 150 records on continuous scores: about 20k rows, nearly all with
+    # their own distance. The pieces of the rows share their id strings and
+    # the output is built in one join, so render's peak stays near the
+    # output's size; building it in several full-size steps reads over 3x.
+    rng = random.Random(24)
+    rows = [(f"r{i}", i % 2 == 0, rng.random()) for i in range(300)]
+    violations = lipschitz_violations(dataset(rows)).violations
+    payload = {"lipschitz": {"scale": 1.0, "violations": violations}}
+    tracemalloc.start()
+    try:
+        text = render(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(violations) > 20_000
+    assert len(set(d for _, _, d in violations)) > 15_000
+    assert peak < 2.5 * len(text)
 
 
 def test_no_positive_has_a_violating_run() -> None:
