@@ -9,7 +9,7 @@ verdicts instead of silently passing.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -105,28 +105,22 @@ class GroupedConfusion(namedtuple("GroupedConfusion", "matrices empty_groups")):
         return super().__new__(cls, dict(matrices), tuple(empty_groups))
 
     @classmethod
-    def from_counts(
-        cls, counts: Mapping[tuple[str, bool, bool], int], groups: Sequence[str] | None = None
+    def from_valid(
+        cls, tally: Mapping[str, Sequence[int]], groups: Sequence[str] | None = None
     ) -> GroupedConfusion:
-        """Matrices from record counts keyed ``(group, y, r)``.
+        """Matrices from per-group cells ``[a, b, c, d]`` known valid: counts
+        of at least one record that the caller made itself, not checked again.
 
-        Groups come in ``groups`` order, or in order of first appearance in
-        ``counts`` when no universe is declared. Declared groups without
-        records are excluded and reported via ``empty_groups``.
+        Groups come in ``groups`` order, or in ``tally`` order when no
+        universe is declared. Declared groups without records are excluded
+        and reported via ``empty_groups``.
         """
-        if groups is None:
-            groups = tuple(dict.fromkeys(group for group, _, _ in counts))
-        matrices: dict[str, ConfusionMatrix] = {}
-        empty: list[str] = []
-        for group in groups:
-            cells = [counts.get((group, y, r), 0) for y, r in CELLS]
-            if any(cells):
-                matrices[group] = ConfusionMatrix(*cells)
-            else:
-                empty.append(group)
+        order = tally if groups is None else groups
+        make = ConfusionMatrix._make
+        matrices = {group: make(tally[group]) for group in order if group in tally}
         if not matrices:
             raise InputError("dataset has no records in any declared group")
-        return cls(matrices, empty_groups=tuple(empty))
+        return super().__new__(cls, matrices, tuple(g for g in order if g not in tally))
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -206,8 +200,11 @@ def tabulate(ds: Dataset) -> GroupedConfusion:
 
     Groups without records are excluded and reported via ``empty_groups``.
     """
-    counts = Counter((rec.group, rec.y, rec.r) for rec in ds.records)
-    return GroupedConfusion.from_counts(counts, ds.groups)
+    tally: dict[str, list[int]] = {}
+    for rec in ds.records:
+        cells = tally.get(rec.group) or tally.setdefault(rec.group, [0, 0, 0, 0])
+        cells[CELLS.index((rec.y, rec.r))] += 1
+    return GroupedConfusion.from_valid(tally, ds.groups)
 
 
 def to_joint(g: GroupedConfusion) -> FiniteJoint:

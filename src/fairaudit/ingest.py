@@ -2,19 +2,19 @@
 ``id,group,y_true,y_pred[,score]`` with a :class:`CsvSchema`'s label encodings
 and scores in [0, 1], and rejects others with an ``InputError`` naming file and
 line. Declared groups are stripped like encodings, and each distinct raw
-``(group, y_true, y_pred)`` spelling is validated once per file.
-``ingest_counts`` counts rows; ``ingest_csv`` keeps each row as a ``Record``
-and checks nothing again (``Dataset.from_records`` validates hand-built ones).
+spelling of a group, y_true or y_pred cell is validated once per file.
+One loop reads, checks and counts each row in place, in its group's cells;
+``ingest_counts`` builds the matrices from those counts without checking them
+again, and ``ingest_csv`` has the loop also keep each row as a ``Record``
+(``Dataset.from_records`` validates hand-built ones).
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter, namedtuple
-from operator import itemgetter
-from typing import Iterator
+from collections import namedtuple
 
-from .confusion import Dataset, GroupedConfusion, Record
+from .confusion import CELLS, Dataset, GroupedConfusion, Record
 from .errors import InputError
 
 REQUIRED_COLUMNS = ("id", "group", "y_true", "y_pred")
@@ -55,41 +55,50 @@ class CsvSchema(namedtuple("CsvSchema", "positive_labels negative_labels groups"
         return super().__new__(cls, positive_labels, negative_labels, groups)
 
 
-def _rows(
-    path: str, schema: CsvSchema
-) -> Iterator[tuple[str, tuple[str, bool, bool], float | None]]:
-    """The ``(id, (group, y, r), score)`` of each row of a CSV file, rejecting
-    schema violations with locations; a file not UTF-8 or not CSV raises ``InputError``.
+def _read(
+    path: str, schema: CsvSchema, records: list[Record] | None = None
+) -> dict[str, list[int]]:
+    """Per-group cells ``[a, b, c, d]`` of a CSV file, counted as each row is
+    read and checked, groups in order of first appearance; with ``records``,
+    each row is also appended to it as a ``Record``. Schema violations raise
+    ``InputError`` with locations, and so does a file not UTF-8 or not CSV.
 
     Blank rows are skipped, missing cells read as empty, and a header name
     that appears twice names its last column (the rules of
     ``csv.DictReader``). An error names the physical line the bad row ends on.
-    A raw ``(group, y_true, y_pred)`` triple is checked the first time it
-    appears; later rows that spell it the same way reuse its ``(group, y, r)``.
+    A row's cells are checked in the order group, y_true, y_pred, each raw
+    spelling only the first time it appears in its column.
     """
-    labels = dict.fromkeys(schema.negative_labels, False)
-    labels.update(dict.fromkeys(schema.positive_labels, True))
+    encoded = dict.fromkeys(schema.positive_labels, 0) | dict.fromkeys(schema.negative_labels, 1)
     declared = None if schema.groups is None else frozenset(schema.groups)
-    keys: dict[str, dict[str, dict[str, tuple[str, bool, bool]]]] = {}
+    # Each checked spelling of a group maps to the group's cells, which its
+    # name, a spelling of itself, holds from the group's first appearance on.
+    # Each checked label spelling maps to its offset in CELLS: y adds 1 when
+    # negative, r adds 2.
+    cells_of: dict[str, list[int]] = {}
+    y_of: dict[str, int] = {}
+    r_of: dict[str, int] = {}
 
-    def check(raw_group: str, raw_y: str, raw_r: str) -> tuple[str, bool, bool]:
-        """Validate a new raw triple and keep its key; the group cell is the
-        innermost level, so each new group adds a dict entry, not two dicts."""
-        group = raw_group.strip()
+    def new_group(raw: str) -> list[int]:
+        group = raw.strip()
         if not group:
             raise InputError("empty group")
         if declared is not None and group not in declared:
             raise InputError(f"group {group!r} not among declared groups {schema.groups}")
-        y = labels.get(raw_y.strip().lower())
-        r = labels.get(raw_r.strip().lower())
-        if y is None or r is None:
-            name, raw = ("y_true", raw_y) if y is None else ("y_pred", raw_r)
-            raise InputError(
-                f"cannot parse {name}={raw!r}; positive encodings {schema.positive_labels}, "
-                f"negative encodings {schema.negative_labels}"
-            )
-        key = keys.setdefault(raw_y, {}).setdefault(raw_r, {})[raw_group] = group, y, r
-        return key
+        cells = cells_of[raw] = cells_of.setdefault(group, [0, 0, 0, 0])
+        return cells
+
+    def new_labels(raw_y: str, raw_r: str) -> int:
+        for name, raw, offsets, weight in (("y_true", raw_y, y_of, 1), ("y_pred", raw_r, r_of, 2)):
+            if raw not in offsets:
+                value = encoded.get(raw.strip().lower())
+                if value is None:
+                    raise InputError(
+                        f"cannot parse {name}={raw!r}; positive encodings "
+                        f"{schema.positive_labels}, negative encodings {schema.negative_labels}"
+                    )
+                offsets[raw] = weight * value
+        return y_of[raw_y] + r_of[raw_r]
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -106,6 +115,7 @@ def _rows(
             width = len(header)
             padding = [""] * width
             seen: set[str] = set()
+            make = Record._make
             for row in reader:
                 if len(row) < width:
                     if not row:  # a blank line
@@ -118,22 +128,28 @@ def _rows(
                     if rid in seen:
                         raise InputError(f"duplicate id {rid!r}")
                     seen.add(rid)
+                    cells = cells_of.get(row[i_group]) or new_group(row[i_group])
                     try:
-                        key = keys[row[i_y]][row[i_r]][row[i_group]]
+                        cell = y_of[row[i_y]] + r_of[row[i_r]]
                     except KeyError:
-                        key = check(row[i_group], row[i_y], row[i_r])
-                    score: float | None = None
-                    raw_score = "" if i_score is None else row[i_score].strip()
-                    if raw_score:
+                        cell = new_labels(row[i_y], row[i_r])
+                    cells[cell] += 1
+                    raw_score = "" if i_score is None else row[i_score]
+                    try:  # float() skips the spaces strip() drops, bar \x1c-\x1f
+                        score = float(raw_score) if raw_score else None
+                    except ValueError:  # a bad cell, a blank one, or one of those
+                        raw_score = raw_score.strip()
                         try:
-                            score = float(raw_score)
+                            score = float(raw_score) if raw_score else None
                         except ValueError:
                             raise InputError(f"cannot parse score={raw_score!r}") from None
-                        if not 0.0 <= score <= 1.0:
-                            raise InputError(f"score for {rid!r} must lie in [0, 1], got {score}")
+                    if score is not None and not 0.0 <= score <= 1.0:
+                        raise InputError(f"score for {rid!r} must lie in [0, 1], got {score}")
                 except InputError as exc:  # blank lines and quoted newlines count
                     raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-                yield rid, key, score
+                if records is not None:
+                    y, r = CELLS[cell]
+                    records.append(make((rid, row[i_group].strip(), y, r, score)))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -142,15 +158,16 @@ def _rows(
         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if not seen:
         raise InputError(f"{path}: no data rows")
+    return {group: cells for group, cells in cells_of.items() if group == group.strip()}
 
 
 def ingest_counts(path: str, schema: CsvSchema = CsvSchema()) -> GroupedConfusion:
     """Per-group confusion matrices of a CSV file, counted as rows are read."""
-    counts = Counter(map(itemgetter(1), _rows(path, schema)))
-    return GroupedConfusion.from_counts(counts, schema.groups)
+    return GroupedConfusion.from_valid(_read(path, schema), schema.groups)
 
 
 def ingest_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """The records of a CSV file, one per row as validated by ``_rows``."""
-    records = (Record(rid, g, y, r, score) for rid, (g, y, r), score in _rows(path, schema))
+    """The records of a CSV file, one per row as validated by ``_read``."""
+    records: list[Record] = []
+    _read(path, schema, records)
     return Dataset(tuple(records), schema.groups)

@@ -227,6 +227,7 @@ def seeded_csv(rng: random.Random, faults: bool) -> str:
     """CSV text with mixed spellings, blank lines, short and long rows and
     quoted newlines; with ``faults``, some rows break one rule."""
     header = rng.choice(HEADERS)
+    own_groups = rng.random() < 0.2  # nearly every row in a group of its own
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=rng.choice(("\n", "\r\n")))
     writer.writerow(header)
@@ -236,7 +237,9 @@ def seeded_csv(rng: random.Random, faults: bool) -> str:
         y, r = rng.random() < 0.5, rng.random() < 0.5
         cells = {
             "id": f"r{i}" if rng.random() < 0.9 else f"r\n{i}",
-            "group": rng.choice(GROUPS) if rng.random() < 0.95 else "q\nq",
+            "group": (f" g{i}" if own_groups else rng.choice(GROUPS))
+            if rng.random() < 0.95
+            else "q\nq",
             "y_true": rng.choice(SPELLINGS[y]),
             "y_pred": rng.choice(SPELLINGS[r]),
             "score": rng.choice(("", " ", "0", "1", "0.5", " 0.25 ", "1e-3")),
@@ -324,7 +327,7 @@ def test_written_csvs_match_oracle(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    body=st.text(alphabet=',"\n\r a1pqYN0.-\ufeff', max_size=80),
+    body=st.text(alphabet=',"\n\r a1pqYN0.-\ufeff\x1c', max_size=80),
     score=st.booleans(),
     groups=st.sampled_from([None, ("p", "q"), ("a", "p", "q", "1")]),
 )
@@ -379,6 +382,11 @@ MANY = "".join(
     f"r{i},{('p', ' q ', 'g0')[i % 3]},{('Yes', ' no ', '1')[i % 4 % 3]},{('0', 'TRUE')[i % 2]},\n"
     for i in range(500)
 )
+#: 3000 valid rows, each in a group of its own, with y_true spelled 30 ways.
+SPREAD = "".join(
+    f"s{i},u{i},{' ' * (i % 5)}{('1', 'no', 'TRUE')[i % 3]}{' ' * (i % 6)},{('0', 'yes')[i % 2]},\n"
+    for i in range(3000)
+)
 
 
 @pytest.mark.parametrize("groups", (None, ("p", "q", "g0"), ("g0", "q", "unused", "p")))
@@ -399,10 +407,23 @@ MANY = "".join(
         (MANY + "z, q ,Yse,0,\n", ":502: cannot parse y_true='Yse'", None),
         (MANY + "z,r,1,0,\n", ":502: group 'r' not among", "ok"),
         (MANY + "z,g0,1,0,7\n", ":502: score for 'z' must lie", None),
+        # A bad row after thousands of valid ones whose groups never repeat.
+        *(
+            pytest.param(SPREAD + tail, ":2: group 'u0' not among", undeclared, id=f"spread-{name}")
+            for name, tail, undeclared in (
+                ("y_pred", "z,p,1,maybe,\n", ":3002: cannot parse y_pred='maybe'"),
+                ("group", "z, ,1,0,\n", ":3002: empty group"),
+                ("id", "s9,p,1,0,\n", ":3002: duplicate id 's9'"),
+                ("score", "z,u7,1,0,x\n", ":3002: cannot parse score='x'"),
+            )
+        ),
         # Raw spellings that normalise to the same key.
         ("a,p,Yes,YES,\nb,p, yes ,yes,\nc,p,YES, Yes ,\nd,p,yes,YES,\n", "ok", None),
         ("a,g0,1,0,\nb, g0 ,1,0,\nc,g0 ,1,0,\nd,\tg0,1,0,\n", "ok", None),
         ("a, g0 ,Yes,no,\nb,g0,YES,NO,\nc, g0 , yes , no ,\nd,q,Yes,no,\n", "ok", None),
+        # Groups come in order of first appearance, whichever spelling that is.
+        ("a, q ,1,0,\nb,p,1,0,\nc,q,yes,0,\nd,\tq ,0,1,\ne, p,1,1,\nf,g0 ,1,1,\n", "ok", None),
+        ("a,p ,1,0,\nb,g0,1,0,\nc, p,1,0,\nd, q,1,0,\ne,p,0,0,\nf, g0,1,1,\n", "ok", None),
     ],
 )
 def test_each_triple_is_checked_once(
