@@ -66,11 +66,14 @@ def violates(distance: float) -> bool:
     return 1.0 > distance
 
 
+class Violations(list):
+    """``(id_a, id_b, individual_distance)`` rows, ``id_a < id_b``, each a pair at prediction
+    distance 1 and margin ``1.0 - individual_distance``; JSON writes each as an object."""
+
+
 class LipschitzReport(NamedTuple):
-    #: ``(id_a, id_b, individual_distance)`` rows with ``id_a < id_b``; each
-    #: pair's prediction distance is 1, its margin ``1.0 - individual_distance``.
     #: The scan's own sorted list, handed on to the writer as it is.
-    violations: list[tuple[str, str, float]]
+    violations: Violations
     skipped: tuple[str, ...]
 
 
@@ -211,7 +214,7 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
                     held.append(row)
                 else:
                     buckets[d - 1.0] = [held, row]
-    found = []
+    found = Violations()
     for key in sorted(buckets):
         held = buckets[key]
         if held.__class__ is list:

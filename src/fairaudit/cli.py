@@ -61,7 +61,7 @@ from .report import (  # break_payload and break_text stay bound for perfbench/r
     build_report,
     empty_groups_warning,
     header,
-    jsonable,
+    members,
     render,
     render_text,
 )
@@ -195,28 +195,27 @@ def cmd_counterexample(args: argparse.Namespace) -> tuple[int, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _tolerance(raw: str) -> float:
-    """``--eps``: a finite number >= 0 (NaN would fail every verdict silently)."""
-    value = float(raw)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw!r}")
-    return value
+def _number(parse: Callable[[str], Any], ok: Callable[[Any], bool], expected: str) -> Callable:
+    """The converter of an option that takes ``expected``: what ``parse`` reads
+    from the raw text, refused alike when it reads nothing or ``ok`` fails."""
+
+    def convert(raw: str) -> Any:
+        try:
+            value = parse(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+
+    return convert
 
 
-def _size(raw: str) -> int:
-    """``--count``, ``--budget`` and ``--z-max``: an integer >= 0."""
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
-    return value
-
-
-def _scale(raw: str) -> float:
-    """``--scale``: a finite number > 0 (NaN would flag no pair, inf every pair)."""
-    value = float(raw)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {raw!r}")
-    return value
+# NaN at --eps would fail every verdict silently; at --scale it would flag no
+# pair, and inf every pair. _size serves --count, --budget and --z-max.
+_tolerance = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_size = _number(int, lambda v: v >= 0, "an integer >= 0")
+_scale = _number(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -324,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == JSON:
-        output = render({**header(args.eps), **jsonable(result)})
+        output = render({**header(args.eps), **members(result)})
     else:
         output = render_text(result)
     try:

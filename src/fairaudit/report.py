@@ -1,27 +1,28 @@
 """Command results and every output made from them: each CLI command returns
-one result, and this module decides how it reads. :func:`jsonable` turns it
-into JSON values: an object carries the fields of the result it reports, an
-exact rate is ``{"exact": "<fraction>", "value": <float>}``, a verdict adds
-``status``, a ``GroupedConfusion`` is its ``matrices``, an ``Increment`` its
-``shifts`` and a ``FairnessReport`` its ``payload()``. :func:`render` writes
-them with sorted keys, so identical input yields identical bytes; the
-Lipschitz rows of ``attack swap`` stay plain rows that it writes as objects,
-joining the text around them and their pieces once, so no full-size
-intermediate string is built.
+one result, and this module decides how it reads.
+
+:func:`render` is the one JSON writer. It writes a result as the object of
+its :func:`members`, the fields by name (a verdict adds ``status``); an exact
+rate is ``{"exact": "<fraction>", "value": <float>}``, a ``GroupedConfusion``
+is its ``matrices``, an ``Increment`` its ``shifts`` and a
+``FairnessReport`` its ``payload()``. Dicts with ``str`` keys, tuples, lists
+and plain values are written as JSON writes them; any other value, a named
+tuple that is not a result included, is refused. The Lipschitz rows of
+``attack swap`` stay the scan's plain rows, each written from a few shared
+pieces. Keys are sorted, so identical input yields identical bytes.
 :func:`render_text` picks the renderer of the result's type; text shows
 fractions with 6-decimal floats alongside.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from .adversary import ReservoirAttackResult, ReservoirPlan
+from .adversary import ReservoirAttackResult, ReservoirPlan, Violations
 from .confusion import ConfusionMatrix, GroupedConfusion, is_positive
 from .conservativeness import (
     BreakWitness,
@@ -135,10 +136,10 @@ class Demo(namedtuple("Demo", "before increment after highlights demo")):
 
 
 class LipschitzCheck(NamedTuple):
-    """The ``violations`` rows are a list, which :func:`jsonable` leaves for :func:`render`."""
+    """``violations`` is the scan's own list; :func:`render` writes each row as an object."""
 
     scale: float
-    violations: list[tuple[str, str, float]]
+    violations: Violations
     skipped_unscored: tuple[str, ...]
     swapped_pair_flagged: bool
 
@@ -212,29 +213,15 @@ _RECORDS = (
 )
 
 
-def jsonable(x: Any) -> Any:
-    """The JSON value of a result, as the module docstring lists: dicts and tuples
-    element by element, an unlisted named tuple a ``TypeError``, anything else as is."""
-    if isinstance(x, Fraction):
-        return {"exact": str(x), "value": float(x)}
-    if isinstance(x, GroupedConfusion):
-        return jsonable(x.matrices)
-    if isinstance(x, Increment):
-        return jsonable(x.shifts)
-    if isinstance(x, FairnessReport):
-        return x.payload()
-    if isinstance(x, _RECORDS):
-        out = {name: jsonable(value) for name, value in zip(x._fields, x)}
-        if isinstance(x, MeasureVerdict):
-            out["status"] = verdict_status(x)
-        return out
-    if hasattr(x, "_fields"):
-        raise TypeError(f"{type(x).__name__} is a named tuple but not a result jsonable lists")
-    if isinstance(x, dict):
-        return {key: jsonable(value) for key, value in x.items()}
-    if isinstance(x, tuple):
-        return [jsonable(item) for item in x]
-    return x
+def members(result: Any) -> dict[str, Any]:
+    """The keys and values of the JSON object a result is written as: its
+    fields by name and, for a verdict, ``status``; an audit's ``payload()``."""
+    if isinstance(result, FairnessReport):
+        return result.payload()
+    out = dict(zip(result._fields, result))
+    if isinstance(result, MeasureVerdict):
+        out["status"] = verdict_status(result)
+    return out
 
 
 def header(eps: float) -> dict[str, Any]:
@@ -263,65 +250,77 @@ class _Memo(dict):
 TAIL_MEMO = 256
 
 
-def _violation_pieces(
-    rows: Sequence[tuple[str, str, float]], before: str, after: str
-) -> list[str]:
-    """The pieces whose join is ``before``, then the array :func:`violations_json`
-    writes for ``rows``, then ``after``: three a row, its first id, its second
-    id and its tail (the text after the ids), each a string shared by the
-    rows that repeat it."""
-    if not rows:
-        return [before, "[]", after]
-    heads = _Memo(
-        lambda a: f',\n      {{\n        "ids": [\n          {encode_basestring_ascii(a)},'
-    )
-    names = _Memo(lambda b: f"\n          {encode_basestring_ascii(b)}")
+def render(payload: Any) -> str:
+    """The JSON text of ``payload`` and a newline, in the bytes the ``json`` module
+    writes with ``sort_keys=True, indent=2`` for the values the module docstring
+    lists. Its pieces go to one list, joined once; a ``TypeError`` leaves no text."""
+    out: list[str] = []
+    _write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x: Any, out: list[str], nl: str) -> None:
+    """Append the text of ``x`` to ``out``; ``nl`` is a newline and the indent of its line."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):  # JSON spells repr's nan and inf NaN and Infinity
+        out.append(float.__repr__(x).replace("nan", "NaN").replace("inf", "Infinity"))
+    elif isinstance(x, Fraction):
+        out.append(f'{{{nl}  "exact": "{x}",{nl}  "value": {float(x)!r}{nl}}}')
+    elif isinstance(x, dict):
+        inner, sep = nl + "  ", "{"
+        for key in sorted(x):  # encoding a key that is not a str is a TypeError
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write(x[key], out, inner)
+            sep = ","
+        out.append(nl + "}" if x else "{}")
+    elif isinstance(x, Violations):
+        _write_rows(x, out, nl)
+    elif isinstance(x, GroupedConfusion):
+        _write(x.matrices, out, nl)
+    elif isinstance(x, Increment):
+        _write(x.shifts, out, nl)
+    elif isinstance(x, _RECORDS) or isinstance(x, FairnessReport):
+        _write(members(x), out, nl)
+    elif isinstance(x, (list, tuple)) and not hasattr(x, "_fields"):
+        inner, sep = nl + "  ", "["
+        for item in x:
+            out.append(sep + inner)
+            _write(item, out, inner)
+            sep = ","
+        out.append(nl + "]" if x else "[]")
+    else:  # a set, say, or a named tuple that is not a result
+        raise TypeError(f"render writes no {type(x).__name__}: not a result or JSON value")
+
+
+def _write_rows(violations: Violations, out: list[str], nl: str) -> None:
+    """Append the rows as objects, three pieces a row: its first id, its
+    second id and its tail (the text after the ids), each a string shared
+    by the rows that repeat it, while a tail is among the last :data:`TAIL_MEMO`."""
+    row, key, item = nl + "  ", nl + "    ", nl + "      "
+    heads = _Memo(lambda a: f',{row}{{{key}"ids": [{item}{encode_basestring_ascii(a)},')
+    names = _Memo(lambda b: f"{item}{encode_basestring_ascii(b)}")
     tails = _Memo(
-        lambda d: f'\n        ],\n        "individual_distance": {d!r},'
-        f'\n        "margin": {1.0 - d!r},\n        "prediction_distance": 1.0\n      }}',
+        lambda d: f'{key}],{key}"individual_distance": {d!r},{key}"margin": {1.0 - d!r},'
+        f'{key}"prediction_distance": 1.0{row}}}',
         TAIL_MEMO,
     )
-    pieces = [before, "["]
+    out.append("[")
+    first = len(out)
     last = None
-    for a, b, d in rows:
+    for a, b, d in violations:
         if d != last:  # equal distances mostly come in runs
             last = d
             tail = tails[d]
-        pieces += (heads[a], names[b], tail)
-    pieces[2] = pieces[2][1:]  # the first row takes no comma
-    pieces += ("\n    ]", after)
-    return pieces
-
-
-def violations_json(rows: Sequence[tuple[str, str, float]]) -> str:
-    """The ``lipschitz.violations`` array of ``attack swap`` for
-    ``(id_a, id_b, d)`` rows, exactly as ``json.dumps(..., sort_keys=True,
-    indent=2)`` writes the list of ``{"ids": [id_a, id_b],
-    "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}``
-    at nesting depth 2. Each distinct id is encoded once, and each distance
-    formatted once while it is among the last :data:`TAIL_MEMO`."""
-    return "".join(_violation_pieces(rows, "", ""))
-
-
-def render(payload: Mapping[str, Any]) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline. The
-    rows of a top-level ``lipschitz`` object's ``violations`` are written as
-    :func:`violations_json` writes them (they sort last in that object), in
-    one join of the text before them, their pieces and the text after them,
-    so the output is built once."""
-    lipschitz = payload.get("lipschitz")
-    if lipschitz is None:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    text = json.dumps(
-        {**payload, "lipschitz": {**lipschitz, "violations": []}}, sort_keys=True, indent=2
-    )
-    # Strings hold no raw newline and nested lines are indented further, so
-    # the top-level key is the only line starting '  "lipschitz": ' and its
-    # object ends at the next line that is "  }", right after the "[]".
-    end = text.index("\n  }", text.index('\n  "lipschitz": '))
-    return "".join(
-        _violation_pieces(lipschitz["violations"], text[: end - 2], text[end:] + "\n")
-    )
+        out += (heads[a], names[b], tail)
+    if violations:
+        out[first] = out[first][1:]  # the first row takes no comma
+    out.append(nl + "]" if violations else "]")
 
 
 # ---------------------------------------------------------------------------
@@ -343,29 +342,29 @@ class FairnessReport(NamedTuple):
         return all(v.holds is True for v in self.verdicts)
 
     def payload(self) -> dict[str, Any]:
+        """The audit's members, their values still results for :func:`render`."""
         g = self.grouped
         out: dict[str, Any] = {
             **header(self.eps),
             "input": {
                 "total_records": g.total,
                 "group_sizes": {group: g[group].n for group in g.groups},
-                "empty_groups": list(g.empty_groups),
+                "empty_groups": g.empty_groups,
             },
-            "matrices": jsonable(g),
+            "matrices": g,
             "group_stats": {
-                group: jsonable({name: getattr(g[group], name) for name in STATS})
-                for group in g.groups
+                group: {name: getattr(g[group], name) for name in STATS} for group in g.groups
             },
-            "measures": jsonable({v.measure: v for v in self.verdicts}),
+            "measures": {v.measure: v for v in self.verdicts},
             "all_hold": self.all_hold(),
             "conservativeness": {
                 "perfect_predictor": self.perfect_report is not None,
-                "perfect_check": jsonable(self.perfect_report),
-                "joint_independence": jsonable(self.joint_independence),
+                "perfect_check": self.perfect_report,
+                "joint_independence": self.joint_independence,
             },
         }
         if self.break_search is not None:
-            out["break_search"] = break_payload(self.break_search)
+            out["break_search"] = self.break_search
         return out
 
     def text(self) -> str:
@@ -426,9 +425,8 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
-def break_payload(search: BreakSearch) -> dict[str, Any]:
-    """The ``break_search`` object of an audit's JSON."""
-    return jsonable(search)
+#: The members of a ``break_search`` object; ``cli`` binds it for the benchmark's replay.
+break_payload = members
 
 
 def break_text(search: BreakSearch | Counterexample) -> list[str]:

@@ -423,18 +423,25 @@ class TestAttackCommand:
             assert lipschitz["violations"][0]["individual_distance"] == math.nextafter(1.0, 0.0)
 
     def test_swap_rows_reach_render_as_scan_rows(self, scored_csv, monkeypatch):
-        # Converting every row to a JSON list would cost time on large scans,
-        # so the rows must reach render exactly as the scan returned them.
-        seen = {}
+        # Converting every row to a JSON object would cost time on large scans,
+        # so the writer must get the very list the scan returned.
+        scans, seen = [], {}
+        scan = cli.lipschitz_violations
+
+        def scanned(*args, **kwargs):
+            scans.append(scan(*args, **kwargs))
+            return scans[-1]
 
         def spied(payload):
-            seen["rows"] = payload["lipschitz"]["violations"]
+            seen["rows"] = payload["lipschitz"].violations
             return render(payload)
 
+        monkeypatch.setattr(cli, "lipschitz_violations", scanned)
         monkeypatch.setattr(cli, "render", spied)
         code, _ = run_cli("attack", "swap", scored_csv, "--group", "p", "--format", "json")
         assert code == 0
-        assert seen["rows"] and all(type(row) is tuple for row in seen["rows"])
+        assert seen["rows"] and seen["rows"] is scans[0].violations
+        assert all(type(row) is tuple for row in seen["rows"])
 
     def test_swap_infeasible_exit_three(self, tmp_path, capsys):
         path = tmp_path / "nofn.csv"
@@ -507,7 +514,13 @@ class TestBadNumbers:
             ("demo", "--eps", "nan"),
             ("demo", "--eps", "inf"),
             ("demo", "--eps", "-0.1"),
+            ("demo", "--eps", "abc"),
+            ("demo", "--eps", ""),
             ("check-props", "--count", "-3"),
+            ("check-props", "--count", "1.5"),
+            ("check-props", "--count", "abc"),
+            ("check-props", "--count", ""),
+            ("counterexample", "data.csv", "--budget", "1.5"),
             ("counterexample", "data.csv", "--budget", "-1"),
             ("audit", "data.csv", "--find-break", "--budget", "-1"),
             ("attack", "reservoir", "data.csv", "--group", "q", "--z-max", "-1"),
@@ -520,15 +533,16 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ">= 0" in captured.err
+        assert f"got {argv[-1]!r}" in captured.err
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "abc", ""])
     def test_scale_must_be_finite_and_positive(self, scale, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "swap", "data.csv", "--group", "p", "--scale", scale])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "finite number > 0" in captured.err
+        assert f"expected a finite number > 0, got {scale!r}" in captured.err
 
 
 class TestDeterminism:

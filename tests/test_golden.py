@@ -214,8 +214,8 @@ def refuse(name: str) -> Callable[..., Any]:
 #: format, patched wherever ``main`` and the renderers look them up.
 OTHER_FORMAT = {
     "text": [
-        (report, "jsonable"),
-        (cli, "jsonable"),
+        (report, "members"),
+        (cli, "members"),
         (report, "render"),
         (cli, "render"),
         (report, "break_payload"),

@@ -1,14 +1,17 @@
-"""``report.jsonable`` against the payload builders it replaced.
+"""``report.render`` against the payload builders and the converter it replaced.
 
 The oracle below is the hand-written payload code ``report`` and ``cli`` had
-before one converter took its place, kept verbatim apart from the names:
+before one converter, ``jsonable``, took its place, kept verbatim apart from
+the names:
 ``num_payload``, ``verdict_payload``, ``matrix_payload``,
 ``matrices_payload``, ``stats_payload``, ``increment_payload``,
 ``break_payload``, the body of ``FairnessReport.payload`` and the reservoir
 payload of ``cmd_attack``. Each copied a result's fields into a dict under the
-fields' own names, so the converter must give the same JSON. Outputs are
-compared as ``json.dumps(..., sort_keys=True, indent=2)`` text, which also
-tells ``1`` from ``1.0`` and ``True`` and fails on any result object left in.
+fields' own names, so ``render`` must write a result as ``json.dumps(...,
+sort_keys=True, indent=2)`` writes its oracle payload, and as ``json_oracle``
+writes it through ``jsonable``. Text comparison also tells ``1`` from ``1.0``
+and ``True`` and fails on any result object left in. Plain payloads are
+compared with ``json.dumps`` directly, and what JSON cannot hold is refused.
 
 Tables have 2-4 groups with cells 0-5, so undefined rates and
 NOT-COMPARABLE verdicts occur; perfect, positive and proportional tables feed
@@ -18,6 +21,7 @@ the checks that need them.
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 from typing import Any
@@ -26,9 +30,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from builders import export_csv, synthesize_dataset
+from json_oracle import dumps, jsonable
 
 from fairaudit import cli
-from fairaudit.adversary import reservoir_attack
+from fairaudit.adversary import Violations, reservoir_attack
 from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.conservativeness import (
     DIRECTIONS,
@@ -48,10 +53,10 @@ from fairaudit.report import (
     BreakSearch,
     FairnessReport,
     LipschitzCheck,
+    Suite,
     break_payload,
     build_report,
     header,
-    jsonable,
     render,
     verdict_status,
 )
@@ -192,7 +197,11 @@ def dumped(value: Any) -> str:
 
 
 def assert_same_json(new: Any, old: Any) -> None:
-    assert dumped(new) == dumped(old)
+    """``render`` writes ``new`` as ``json.dumps`` writes the oracle payload
+    ``old``, and as the previous converter wrote ``new``."""
+    text = render(new)
+    assert text == dumped(old) + "\n"
+    assert text == dumps(jsonable(new))
 
 
 def grouped(cells: list[tuple[int, int, int, int]]) -> GroupedConfusion:
@@ -235,12 +244,12 @@ tables = st.lists(matrix, min_size=2, max_size=4).map(grouped)
 
 
 def assert_table_matches(g: GroupedConfusion) -> None:
-    assert_same_json(jsonable(g), matrices_payload(g))
+    assert_same_json(g, matrices_payload(g))
     for m in g.matrices.values():
-        assert_same_json(jsonable(m), matrix_payload(m))
-        assert_same_json(jsonable({name: getattr(m, name) for name in STATS}), stats_payload(m))
+        assert_same_json(m, matrix_payload(m))
+        assert_same_json({name: getattr(m, name) for name in STATS}, stats_payload(m))
     for v in (independence(g, EPS), sufficiency(g, EPS), separation(g, EPS)):
-        assert_same_json(jsonable(v), verdict_payload(v))
+        assert_same_json(v, verdict_payload(v))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -250,14 +259,14 @@ def test_seeded_tables_verdicts_and_reports(seed: int) -> None:
     assert_table_matches(g)
     for budget in (None, 0, 2):
         report = build_report(g, EPS, budget)
-        assert_same_json(report.payload(), oracle_report_payload(report))
+        assert_same_json(report, oracle_report_payload(report))
 
 
 @given(tables)
 def test_hypothesis_tables_verdicts(g: GroupedConfusion) -> None:
     assert_table_matches(g)
     report = build_report(g, EPS, 1)
-    assert_same_json(report.payload(), oracle_report_payload(report))
+    assert_same_json(report, oracle_report_payload(report))
 
 
 def test_tables_cover_not_comparable_and_both_outcomes() -> None:
@@ -275,8 +284,8 @@ def test_perfect_tables_conservativeness(seed: int) -> None:
     report = build_report(g, EPS)
     assert report.perfect_report is not None
     expected = oracle_report_payload(report)["conservativeness"]["perfect_check"]
-    assert_same_json(jsonable(check_conservativeness(g, EPS)), expected)
-    assert_same_json(report.payload(), oracle_report_payload(report))
+    assert_same_json(check_conservativeness(g, EPS), expected)
+    assert_same_json(report, oracle_report_payload(report))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -286,7 +295,7 @@ def test_positive_tables_joint_independence(seed: int, table: Any) -> None:
     report = build_report(g, EPS)
     assert report.joint_independence is not None
     expected = oracle_report_payload(report)["conservativeness"]["joint_independence"]
-    assert_same_json(jsonable(check_joint_independence_iff(g, EPS)), expected)
+    assert_same_json(check_joint_independence_iff(g, EPS), expected)
 
 
 def break_cases() -> list[tuple[GroupedConfusion, int]]:
@@ -307,9 +316,9 @@ def test_break_witnesses_and_none() -> None:
             oracle_break_payload(witness, budget, note),
         )
         if witness is not None:
-            assert_same_json(jsonable(witness.increment), increment_payload(witness.increment))
+            assert_same_json(witness.increment, increment_payload(witness.increment))
         report = build_report(g, EPS, budget)
-        assert_same_json(report.payload(), oracle_report_payload(report))
+        assert_same_json(report, oracle_report_payload(report))
     assert min(found.values()) > 0, found
 
 
@@ -322,7 +331,7 @@ def test_increments(shifts: list[tuple[str, int]]) -> None:
     inc = Increment(
         tuple(GroupShift(f"g{i}", direction, count) for i, (direction, count) in enumerate(shifts))
     )
-    assert_same_json(jsonable(inc), increment_payload(inc))
+    assert_same_json(inc, increment_payload(inc))
 
 
 def test_feasible_reservoir_attacks(tmp_path: Path) -> None:
@@ -341,35 +350,90 @@ def test_feasible_reservoir_attacks(tmp_path: Path) -> None:
         argv = ["attack", "reservoir", str(path), "--group", target, "--z-max", "13"]
         code, attack = cli.cmd_attack(cli.build_parser().parse_args(argv))
         assert code == 0
-        assert_same_json(jsonable(attack), oracle_reservoir_payload(g, target, result))
+        assert_same_json(attack, oracle_reservoir_payload(g, target, result))
     assert feasible >= 10
 
 
 def test_none_and_plain_values_pass_through() -> None:
-    assert jsonable(None) is None
-    assert jsonable([1, "a"]) == [1, "a"]
-    assert jsonable(("a", True, 1.5)) == ["a", True, 1.5]
+    for plain in (None, [1, "a"], ("a", True, 1.5)):
+        assert render(plain) == dumped(plain) + "\n"
+
+
+#: Floats JSON writes with care: a signed zero, the least subnormal, a tiny
+#: normal, and NaN and the infinities, which it spells its own way.
+FLOATS = (-0.0, 5e-324, 1e-300, math.nan, math.inf, -math.inf)
+#: Strings JSON escapes: quotes, backslashes, control characters, non-ASCII
+#: and astral letters.
+STRINGS = ('q"', "b\\", "n\n\t", "c\x01\x7f", "\u00e9", "\U0001f600", "")
+
+plain_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(FLOATS)
+    | st.text()
+    | st.sampled_from(STRINGS),
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4)
+    | st.dictionaries(st.text() | st.sampled_from(STRINGS), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(plain_values)
+def test_plain_payloads_are_written_as_json_dumps_writes_them(payload: Any) -> None:
+    assert render(payload) == dumped(payload) + "\n"
 
 
 def test_render_still_rejects_a_result_object() -> None:
     ds = synthesize_dataset(grouped([(1, 1, 1, 1), (2, 0, 0, 1)]))
     with pytest.raises(TypeError, match="Dataset"):
-        jsonable(ds)
+        render(ds)
     with pytest.raises(TypeError, match="Dataset"):
-        render({**header(EPS), "dataset": jsonable(ds)})
+        render({**header(EPS), "dataset": ds})
     # A named tuple is a tuple, which JSON would write as a bare array of its
     # values; one that is not a listed result is refused instead, also nested.
     unlisted = (PropertyVerdict("vacuous", ()), ds.records[0], CsvSchema(groups=("p",)))
     for result in unlisted:
         name = type(result).__name__
         with pytest.raises(TypeError, match=name):
-            jsonable(result)
+            render(result)
         with pytest.raises(TypeError, match=name):
-            jsonable({"results": (1, result)})
+            render({"results": (1, result)})
 
 
-def test_swap_rows_stay_rows_for_render() -> None:
-    rows = [("a", "b", 0.25), ("a", "c", 0.5)]
-    converted = jsonable(LipschitzCheck(1.0, rows, ("u",), True))
-    assert converted["violations"] is rows
-    assert converted["skipped_unscored"] == ["u"]
+@pytest.mark.parametrize(
+    "unwritable",
+    [PropertyVerdict("vacuous", ()), {"ok": 1, 2: "key"}, {"p", "q"}],
+    ids=["unlisted-named-tuple", "non-str-key", "set"],
+)
+def test_what_json_cannot_hold_is_refused_and_never_written(
+    unwritable: Any, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    with pytest.raises(TypeError):
+        render(unwritable)
+    monkeypatch.setattr(cli, "cmd_demo", lambda args: (0, Suite(1, (0, unwritable))))
+    with pytest.raises(TypeError):
+        cli.main(["demo", "--format", "json"])
+    assert capsys.readouterr().out == ""
+
+
+def test_swap_rows_are_written_as_violation_objects_at_any_depth() -> None:
+    rows = Violations([("a", "b", 0.25), ("a", "c", 0.5)])
+    check = LipschitzCheck(1.0, rows, ("u",), True)
+    expected = {
+        "scale": 1.0,
+        "violations": [
+            {"ids": [a, b], "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}
+            for a, b, d in rows
+        ],
+        "skipped_unscored": ["u"],
+        "swapped_pair_flagged": True,
+    }
+    for depth in range(4):
+        nested: Any = check
+        want: Any = expected
+        for _ in range(depth):
+            nested, want = {"x": nested}, {"x": want}
+        assert render(nested) == dumped(want) + "\n"

@@ -28,7 +28,8 @@ it with the same message.
 All run on seeded and hypothesis-generated datasets with tied scores, pairs
 exactly ``scale`` apart, tiny scales, distinct tiny distances whose margins
 round to 1.0, unscored records, a single prediction value, ids that JSON
-must escape, and groups named like the keys ``render`` looks for.
+must escape, and groups named like JSON keys and like the text ``render``
+once searched its output for.
 
 The scan bisects each positive's run of violating negatives, and the writer
 formats each distinct id and distance once. The edge cases at the end aim
@@ -37,11 +38,13 @@ negatives on one side, subnormal scales, rows sharing ids and distances,
 and no run at all. One test bounds the predicate calls by two bisections
 per positive, where a scan of every pair makes P x N. Continuous scores,
 where nearly every distance is distinct, go through the oracle too, and one
-test bounds ``render``'s peak memory on them by a multiple of its output.
+test bounds ``render``'s peak memory on them by a multiple of its output,
+and what it leaves allocated on return by the output alone.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -57,10 +60,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import adversary
-from fairaudit.adversary import lipschitz_violations, swap_attack
+from fairaudit.adversary import Violations, lipschitz_violations, swap_attack
 from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, tabulate
 from fairaudit.errors import AuditError, InputError
-from fairaudit.report import TAIL_MEMO, header, render, violations_json
+from fairaudit.report import TAIL_MEMO, header, render
 
 # ---------------------------------------------------------------------------
 # Oracle: the previous scan, verbatim
@@ -463,14 +466,19 @@ def test_writer_matches_the_dict_dump_on_repeated_ids_and_distances(
 ) -> None:
     rng = random.Random(21)
     ids = ('q"', "b\\", "\u00e9", "\U0001f600", "n\n", "c\x01")
-    rows = [(rng.choice(ids), rng.choice(ids), rng.choice(distances)) for _ in range(2000)]
+    rows = Violations(
+        (rng.choice(ids), rng.choice(ids), rng.choice(distances)) for _ in range(2000)
+    )
     expected = [
         {"ids": [a, b], "individual_distance": d, "margin": 1.0 - d, "prediction_distance": 1.0}
         for a, b, d in rows
     ]
-    text = json.dumps({"v": {"violations": expected}}, sort_keys=True, indent=2)
-    assert text == f'{{\n  "v": {{\n    "violations": {violations_json(rows)}\n  }}\n}}'
-    assert violations_json([]) == "[]"
+    for payload, dumped in (
+        (rows, expected),
+        ({"v": {"violations": rows}}, {"v": {"violations": expected}}),
+    ):
+        assert render(payload) == json.dumps(dumped, sort_keys=True, indent=2) + "\n"
+    assert render(Violations()) == "[]\n"
 
 
 def test_render_holds_little_beyond_its_output() -> None:
@@ -482,15 +490,20 @@ def test_render_holds_little_beyond_its_output() -> None:
     rows = [(f"r{i}", i % 2 == 0, rng.random()) for i in range(300)]
     violations = lipschitz_violations(dataset(rows)).violations
     payload = {"lipschitz": {"scale": 1.0, "violations": violations}}
+    gc.disable()  # what outlives the call must not wait for a collection
     tracemalloc.start()
     try:
         text = render(payload)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert len(violations) > 20_000
     assert len(set(d for _, _, d in violations)) > 15_000
     assert peak < 2.5 * len(text)
+    # The pieces are freed on return, so the caller's write of the text does
+    # not hold them too.
+    assert held < 1.05 * len(text)
 
 
 def test_no_positive_has_a_violating_run() -> None:
