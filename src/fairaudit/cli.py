@@ -27,7 +27,7 @@ from .conservativeness import (
     check_joint_independence_iff,
     find_break,
 )
-from .distributions import EPS_DEFAULT, check_ci_property
+from .distributions import EPS_DEFAULT, FAIL, VACUOUS, check_ci_property
 from .errors import AuditError, Infeasible
 from .generators import (
     POSITIVITY_FLOOR,
@@ -110,7 +110,7 @@ def cmd_demo(args: argparse.Namespace) -> tuple[int, Any]:
     before = GroupedConfusion(DEMO_BEFORE)
     increment = Increment(tuple(GroupShift(group, FN_TO_TP, 1) for group in before.groups))
     after = apply_increment(before, increment)
-    return 0, Demo(build_report(before, args.eps), increment, build_report(after, args.eps))
+    return 0, Demo.of(build_report(before, args.eps), increment, build_report(after, args.eps))
 
 
 def cmd_attack(args: argparse.Namespace) -> tuple[int, Any]:
@@ -157,8 +157,8 @@ def _run_ci_suite(
         else:
             instance = random_product_instance(rng)
         statuses.append(check_ci_property(k, instance, h, eps).status)
-    vacuous = statuses.count("vacuous")
-    counts = (count, statuses.count("fail"), count - vacuous, vacuous)
+    vacuous = statuses.count(VACUOUS)
+    counts = (count, statuses.count(FAIL), count - vacuous, vacuous)
     return FlooredCISuite(*counts, POSITIVITY_FLOOR) if k == 5 else CISuite(*counts)
 
 

@@ -167,12 +167,15 @@ class Dataset(NamedTuple):
         cls, records: Iterable[Record], groups: Sequence[str] | None = None
     ) -> Dataset:
         """Hand-built records as a dataset. Raises ``InputError`` for a score
-        outside [0, 1] (checked first), an empty or repeated group universe, a
+        outside [0, 1] or a label ``y`` or ``r`` that is not a bool (checked
+        first, record by record), an empty or repeated group universe, a
         repeated id, or a group outside ``groups``."""
         records = tuple(records)
         for rec in records:
             if rec.score is not None and not 0.0 <= rec.score <= 1.0:
                 raise InputError(f"score for {rec.id!r} must lie in [0, 1], got {rec.score}")
+            if not isinstance(rec.y, bool) or not isinstance(rec.r, bool):
+                raise InputError(f"labels of {rec.id!r} must be bool, got y={rec.y!r}, r={rec.r!r}")
         groups = None if groups is None else tuple(groups)
         declared = {rec.group for rec in records} if groups is None else set(groups)
         if not declared:

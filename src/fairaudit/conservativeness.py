@@ -88,42 +88,28 @@ class JointIndependenceVerdict(NamedTuple):
     ci_deviation: Fraction
 
 
-class BreakWitness(
-    namedtuple(
-        "BreakWitness",
-        "increment before after accuracy_delta broken sufficiency_after separation_after",
-    )
-):
+class BreakWitness(NamedTuple):
     """An increment that strictly increases accuracy in every shifted group
-    yet breaks measures that held before."""
+    yet breaks measures that held before; its fields are kept as given."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls, increment: Increment, before: GroupedConfusion, after: GroupedConfusion,
-        accuracy_delta: Mapping[str, Fraction], broken: Iterable[str],
-        sufficiency_after: MeasureVerdict, separation_after: MeasureVerdict,
-    ) -> BreakWitness:
-        fields = (dict(accuracy_delta), tuple(broken), sufficiency_after, separation_after)
-        return super().__new__(cls, increment, before, after, *fields)
+    increment: Increment
+    before: GroupedConfusion
+    after: GroupedConfusion
+    accuracy_delta: Mapping[str, Fraction]
+    broken: tuple[str, ...]
+    sufficiency_after: MeasureVerdict
+    separation_after: MeasureVerdict
 
 
-class ProportionalPreservationReport(
-    namedtuple(
-        "ProportionalPreservationReport",
-        "multipliers increment after sufficiency separation preserved",
-    )
-):
-    """Result of applying FN-to-TP shifts proportional to group multipliers."""
+class ProportionalPreservationReport(NamedTuple):
+    """Result of FN-to-TP shifts proportional to group multipliers, kept as given."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls, multipliers: Mapping[str, int], increment: Increment, after: GroupedConfusion,
-        sufficiency: MeasureVerdict, separation: MeasureVerdict, preserved: bool,
-    ) -> ProportionalPreservationReport:
-        fields = (dict(multipliers), increment, after, sufficiency, separation, preserved)
-        return super().__new__(cls, *fields)
+    multipliers: Mapping[str, int]
+    increment: Increment
+    after: GroupedConfusion
+    sufficiency: MeasureVerdict
+    separation: MeasureVerdict
+    preserved: bool
 
 
 # ---------------------------------------------------------------------------

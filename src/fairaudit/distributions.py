@@ -40,7 +40,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -174,20 +174,16 @@ class DeterministicMap(namedtuple("DeterministicMap", "source target mapping")):
             ) from None
 
 
-class PropertyVerdict(namedtuple("PropertyVerdict", "status premises conclusions")):
-    """Outcome of checking one conditional-independence property.
+class PropertyVerdict(NamedTuple):
+    """Outcome of checking one conditional-independence property, kept as given.
 
     ``status`` is ``"vacuous"`` when the premises fail within eps; in that
     case no conclusion is asserted and ``conclusions`` is empty.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls, status: str, premises: Mapping[str, Fraction] = {},
-        conclusions: Mapping[str, Fraction] = {},
-    ) -> PropertyVerdict:
-        return super().__new__(cls, status, dict(premises), dict(conclusions))
+    status: str
+    premises: Mapping[str, Fraction]
+    conclusions: Mapping[str, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +400,7 @@ def check_ci_property(
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
         if fits(premise) is False:
-            return PropertyVerdict(VACUOUS, premises)
+            return PropertyVerdict(VACUOUS, premises, {})
         conclusions = {"y_indep_x_given_z": ci_deviation(j, "Y", "X", "Z")}
     elif k == 2:
         if h is None or h.source != "X":
@@ -412,7 +408,7 @@ def check_ci_property(
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
         if fits(premise) is False:
-            return PropertyVerdict(VACUOUS, premises)
+            return PropertyVerdict(VACUOUS, premises, {})
         extended = apply_map(j, h)
         u = h.target
         conclusions = {
@@ -425,7 +421,7 @@ def check_ci_property(
         premise = _functional_violation_mass(j, h)
         premises = {"y_equals_h_of_z_violation_mass": premise}
         if fits(premise) is False:
-            return PropertyVerdict(VACUOUS, premises)
+            return PropertyVerdict(VACUOUS, premises, {})
         conclusions = {"x_indep_y_given_z": ci_deviation(j, "X", "Y", "Z")}
     elif k == 4:
         dev_a = ci_deviation(j, "X", "Y", "Z")
@@ -443,7 +439,7 @@ def check_ci_property(
             conclusions["backward_x_indep_y_given_z"] = dev_a
             conclusions["backward_x_indep_w_given_yz"] = dev_b
         if not conclusions:
-            return PropertyVerdict(VACUOUS, premises)
+            return PropertyVerdict(VACUOUS, premises, {})
     elif k == 5:
         min_cell = j.min_cell()
         dev_xy = ci_deviation(j, "X", "Y", "Z")
@@ -454,7 +450,7 @@ def check_ci_property(
             "x_indep_z_given_y": dev_xz,
         }
         if min_cell <= 0 or fits(dev_xy) is False or fits(dev_xz) is False:
-            return PropertyVerdict(VACUOUS, premises)
+            return PropertyVerdict(VACUOUS, premises, {})
         conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
     else:
         raise InputError(f"property id must be 1..5, got {k!r}")

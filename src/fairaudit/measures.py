@@ -24,9 +24,8 @@ is within ``eps`` by ``distributions.within``. Any undefined constituent rate
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .confusion import CELLS, LABEL, NEG, POS, RATES, GroupedConfusion
 from .distributions import EPS_DEFAULT, FiniteJoint, within
@@ -45,24 +44,20 @@ _COMPONENTS = {
 }
 
 
-class MeasureVerdict(
-    namedtuple("MeasureVerdict", "measure disparity component_gaps holds witnesses eps")
-):
-    """Result of evaluating one fairness measure.
+class MeasureVerdict(NamedTuple):
+    """Result of evaluating one fairness measure; its fields are kept as given.
 
     ``disparity`` is the maximum over the component gaps, or ``None`` when the
     measure is NOT-COMPARABLE. ``witnesses`` names the group pair attaining
     the maximum gap.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls, measure: str, disparity: Fraction | None,
-        component_gaps: Mapping[str, Fraction | None], holds: bool | None,
-        witnesses: tuple[str, str] | None, eps: float = EPS_DEFAULT,
-    ) -> MeasureVerdict:
-        return super().__new__(cls, measure, disparity, dict(component_gaps), holds, witnesses, eps)
+    measure: str
+    disparity: Fraction | None
+    component_gaps: Mapping[str, Fraction | None]
+    holds: bool | None
+    witnesses: tuple[str, str] | None
+    eps: float = EPS_DEFAULT
 
     @property
     def comparable(self) -> bool:

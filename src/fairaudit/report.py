@@ -16,7 +16,6 @@ fractions with 6-decimal floats alongside.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple
@@ -25,6 +24,7 @@ from . import __version__
 from .adversary import ReservoirAttackResult, ReservoirPlan, Violations
 from .confusion import ConfusionMatrix, GroupedConfusion, is_positive
 from .conservativeness import (
+    FN_TO_TP,
     BreakWitness,
     ConservativenessReport,
     GroupShift,
@@ -89,7 +89,7 @@ def empty_groups_warning(g: GroupedConfusion) -> str:
 
 def increment_text(inc: Increment) -> str:
     return ", ".join(
-        f"{s.group}: {s.count} {'FN->TP' if s.direction == 'fn_to_tp' else 'FP->TN'}"
+        f"{s.group}: {s.count} {'FN->TP' if s.direction == FN_TO_TP else 'FP->TN'}"
         for s in inc.shifts
     )
 
@@ -117,22 +117,25 @@ class Counterexample(NamedTuple):
     command: str = "counterexample"
 
 
-class Demo(namedtuple("Demo", "before increment after highlights demo")):
-    """``highlights``: the rates and gaps that show sufficiency and separation breaking."""
+class Demo(NamedTuple):
+    """``highlights``: the rates and gaps that show sufficiency and separation
+    breaking. Its fields are kept as given; :meth:`of` derives ``highlights``."""
 
-    __slots__ = ()
+    before: FairnessReport
+    increment: Increment
+    after: FairnessReport
+    highlights: dict[str, Any]
+    demo: str = "accuracy increment breaking sufficiency and separation"
 
-    def __new__(cls, before: FairnessReport, increment: Increment, after: FairnessReport) -> Demo:
+    @classmethod
+    def of(cls, before: FairnessReport, increment: Increment, after: FairnessReport) -> Demo:
+        """The demo of ``increment``, with ``highlights`` read off ``after``."""
         g, (_, suff, sep) = after.grouped, after.verdicts
         highlights: dict[str, Any] = {"fpr_gap": sep.component_gaps["fpr_gap"]}
         for rate, verdict in (("ppv", suff), ("fnr", sep)):
             highlights[rate] = {group: getattr(g[group], rate) for group in g.groups}
             highlights[f"{rate}_gap"] = verdict.component_gaps[f"{rate}_gap"]
-        demo = "accuracy increment breaking sufficiency and separation"
-        return super().__new__(cls, before, increment, after, highlights, demo)
-
-    def __getnewargs__(self) -> tuple:
-        return self.before, self.increment, self.after
+        return cls(before, increment, after, highlights)
 
 
 class LipschitzCheck(NamedTuple):

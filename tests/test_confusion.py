@@ -185,6 +185,22 @@ class TestDatasetValidation:
         with pytest.raises(InputError, match="\\[0, 1\\]"):
             Dataset.from_records([Record("1", "p", True, True, score=1.5)])
 
+    @pytest.mark.parametrize(
+        "y, r",
+        [("1", True), (True, "no"), (1, False), (0, 1)],
+        ids=["str-y", "str-r", "int-y", "ints"],
+    )
+    def test_labels_must_be_bools(self, y, r):
+        # A string label reads as truthy in the scan, and tabulate cannot place it.
+        records = [Record("ok", "p", True, False), Record("r7", "p", y, r, score=0.2)]
+        message = f"^labels of 'r7' must be bool, got y={y!r}, r={r!r}$"
+        with pytest.raises(InputError, match=message):
+            Dataset.from_records(records)
+
+    def test_a_bad_score_is_named_before_bad_labels(self):
+        with pytest.raises(InputError, match="score for 'r7'"):
+            Dataset.from_records([Record("r7", "p", "1", "0", score=1.5)])
+
     def test_plain_types_check_nothing(self):
         # Only from_records validates; a record and a dataset hold what they are given.
         rec = Record("1", "x", True, True, score=1.5)

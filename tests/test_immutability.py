@@ -101,7 +101,7 @@ def arguments() -> dict[type, tuple]:
         LipschitzReport: tuple(scan),
         BreakSearch: (2, witness),
         Counterexample: (2, None),
-        Demo: (report, increment, after),
+        Demo: tuple(Demo.of(report, increment, after)),
         LipschitzCheck: tuple(lipschitz),
         SwapAudit: (group, swap.swapped_pair, swap.score_gap, True, g, {"x": verdict}, lipschitz),
         Suite: tuple(suite),

@@ -11,7 +11,8 @@ module imports ``dataclasses``, and starting the CLI loads neither it nor
 ``inspect``, which would add a few milliseconds to every run's start-up. And
 ``fairaudit.__all__`` lists each name once, every listed name resolves, and
 every public name the package root imports is listed, so a deletion cannot
-leave a dangling export.
+leave a dangling export. Every ``__new__`` the package defines raises
+somewhere, so a constructor that checks nothing is a declared named tuple.
 """
 
 import ast
@@ -181,3 +182,40 @@ def test_every_public_name_imported_by_the_root_is_exported():
     }
     public = {name for name in imported if not name.startswith("_")}
     assert sorted(public - set(fairaudit.__all__)) == []
+
+
+def unchecked_constructors(source: str) -> list[str]:
+    """The classes of ``source`` whose ``__new__`` contains no ``raise``."""
+    return [
+        cls.name
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__new__"
+        if not any(isinstance(node, ast.Raise) for node in ast.walk(method))
+    ]
+
+
+def test_every_constructor_checks_its_arguments():
+    offenders = {
+        path.name: unchecked_constructors(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_constructors_without_a_raise():
+    source = (
+        "class Checked(tuple):\n"
+        "    def __new__(cls, x):\n"
+        "        if x < 0:\n"
+        "            raise ValueError(x)\n"
+        "        return super().__new__(cls, (x,))\n"
+        "class Copied(tuple):\n"
+        "    def __new__(cls, x):\n"
+        "        return super().__new__(cls, (dict(x),))\n"
+        "class Declared(tuple):\n"
+        "    def of(cls, x):\n"
+        "        return cls((x,))\n"
+    )
+    assert unchecked_constructors(source) == ["Copied"]

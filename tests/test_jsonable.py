@@ -394,7 +394,7 @@ def test_render_still_rejects_a_result_object() -> None:
         render({**header(EPS), "dataset": ds})
     # A named tuple is a tuple, which JSON would write as a bare array of its
     # values; one that is not a listed result is refused instead, also nested.
-    unlisted = (PropertyVerdict("vacuous", ()), ds.records[0], CsvSchema(groups=("p",)))
+    unlisted = (PropertyVerdict("vacuous", {}, {}), ds.records[0], CsvSchema(groups=("p",)))
     for result in unlisted:
         name = type(result).__name__
         with pytest.raises(TypeError, match=name):
@@ -405,7 +405,7 @@ def test_render_still_rejects_a_result_object() -> None:
 
 @pytest.mark.parametrize(
     "unwritable",
-    [PropertyVerdict("vacuous", ()), {"ok": 1, 2: "key"}, {"p", "q"}],
+    [PropertyVerdict("vacuous", {}, {}), {"ok": 1, 2: "key"}, {"p", "q"}],
     ids=["unlisted-named-tuple", "non-str-key", "set"],
 )
 def test_what_json_cannot_hold_is_refused_and_never_written(

@@ -1,0 +1,104 @@
+"""Argument checks, one table row each with the exception it raises and its
+exact message: the reservoir split, a matrix scaled by 0, a joint's repeated
+label and unknown variable, a map's empty mapping or repeated variable, the
+CI composer's empty ``pz`` and disagreeing rows, an empty side of a
+deviation, and property 3 given a map that is not from Z onto Y. Also
+property 2's vacuous verdict, and the CLI's exit on a path it cannot read.
+"""
+
+import re
+from typing import Any, Callable
+
+import pytest
+
+from fairaudit import cli
+from fairaudit.adversary import ReservoirPlan
+from fairaudit.confusion import ConfusionMatrix
+from fairaudit.distributions import (
+    VACUOUS,
+    DeterministicMap,
+    FiniteJoint,
+    check_ci_property,
+    ci_deviation,
+    compose_ci,
+)
+from fairaudit.errors import InputError
+
+BIN = ("0", "1")
+
+#: X and Y equal and Z constant: X is as far from independent of Y given Z as it gets.
+COUPLED = FiniteJoint(
+    (("X", BIN), ("Y", BIN), ("Z", ("z",))), {("0", "0", "z"): 1, ("1", "1", "z"): 1}
+)
+
+REFUSED: dict[str, tuple[Callable[[], Any], type, str]] = {
+    "reservoir-negative-split": (
+        lambda: ReservoirPlan(3, -1, 4), InputError, "reservoir split must be nonnegative"
+    ),
+    "reservoir-split-not-z": (
+        lambda: ReservoirPlan(3, 1, 1), InputError, "z must equal z_plus + z_minus"
+    ),
+    "matrix-scaled-by-0": (
+        lambda: ConfusionMatrix(1, 2, 3, 4).scaled(0),
+        InputError,
+        "scale factor must be a positive integer",
+    ),
+    "joint-repeated-label": (
+        lambda: FiniteJoint((("X", ("0", "1", "0")),), {("0",): 1}),
+        InputError,
+        "variable 'X' repeats domain labels: ('0', '1', '0')",
+    ),
+    "joint-unknown-variable": (
+        lambda: COUPLED.index("W"), InputError, "unknown variable 'W'; have ('X', 'Y', 'Z')"
+    ),
+    "map-empty": (
+        lambda: DeterministicMap("X", "U", {}), InputError, "mapping must be nonempty"
+    ),
+    "map-source-is-target": (
+        lambda: DeterministicMap("X", "X", {"0": "1"}),
+        InputError,
+        "source and target must be distinct variable names",
+    ),
+    "compose-empty-pz": (lambda: compose_ci({}, {}, {}), InputError, "pz must be nonempty"),
+    "compose-rows-disagree": (
+        lambda: compose_ci(
+            {"a": 1, "b": 1},
+            {"a": {"0": 1, "1": 1}, "b": {"0": 1, "2": 1}},
+            {"a": {"0": 1}, "b": {"0": 1}},
+        ),
+        InputError,
+        "px_given_z rows disagree on the domain",
+    ),
+    "deviation-empty-side": (
+        lambda: ci_deviation(COUPLED, (), "Y", "Z"),
+        InputError,
+        "left and right must each name at least one variable",
+    ),
+    "property-3-map-not-onto-y": (
+        lambda: check_ci_property(3, COUPLED, DeterministicMap("X", "Y", {"0": "0", "1": "1"})),
+        InputError,
+        "property 3 needs a DeterministicMap from Z onto Y",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_each_check_raises_its_type_and_message(case: str) -> None:
+    call, kind, message = REFUSED[case]
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_property_2_is_vacuous_when_its_premise_fails() -> None:
+    h = DeterministicMap("X", "U", {"0": "a", "1": "b"})
+    verdict = check_ci_property(2, COUPLED, h)
+    assert (verdict.status, verdict.conclusions) == (VACUOUS, {})
+    assert verdict.premises["x_indep_y_given_z"] > 0
+
+
+def test_audit_of_a_path_that_cannot_be_read_exits_two(tmp_path, capsys) -> None:
+    # Unlike a file without read permission, a directory cannot be read even by root.
+    assert cli.main(["audit", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
