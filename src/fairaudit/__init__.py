@@ -56,7 +56,6 @@ from .distributions import (
     check_ci_property,
     ci_deviation,
     compose_ci,
-    marginal,
 )
 from .errors import AuditError, Infeasible, InputError, PreconditionError
 from .measures import (
@@ -117,7 +116,6 @@ __all__ = [
     "is_perfect",
     "is_positive",
     "lipschitz_violations",
-    "marginal",
     "measure_via_distribution",
     "reservoir_attack",
     "separation",

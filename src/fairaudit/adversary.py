@@ -111,9 +111,8 @@ def reservoir_attack(
     z = divisor
     z_plus = m.a * z // positives
     plan = ReservoirPlan(z=z, z_plus=z_plus, z_minus=z - z_plus)
-    after = g.replace(
-        target, ConfusionMatrix(m.a + plan.z_plus, m.b, m.c + plan.z_minus, m.d)
-    )
+    target_after = ConfusionMatrix(m.a + plan.z_plus, m.b, m.c + plan.z_minus, m.d)
+    after = GroupedConfusion({**g.matrices, target: target_after}, g.empty_groups)
     return ReservoirAttackResult(
         target_group=target,
         plan=plan,

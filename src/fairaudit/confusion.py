@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .distributions import FiniteJoint
@@ -92,7 +93,8 @@ class GroupedConfusion(namedtuple("GroupedConfusion", "matrices empty_groups")):
     :func:`tabulate` for having no records. Fairness measures require at
     least two populated groups; a single-group table is representable so the
     drop-with-warning path stays usable. ``g[group]`` looks a matrix up by
-    group label, never by position.
+    group label, never by position. The constructor checks that every value is
+    a :class:`ConfusionMatrix` and that no empty group also holds a matrix.
     """
 
     __slots__ = ()
@@ -100,9 +102,16 @@ class GroupedConfusion(namedtuple("GroupedConfusion", "matrices empty_groups")):
     def __new__(
         cls, matrices: Mapping[str, ConfusionMatrix], empty_groups: Iterable[str] = ()
     ) -> GroupedConfusion:
+        matrices, empty_groups = dict(matrices), tuple(empty_groups)
         if not matrices:
             raise InputError("at least one group is required")
-        return super().__new__(cls, dict(matrices), tuple(empty_groups))
+        for group, m in matrices.items():
+            if not isinstance(m, ConfusionMatrix):
+                raise InputError(f"matrix of group {group!r} must be a ConfusionMatrix, got {m!r}")
+        for group in empty_groups:
+            if group in matrices:
+                raise InputError(f"empty group {group!r} also holds a matrix")
+        return super().__new__(cls, matrices, empty_groups)
 
     @classmethod
     def from_valid(
@@ -136,11 +145,6 @@ class GroupedConfusion(namedtuple("GroupedConfusion", "matrices empty_groups")):
     def total(self) -> int:
         return sum(m.n for m in self.matrices.values())
 
-    def replace(self, group: str, matrix: ConfusionMatrix) -> GroupedConfusion:
-        self[group]  # validate membership
-        updated = {g: (matrix if g == group else m) for g, m in self.matrices.items()}
-        return GroupedConfusion(updated, self.empty_groups)
-
 
 class Record(NamedTuple):
     """One individual: true label ``y``, prediction ``r`` (True means positive),
@@ -167,13 +171,17 @@ class Dataset(NamedTuple):
         cls, records: Iterable[Record], groups: Sequence[str] | None = None
     ) -> Dataset:
         """Hand-built records as a dataset. Raises ``InputError`` for a score
-        outside [0, 1] or a label ``y`` or ``r`` that is not a bool (checked
-        first, record by record), an empty or repeated group universe, a
-        repeated id, or a group outside ``groups``."""
+        that is not a real number in [0, 1] (a bool is not one) or a label
+        ``y`` or ``r`` that is not a bool (checked first, record by record), an
+        empty or repeated group universe, a repeated id, or a group outside
+        ``groups``."""
         records = tuple(records)
         for rec in records:
-            if rec.score is not None and not 0.0 <= rec.score <= 1.0:
-                raise InputError(f"score for {rec.id!r} must lie in [0, 1], got {rec.score}")
+            score = rec.score
+            if score is not None and (
+                isinstance(score, bool) or not isinstance(score, Real) or not 0.0 <= score <= 1.0
+            ):
+                raise InputError(f"score for {rec.id!r} must lie in [0, 1], got {score!r}")
             if not isinstance(rec.y, bool) or not isinstance(rec.r, bool):
                 raise InputError(f"labels of {rec.id!r} must be bool, got y={rec.y!r}, r={rec.r!r}")
         groups = None if groups is None else tuple(groups)

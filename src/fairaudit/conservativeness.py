@@ -63,10 +63,6 @@ class Increment(namedtuple("Increment", "shifts")):
             raise InputError("increment must shift at least one record")
         return super().__new__(cls, shifts)
 
-    @property
-    def total(self) -> int:
-        return sum(shift.count for shift in self.shifts)
-
 
 class ConservativenessReport(NamedTuple):
     """Prop-style report for a perfect predictor: sufficiency and separation

@@ -21,7 +21,7 @@ ng·|L|·|R| sums for the ng given values the table holds.
 
 A joint's cells are checked once, where it enters the library: the public
 constructor checks every key and weight, while the joints derived from valid
-parts (marginals, mapped, composed, generated and count joints) are built by
+parts (mapped, composed, generated and count joints) are built by
 :meth:`FiniteJoint.from_valid`, which checks only the variables and the mass.
 
 Every tolerance test is :func:`within`: ``part / whole`` is within eps when
@@ -136,14 +136,6 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
                 return i
         raise InputError(f"unknown variable {name!r}; have {self.names}")
 
-    def prob(self, assignment: tuple[str, ...]) -> Fraction:
-        """Mass of one full assignment (zero if absent from the table)."""
-        return Fraction(self.table.get(tuple(assignment), 0), self.denominator)
-
-    def assignments(self) -> Iterable[tuple[str, ...]]:
-        """Every full assignment in domain order, including zero-mass cells."""
-        return itertools.product(*(dom for _, dom in self.variables))
-
     def min_cell(self) -> Fraction:
         """Smallest mass over the full assignment grid: 0 when the table, whose
         keys all lie in the grid, has fewer cells than the grid."""
@@ -187,43 +179,8 @@ class PropertyVerdict(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Marginalization and derived joints
+# Derived joints
 # ---------------------------------------------------------------------------
-
-
-def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(spec, str):
-        return (spec,)
-    return tuple(spec)
-
-
-def _aggregate(j: FiniteJoint, names: tuple[str, ...]) -> dict[tuple[str, ...], int]:
-    """Sum the table's weights down to the given variables, keyed in ``names`` order."""
-    indices = [j.index(name) for name in names]
-    out: dict[tuple[str, ...], int] = {}
-    for key, weight in j.table.items():
-        sub = tuple([key[i] for i in indices])
-        if sub in out:
-            out[sub] = out[sub] + weight
-        else:
-            out[sub] = weight
-    return out
-
-
-def marginal(j: FiniteJoint, keep: Iterable[str]) -> FiniteJoint:
-    """Marginal distribution over ``keep``, preserving the total weight.
-
-    Kept variables retain their original declaration order.
-    """
-    keep_set = set(_as_names(keep))
-    if not keep_set:
-        raise InputError("keep must name at least one variable")
-    unknown = keep_set - set(j.names)
-    if unknown:
-        raise InputError(f"unknown variable names: {sorted(unknown)}")
-    kept = tuple((name, dom) for name, dom in j.variables if name in keep_set)
-    table = _aggregate(j, tuple(name for name, _ in kept))
-    return FiniteJoint.from_valid(kept, table)
 
 
 def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
@@ -291,6 +248,12 @@ def compose_ci(
 # ---------------------------------------------------------------------------
 # Independence checks
 # ---------------------------------------------------------------------------
+
+
+def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
+    if isinstance(spec, str):
+        return (spec,)
+    return tuple(spec)
 
 
 def _side(j: FiniteJoint, names: tuple[str, ...]) -> tuple[operator.itemgetter, Mapping]:

@@ -151,7 +151,7 @@ def _read(
                     y, r = CELLS[cell]
                     records.append(make((rid, row[i_group].strip(), y, r, score)))
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:

@@ -59,10 +59,6 @@ class MeasureVerdict(NamedTuple):
     witnesses: tuple[str, str] | None
     eps: float = EPS_DEFAULT
 
-    @property
-    def comparable(self) -> bool:
-        return self.holds is not None
-
 
 def cell_gaps(
     measure: str, cells: Collection[Sequence[int]]

@@ -10,6 +10,7 @@ membership test per source label.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from fairaudit.distributions import DeterministicMap, FiniteJoint
@@ -27,7 +28,8 @@ def assert_revalidates(j: FiniteJoint) -> None:
 
 
 def oracle_min_cell(j: FiniteJoint) -> Fraction:
-    weight = min(j.table.get(key, 0) for key in j.assignments())
+    grid = itertools.product(*(domain for _, domain in j.variables))
+    weight = min(j.table.get(key, 0) for key in grid)
     return Fraction(weight, j.denominator)
 
 

@@ -1,7 +1,7 @@
 """Differential and exactness tests for the conditional-independence kernel.
 
 ``oracle_ci_deviation`` is ``ci_deviation`` as it was before it summed the
-table once: four independent passes over the table, one per marginal. It is
+table once: four independent passes over the table, one per aggregate. It is
 kept verbatim as the reference (with ``Fraction`` for the division), and the
 single-pass kernel must give the identical ``Fraction`` on every input.
 
@@ -9,9 +9,9 @@ The generators build integer weights, so every instance that is conditionally
 independent by construction has deviation exactly 0, and every functional
 instance has violation mass exactly 0.
 
-Every joint the library derives on these draws (generated, composed, mapped,
-count and marginal joints) must also equal the public constructor's joint on
-its parts (``assert_revalidates``), and ``min_cell`` must match the grid walk.
+Every joint the library derives on these draws (generated, composed, mapped
+and count joints) must also equal the public constructor's joint on its parts
+(``assert_revalidates``), and ``min_cell`` must match the grid walk.
 """
 
 import itertools
@@ -30,7 +30,6 @@ from fairaudit.distributions import (
     apply_map,
     check_ci_property,
     ci_deviation,
-    marginal,
 )
 from fairaudit.errors import InputError
 from fairaudit.generators import (
@@ -117,7 +116,6 @@ def assert_matches_oracle(j: FiniteJoint) -> None:
         deviation = ci_deviation(j, left, right, given_names)
         assert isinstance(deviation, Fraction)
         assert deviation == oracle_ci_deviation(j, left, right, given_names)
-        assert_revalidates(marginal(j, left + right + given_names))
 
 
 class TestSingleAggregateMatchesOracle:
@@ -181,7 +179,6 @@ def test_hypothesis_joints_match_the_oracle(case):
     assert ci_deviation(j, left, right, given_names) == oracle_ci_deviation(
         j, left, right, given_names
     )
-    assert_revalidates(marginal(j, left + right + given_names))
 
 
 class TestKernelEdgeCases:

@@ -23,7 +23,6 @@ from fairaudit.distributions import (
     check_ci_property,
     ci_deviation,
     compose_ci,
-    marginal,
 )
 from fairaudit.errors import InputError
 from fairaudit.generators import (
@@ -101,13 +100,13 @@ class TestFiniteJointValidation:
 
     def test_key_that_is_not_a_tuple_rejected(self):
         # A string with one label character per variable passes the length
-        # and domain checks, but prob(("0", "1")) would not find its cell.
+        # and domain checks, but a lookup of ("0", "1") would not find its cell.
         with pytest.raises(InputError, match=r"assignment '01' does not match declared variables"):
             FiniteJoint(variables=(("X", BIN), ("Y", BIN)), table={"01": 1, ("1", "0"): 1})
 
     def test_sparse_cells_read_as_zero(self):
         j = FiniteJoint(variables=(("X", BIN),), table={("0",): 1})
-        assert j.prob(("1",)) == 0
+        assert j.table.get(("1",), 0) == 0
         assert j.min_cell() == 0
 
 
@@ -182,19 +181,15 @@ class TestCountJoint:
 
     def test_masses_are_exact(self):
         j = self.joint()
-        assert j.prob(("0", "1")) == Fraction(1, 5)
-        assert isinstance(j.prob(("0", "1")), Fraction)
-        assert sum(j.prob(key) for key in j.assignments()) == 1
+        assert Fraction(j.table[("0", "1")], j.denominator) == Fraction(1, 5)
+        assert sum(j.table.get(key, 0) for key in itertools.product(BIN, BIN)) == j.denominator
         assert j.min_cell() == Fraction(1, 10)
 
-    def test_marginal_and_apply_map_keep_the_denominator(self):
-        m = marginal(self.joint(), {"X"})
-        assert m.denominator == 10
-        assert m.prob(("1",)) == Fraction(7, 10)
+    def test_apply_map_keeps_the_denominator(self):
         h = DeterministicMap(source="X", target="U", mapping={"0": "u", "1": "u"})
         extended = apply_map(self.joint(), h)
         assert extended.denominator == 10
-        assert extended.prob(("1", "1", "u")) == Fraction(2, 5)
+        assert Fraction(extended.table[("1", "1", "u")], extended.denominator) == Fraction(2, 5)
 
     def test_deviation_is_exact(self):
         # |w(x,y) * N - w(x) * w(y)| = 2 in every cell, over N^2 = 100.
@@ -208,41 +203,6 @@ class TestCountJoint:
         verdict = check_ci_property(3, j, h)
         assert verdict.status == VACUOUS
         assert verdict.premises == {"y_equals_h_of_z_violation_mass": Fraction(1, 10)}
-
-
-class TestMarginal:
-    def test_uniform_three_binary_keep_one(self):
-        j = uniform_joint(2, 2, 2)
-        m = marginal(j, {"X"})
-        assert m.names == ("X",)
-        assert m.prob(("0",)) == Fraction(1, 2)
-        assert m.prob(("1",)) == Fraction(1, 2)
-
-    def test_before_joint_keep_y_gives_half(self):
-        m = marginal(grouped_before_joint(), {"Y"})
-        assert m.prob(("+",)) == Fraction(39, 78)
-
-    def test_keep_all_is_identity(self):
-        rng = random.Random(3)
-        j = random_joint(rng, [("X", BIN), ("Y", BIN), ("Z", ("a", "b", "c"))])
-        m = marginal(j, set(j.names))
-        assert m.variables == j.variables
-        assert m.table == j.table
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(InputError, match="unknown variable"):
-            marginal(uniform_joint(2, 2), {"Q"})
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(InputError, match="at least one"):
-            marginal(uniform_joint(2, 2), set())
-
-    def test_mass_preserved(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            j = random_joint(rng, [("X", BIN), ("Y", ("a", "b", "c")), ("Z", BIN)])
-            for keep in ({"X"}, {"Y"}, {"X", "Z"}):
-                assert marginal(j, keep).denominator == j.denominator
 
 
 class TestIsIndependent:
@@ -312,8 +272,8 @@ class TestComposeCI:
         pz = {"0": 1, "1": 1}
         rows = {z: {"0": 1, "1": 1} for z in pz}
         j = compose_ci(pz, rows, rows)
-        for key in j.assignments():
-            assert j.prob(key) == Fraction(1, 8)
+        for key in itertools.product(BIN, BIN, BIN):
+            assert Fraction(j.table.get(key, 0), j.denominator) == Fraction(1, 8)
 
     def test_point_mass_conditioner_gives_unconditional_independence(self):
         pz = {"only": 1}

@@ -70,7 +70,6 @@ class TestSufficiency:
         assert verdict.holds is None
         assert verdict.disparity is None
         assert verdict.component_gaps["ppv_gap"] is None
-        assert not verdict.comparable
 
 
 class TestSeparation:

@@ -1,11 +1,15 @@
 """Argument checks, one table row each with the exception it raises and its
-exact message: the reservoir split, a matrix scaled by 0, a joint's repeated
+exact message: the reservoir split, a matrix scaled by 0, a grouped table with
+a value that is not a matrix or an empty group that holds one, a hand-built
+record's score that is out of range, a str or a bool, a joint's repeated
 label and unknown variable, a map's empty mapping or repeated variable, the
 CI composer's empty ``pz`` and disagreeing rows, an empty side of a
 deviation, and property 3 given a map that is not from Z onto Y. Also
 property 2's vacuous verdict, and the CLI's exit on a path it cannot read.
 """
 
+import errno
+import os
 import re
 from typing import Any, Callable
 
@@ -13,7 +17,7 @@ import pytest
 
 from fairaudit import cli
 from fairaudit.adversary import ReservoirPlan
-from fairaudit.confusion import ConfusionMatrix
+from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record
 from fairaudit.distributions import (
     VACUOUS,
     DeterministicMap,
@@ -42,6 +46,31 @@ REFUSED: dict[str, tuple[Callable[[], Any], type, str]] = {
         lambda: ConfusionMatrix(1, 2, 3, 4).scaled(0),
         InputError,
         "scale factor must be a positive integer",
+    ),
+    "grouped-value-not-a-matrix": (
+        lambda: GroupedConfusion({"p": ConfusionMatrix(1, 2, 3, 4), "q": (2, 2, 3, 4)}),
+        InputError,
+        "matrix of group 'q' must be a ConfusionMatrix, got (2, 2, 3, 4)",
+    ),
+    "grouped-empty-group-with-a-matrix": (
+        lambda: GroupedConfusion({"p": ConfusionMatrix(1, 2, 3, 4)}, ("q", "p")),
+        InputError,
+        "empty group 'p' also holds a matrix",
+    ),
+    "dataset-score-above-one": (
+        lambda: Dataset.from_records([Record("r", "p", True, True, 1.5)]),
+        InputError,
+        "score for 'r' must lie in [0, 1], got 1.5",
+    ),
+    "dataset-score-a-str": (
+        lambda: Dataset.from_records([Record("r", "p", True, True, "0.5")]),
+        InputError,
+        "score for 'r' must lie in [0, 1], got '0.5'",
+    ),
+    "dataset-score-a-bool": (
+        lambda: Dataset.from_records([Record("r", "p", True, True, True)]),
+        InputError,
+        "score for 'r' must lie in [0, 1], got True",
     ),
     "joint-repeated-label": (
         lambda: FiniteJoint((("X", ("0", "1", "0")),), {("0",): 1}),
@@ -96,9 +125,19 @@ def test_property_2_is_vacuous_when_its_premise_fails() -> None:
     assert verdict.premises["x_indep_y_given_z"] > 0
 
 
-def test_audit_of_a_path_that_cannot_be_read_exits_two(tmp_path, capsys) -> None:
-    # Unlike a file without read permission, a directory cannot be read even by root.
-    assert cli.main(["audit", str(tmp_path)]) == 2
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        # Unlike a file without read permission, a directory cannot be read even by root.
+        (".", errno.EISDIR),
+        ("missing.csv", errno.ENOENT),
+    ],
+    ids=["directory", "missing-file"],
+)
+def test_audit_of_a_path_that_cannot_be_read_exits_two(tmp_path, capsys, name, code) -> None:
+    path = tmp_path / name
+    assert cli.main(["audit", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: cannot read {tmp_path}: ")
+    # The reason follows the path once; the path is not repeated after it.
+    assert err == f"error: cannot read {path}: {os.strerror(code)}\n"
