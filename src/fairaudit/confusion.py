@@ -94,7 +94,7 @@ class GroupedConfusion(namedtuple("GroupedConfusion", "matrices empty_groups")):
     least two populated groups; a single-group table is representable so the
     drop-with-warning path stays usable. ``g[group]`` looks a matrix up by
     group label, never by position. The constructor checks that every value is
-    a :class:`ConfusionMatrix` and that no empty group also holds a matrix.
+    a :class:`ConfusionMatrix` and that each empty group is unique and holds no matrix.
     """
 
     __slots__ = ()
@@ -111,6 +111,8 @@ class GroupedConfusion(namedtuple("GroupedConfusion", "matrices empty_groups")):
         for group in empty_groups:
             if group in matrices:
                 raise InputError(f"empty group {group!r} also holds a matrix")
+        if len(set(empty_groups)) != len(empty_groups):
+            raise InputError(f"empty groups repeat a label: {empty_groups}")
         return super().__new__(cls, matrices, empty_groups)
 
     @classmethod

@@ -14,9 +14,11 @@ support of Z and is total: zero-mass conditioning cells are vacuously
 satisfied instead of dividing by zero. It is homogeneous of degree 2 in the
 weights, so it is computed on the integer weights, summed in one pass into
 flat lists indexed by the positions of the (given, left, right) values, and
-divided once by the squared denominator. Each call numbers the positions
-afresh: left and right values by their place in their domains L and R, given
-values in order of first appearance, so a call costs the table's cells plus
+divided once by the squared denominator. Left and right values take their
+places in their domains L and R (a fused side's is its product grid); those
+positions and each side's reader of a key are computed once per layout (the
+variables and the three sides) and cached. Given values are still numbered
+per call as they first appear, so a call costs the table's cells plus
 ng·|L|·|R| sums for the ng given values the table holds.
 
 A joint's cells are checked once, where it enters the library: the public
@@ -35,6 +37,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -78,6 +81,13 @@ def _domains(variables: tuple[tuple[str, tuple[str, ...]], ...]) -> list[set[str
         if len(labels) != len(domain):
             raise InputError(f"variable {name!r} repeats domain labels: {domain}")
     return domains
+
+
+def _index(variables: tuple[tuple[str, tuple[str, ...]], ...], name: str) -> int:
+    for i, (known, _) in enumerate(variables):
+        if known == name:
+            return i
+    raise InputError(f"unknown variable {name!r}; have {tuple(known for known, _ in variables)}")
 
 
 class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
@@ -131,10 +141,7 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
         return self.variables[self.index(name)][1]
 
     def index(self, name: str) -> int:
-        for i, (known, _) in enumerate(self.variables):
-            if known == name:
-                return i
-        raise InputError(f"unknown variable {name!r}; have {self.names}")
+        return _index(self.variables, name)
 
     def min_cell(self) -> Fraction:
         """Smallest mass over the full assignment grid: 0 when the table, whose
@@ -256,14 +263,23 @@ def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(spec)
 
 
-def _side(j: FiniteJoint, names: tuple[str, ...]) -> tuple[operator.itemgetter, Mapping]:
-    """Reader of one side's value off a key, and each value's position: in a
-    variable's domain, or in a fused side's product grid."""
-    at = [j.index(name) for name in names]
-    if len(at) == 1:
-        return operator.itemgetter(at[0]), dict(zip(j.variables[at[0]][1], itertools.count()))
-    grid = itertools.product(*(j.variables[i][1] for i in at))
-    return operator.itemgetter(*at), dict(zip(grid, itertools.count()))
+@functools.lru_cache(maxsize=256)
+def _plan(variables: tuple, *sides: str | Sequence[str]) -> tuple:
+    """What a :func:`ci_deviation` call needs that depends only on the layout:
+    readers of the left, right and given values off a key (``None`` when
+    nothing is given), then the positions of the left and of the right values.
+    A refused layout raises, and an exception is not cached."""
+    left, right, given = map(_as_names, sides)
+    if not left or not right:
+        raise InputError("left and right must each name at least one variable")
+    all_names = left + right + given
+    if len(set(all_names)) != len(all_names):
+        raise InputError(f"variable groups must be pairwise disjoint: {all_names}")
+    at = [[_index(variables, name) for name in names] for names in (left, right, given)]
+    pick = [operator.itemgetter(*i) if i else None for i in at]
+    domains = [[variables[k][1] for k in i] for i in at[:2]]
+    grids = [d[0] if len(d) == 1 else itertools.product(*d) for d in domains]
+    return (*pick, *(dict(zip(grid, itertools.count())) for grid in grids))
 
 
 def ci_deviation(
@@ -275,23 +291,15 @@ def ci_deviation(
     """Division-free conditional-independence deviation of ``left`` from
     ``right`` given ``given``. Either side may be a set of variables, which
     is equivalent to fusing them into one product-domain variable."""
-    left_names = _as_names(left)
-    right_names = _as_names(right)
-    given_names = _as_names(given)
-    if not left_names or not right_names:
-        raise InputError("left and right must each name at least one variable")
-    all_names = left_names + right_names + given_names
-    if len(set(all_names)) != len(all_names):
-        raise InputError(f"variable groups must be pairwise disjoint: {all_names}")
-
-    # Each side reads its value off a key and maps it to a position: one
-    # variable through its label positions, fused variables through their
-    # product grid. Given values are numbered as they first occur, so the
-    # sums below have cells only for given values the table holds.
-    (pick_l, left_at), (pick_r, right_at) = _side(j, left_names), _side(j, right_names)
+    try:
+        plan = _plan(j.variables, left, right, given)
+    except TypeError:  # a side given as an unhashable sequence, such as a list
+        plan = _plan(j.variables, *map(_as_names, (left, right, given)))
+    pick_l, pick_r, pick_g, left_at, right_at = plan
+    # Given values are numbered as they first occur, so the sums below have
+    # cells only for given values the table holds.
     nl, nr, keys = len(left_at), len(right_at), j.table
-    at = [j.index(name) for name in given_names]
-    given_keys = list(map(operator.itemgetter(*at), keys)) if at else [()] * len(keys)
+    given_keys = list(map(pick_g, keys)) if pick_g else [()] * len(keys)
     given_at = dict(zip(dict.fromkeys(given_keys), itertools.count()))
     ng = len(given_at)
     p_lrg, p_lg, p_rg, p_g = [0] * (ng * nl * nr), [0] * (ng * nl), [0] * (ng * nr), [0] * ng

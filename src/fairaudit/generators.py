@@ -24,13 +24,18 @@ MAX_GROUPS = 3
 #: Integer weight of a uniform draw of 1; a draw u becomes round(u * RESOLUTION).
 RESOLUTION = 1000
 
+# Every domain label a generator uses: no domain has more than 3 labels.
+_LABELS = ("0", "1", "2")
+
 
 def _labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
+    return _LABELS[:n]
 
 
 def _weights(rng: random.Random, n: int, low: float = 0.0) -> list[int]:
-    return [round(rng.uniform(low, 1.0) * RESOLUTION) for _ in range(n)]
+    # Random.uniform(low, 1.0)'s own formula, drawn inline: bit-identical weights.
+    span, draw = 1.0 - low, rng.random
+    return [round((low + span * draw()) * RESOLUTION) for _ in range(n)]
 
 
 def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -> dict[str, int]:

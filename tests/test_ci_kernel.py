@@ -12,14 +12,20 @@ instance has violation mass exactly 0.
 Every joint the library derives on these draws (generated, composed, mapped
 and count joints) must also equal the public constructor's joint on its parts
 (``assert_revalidates``), and ``min_cell`` must match the grid walk.
+
+The kernel caches the readers and positions of each layout (the joint's
+variables and the three sides), so joints that share variables, fused sides
+and givens on one layout, and refused layouts are checked on repeated calls.
 """
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from typing import Sequence
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from joint_oracle import assert_revalidates, oracle_min_cell
@@ -262,3 +268,58 @@ class TestConstructionsAreExact:
             assert_revalidates(j)
             verdict = check_ci_property(3, j, h)
             assert verdict.premises == {"y_equals_h_of_z_violation_mass": 0}
+
+
+class TestLayoutPlanCache:
+    """``ci_deviation`` caches what depends only on the joint's variables and
+    the three sides; the table is read afresh on every call."""
+
+    VARIABLES = (("X", ("0", "1")), ("Y", ("a", "b", "c")), ("Z", ("0", "1")), ("W", ("p", "q")))
+
+    def test_joints_sharing_variables_each_match_the_oracle(self):
+        keys = list(itertools.product(*(domain for _, domain in self.VARIABLES)))
+        dense = FiniteJoint(self.VARIABLES, {key: 1 + i % 5 for i, key in enumerate(keys)})
+        sparse = FiniteJoint(self.VARIABLES, {key: 2 + i for i, key in enumerate(keys[::5])})
+        for _ in range(2):
+            for j in (dense, sparse):
+                assert_matches_oracle(j)
+
+    def test_fused_side_and_fused_given_on_one_layout(self):
+        rng = random.Random(139)
+        variables = self.VARIABLES + (("U", ("0", "1", "2")),)
+        for _ in range(3):
+            j = random_joint(rng, variables)
+            for left, right, given_names in (
+                (("X", "W"), "Y", ("Z", "U")),
+                ("X", ("Y", "U"), ("W", "Z")),
+                (("U", "X"), ("W", "Y"), ()),
+            ):
+                deviation = ci_deviation(j, left, right, given_names)
+                assert deviation == oracle_ci_deviation(j, left, right, given_names)
+
+    def test_list_sides_match_tuple_sides(self):
+        j = random_joint(random.Random(149), self.VARIABLES)
+        for left, right, given_names in splits(j.names):
+            expected = ci_deviation(j, left, right, given_names)
+            assert ci_deviation(j, list(left), list(right), list(given_names)) == expected
+
+    @pytest.mark.parametrize(
+        "left, right, given_names, message",
+        [
+            ((), "Y", "Z", "left and right must each name at least one variable"),
+            ("X", (), "Z", "left and right must each name at least one variable"),
+            (
+                "X",
+                "Y",
+                ("Z", "X"),
+                "variable groups must be pairwise disjoint: ('X', 'Y', 'Z', 'X')",
+            ),
+            ("X", "V", "Z", "unknown variable 'V'; have ('X', 'Y', 'Z', 'W')"),
+            (("X", "W"), "Y", ("Z", "V"), "unknown variable 'V'; have ('X', 'Y', 'Z', 'W')"),
+        ],
+    )
+    def test_refused_layouts_raise_on_every_call(self, left, right, given_names, message):
+        j = random_joint(random.Random(151), self.VARIABLES)
+        for _ in range(2):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                ci_deviation(j, left, right, given_names)

@@ -1,11 +1,12 @@
 """Argument checks, one table row each with the exception it raises and its
 exact message: the reservoir split, a matrix scaled by 0, a grouped table with
-a value that is not a matrix or an empty group that holds one, a hand-built
-record's score that is out of range, a str or a bool, a joint's repeated
-label and unknown variable, a map's empty mapping or repeated variable, the
-CI composer's empty ``pz`` and disagreeing rows, an empty side of a
-deviation, and property 3 given a map that is not from Z onto Y. Also
-property 2's vacuous verdict, and the CLI's exit on a path it cannot read.
+a value that is not a matrix, an empty group that holds one or an empty group
+listed twice, a hand-built record's score that is out of range, a str or a
+bool, a joint's repeated label and unknown variable, a map's empty mapping or
+repeated variable, the CI composer's empty ``pz`` and disagreeing rows, an
+empty side of a deviation, and property 3 given a map that is not from Z
+onto Y. Also property 2's vacuous verdict, and the CLI's exit on a path it
+cannot read.
 """
 
 import errno
@@ -56,6 +57,13 @@ REFUSED: dict[str, tuple[Callable[[], Any], type, str]] = {
         lambda: GroupedConfusion({"p": ConfusionMatrix(1, 2, 3, 4)}, ("q", "p")),
         InputError,
         "empty group 'p' also holds a matrix",
+    ),
+    "grouped-empty-group-repeated": (
+        lambda: GroupedConfusion(
+            {"p": ConfusionMatrix(1, 2, 3, 4), "r": ConfusionMatrix(1, 2, 3, 4)}, ("q", "q")
+        ),
+        InputError,
+        "empty groups repeat a label: ('q', 'q')",
     ),
     "dataset-score-above-one": (
         lambda: Dataset.from_records([Record("r", "p", True, True, 1.5)]),
