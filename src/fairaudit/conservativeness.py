@@ -158,7 +158,7 @@ def check_joint_independence_iff(
         )
     suff_and_sep = bool(sufficiency(g, eps).holds) and bool(separation(g, eps).holds)
     deviation = ci_deviation(to_joint(g), "A", ("Y", "R"))
-    joint_independent = bool(within(deviation.numerator, deviation.denominator, eps))
+    joint_independent = within(deviation.numerator, deviation.denominator, eps)
     return JointIndependenceVerdict(
         suff_and_sep=suff_and_sep,
         joint_independent=joint_independent,
@@ -323,8 +323,9 @@ def check_proportional_preservation(
     g: GroupedConfusion, eps: float = EPS_DEFAULT
 ) -> ProportionalPreservationReport:
     """Shift FN to TP in proportion to group size (k records in a group with
-    multiplier k) and verify that sufficiency and separation survive with
-    zero disparity.
+    multiplier k) and verify that neither sufficiency nor separation fails. As
+    in :func:`check_conservativeness`, a NOT-COMPARABLE measure survives: the
+    shift left one of its rates undefined in every group.
 
     Requires the group matrices to be exact integer multiples of a common
     base, and the base to have a false negative so the proportional shifts
@@ -342,7 +343,7 @@ def check_proportional_preservation(
     after = apply_increment(g, increment)
     suff = sufficiency(after, eps)
     sep = separation(after, eps)
-    preserved = suff.disparity == 0 and sep.disparity == 0
+    preserved = suff.holds is not False and sep.holds is not False
     return ProportionalPreservationReport(
         multipliers=multipliers,
         increment=increment,

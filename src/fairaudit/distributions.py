@@ -26,9 +26,9 @@ constructor checks every key and weight, while the joints derived from valid
 parts (mapped, composed, generated and count joints) are built by
 :meth:`FiniteJoint.from_valid`, which checks only the variables and the mass.
 
-Every tolerance test is :func:`within`: ``part / whole`` is within eps when
-it is at most eps's exact binary value, decided on integers; an infinite eps
-admits every value, and a nan eps leaves each one neither within nor above.
+Every tolerance test is :func:`within`, which answers yes or no: ``part /
+whole`` is within eps when it is at most eps's exact binary value, decided on
+integers; an infinite eps admits every value, and nothing is within a nan eps.
 
 All values are immutable named tuples (joints, maps and verdicts) and every
 operation is a pure function, so everything here is safe to share across
@@ -55,12 +55,13 @@ FAIL = "fail"
 VACUOUS = "vacuous"
 
 
-def within(part: int, whole: int, eps: float) -> bool | None:
-    """Whether ``part / whole`` (``whole > 0``) is within eps; ``None`` at a nan eps."""
+def within(part: int, whole: int, eps: float) -> bool:
+    """Whether ``part / whole`` (``whole > 0``) is within eps: an infinite eps
+    admits everything, and nothing is within a nan eps."""
     if math.isfinite(eps):
         num, den = eps.as_integer_ratio()
         return part * den <= num * whole
-    return None if math.isnan(eps) else eps > 0
+    return eps > 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +177,8 @@ class DeterministicMap(namedtuple("DeterministicMap", "source target mapping")):
 class PropertyVerdict(NamedTuple):
     """Outcome of checking one conditional-independence property, kept as given.
 
-    ``status`` is ``"vacuous"`` when the premises fail within eps; in that
-    case no conclusion is asserted and ``conclusions`` is empty.
+    ``status`` is ``"vacuous"`` when no conclusion's premises are within eps;
+    then nothing is asserted and ``conclusions`` is empty.
     """
 
     status: str
@@ -356,44 +357,43 @@ def check_ci_property(
     2. X ind. Y | Z and U = h(X)  imply  (i) U ind. Y | Z and
        (ii) X ind. Y | (Z, U).
     3. Y = h(Z)  implies  X ind. Y | Z.
-    4. X ind. Y | Z and X ind. W | (Y, Z)  iff  X ind. (W, Y) | Z
-       (checked in both directions).
+    4. X ind. Y | Z and X ind. W | (Y, Z)  iff  X ind. (W, Y) | Z: the forward
+       direction rests on the first two deviations, the backward on the third.
     5. X ind. Y | Z, X ind. Z | Y and full positivity  imply  X ind. (Y, Z).
 
-    Returns a vacuous verdict when the premises fail within ``eps``; a
-    vacuous premise asserts nothing and is distinct from a failure.
+    A conclusion is derived only when its own premises are within ``eps``
+    (property 5's also need a positive ``min_cell``). A verdict that derives
+    none is vacuous: it asserts nothing and is distinct from a failure.
     """
 
-    def fits(dev: Fraction) -> bool | None:
+    def fits(dev: Fraction) -> bool:
         return within(*dev.as_integer_ratio(), eps)
 
+    conclusions: dict[str, Fraction] = {}
     if k == 1:
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
-        if fits(premise) is False:
-            return PropertyVerdict(VACUOUS, premises, {})
-        conclusions = {"y_indep_x_given_z": ci_deviation(j, "Y", "X", "Z")}
+        if fits(premise):
+            conclusions = {"y_indep_x_given_z": ci_deviation(j, "Y", "X", "Z")}
     elif k == 2:
         if h is None or h.source != "X":
             raise InputError("property 2 needs a DeterministicMap from X")
         premise = ci_deviation(j, "X", "Y", "Z")
         premises = {"x_indep_y_given_z": premise}
-        if fits(premise) is False:
-            return PropertyVerdict(VACUOUS, premises, {})
-        extended = apply_map(j, h)
-        u = h.target
-        conclusions = {
-            f"{u.lower()}_indep_y_given_z": ci_deviation(extended, u, "Y", "Z"),
-            f"x_indep_y_given_z{u.lower()}": ci_deviation(extended, "X", "Y", ("Z", u)),
-        }
+        if fits(premise):
+            extended = apply_map(j, h)
+            u = h.target
+            conclusions = {
+                f"{u.lower()}_indep_y_given_z": ci_deviation(extended, u, "Y", "Z"),
+                f"x_indep_y_given_z{u.lower()}": ci_deviation(extended, "X", "Y", ("Z", u)),
+            }
     elif k == 3:
         if h is None or h.source != "Z" or h.target != "Y":
             raise InputError("property 3 needs a DeterministicMap from Z onto Y")
         premise = _functional_violation_mass(j, h)
         premises = {"y_equals_h_of_z_violation_mass": premise}
-        if fits(premise) is False:
-            return PropertyVerdict(VACUOUS, premises, {})
-        conclusions = {"x_indep_y_given_z": ci_deviation(j, "X", "Y", "Z")}
+        if fits(premise):
+            conclusions = {"x_indep_y_given_z": ci_deviation(j, "X", "Y", "Z")}
     elif k == 4:
         dev_a = ci_deviation(j, "X", "Y", "Z")
         dev_b = ci_deviation(j, "X", "W", ("Y", "Z"))
@@ -403,14 +403,11 @@ def check_ci_property(
             "x_indep_w_given_yz": dev_b,
             "x_indep_wy_given_z": dev_c,
         }
-        conclusions = {}
         if fits(dev_a) and fits(dev_b):
             conclusions["forward_x_indep_wy_given_z"] = dev_c
         if fits(dev_c):
             conclusions["backward_x_indep_y_given_z"] = dev_a
             conclusions["backward_x_indep_w_given_yz"] = dev_b
-        if not conclusions:
-            return PropertyVerdict(VACUOUS, premises, {})
     elif k == 5:
         min_cell = j.min_cell()
         dev_xy = ci_deviation(j, "X", "Y", "Z")
@@ -420,11 +417,12 @@ def check_ci_property(
             "x_indep_y_given_z": dev_xy,
             "x_indep_z_given_y": dev_xz,
         }
-        if min_cell <= 0 or fits(dev_xy) is False or fits(dev_xz) is False:
-            return PropertyVerdict(VACUOUS, premises, {})
-        conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
+        if min_cell > 0 and fits(dev_xy) and fits(dev_xz):
+            conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
     else:
         raise InputError(f"property id must be 1..5, got {k!r}")
 
+    if not conclusions:
+        return PropertyVerdict(VACUOUS, premises, {})
     status = PASS if all(map(fits, conclusions.values())) else FAIL
     return PropertyVerdict(status, premises, conclusions)

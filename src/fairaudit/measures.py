@@ -111,7 +111,7 @@ def _cell_verdict(
         return MeasureVerdict(measure, None, gaps, None, None, eps)
     winner = max(gaps, key=gaps.__getitem__)  # first label with the largest gap
     part, whole, i, j = gaps_at[winner]
-    holds = bool(within(part, whole, eps))
+    holds = within(part, whole, eps)
     return MeasureVerdict(measure, gaps[winner], gaps, holds, (groups[i], groups[j]), eps)
 
 

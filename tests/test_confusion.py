@@ -153,10 +153,12 @@ class TestIsPositive:
         assert is_positive(GroupedConfusion(BEFORE))
 
     def test_any_zero_cell_negative(self):
-        g = GroupedConfusion(
-            {"p": ConfusionMatrix(1, 0, 1, 1), "q": ConfusionMatrix(1, 1, 1, 1)}
-        )
-        assert not is_positive(g)
+        # A lone zero in each of a, b, c and d.
+        for cells in ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
+            g = GroupedConfusion(
+                {"p": ConfusionMatrix(*cells), "q": ConfusionMatrix(1, 1, 1, 1)}
+            )
+            assert not is_positive(g), cells
 
     def test_all_ones(self):
         g = GroupedConfusion(

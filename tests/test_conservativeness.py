@@ -109,6 +109,17 @@ class TestJointIndependenceIff:
         for _ in range(100):
             assert check_joint_independence_iff(random_positive_grouped(rng)).equivalent
 
+    def test_sufficiency_without_separation_is_not_both(self):
+        # PPV 2/3 and NPV 2/3 in both groups, but FNR 1/3 against 1/5: one
+        # measure holding does not make the left side true.
+        g = GroupedConfusion({"p": ConfusionMatrix(2, 1, 1, 2), "q": ConfusionMatrix(4, 2, 1, 2)})
+        assert sufficiency(g).holds is True
+        assert separation(g).holds is False
+        verdict = check_joint_independence_iff(g)
+        assert verdict.suff_and_sep is False
+        assert verdict.joint_independent is False
+        assert verdict.equivalent is True
+
     def test_non_positive_rejected(self):
         with pytest.raises(PreconditionError, match="positive"):
             check_joint_independence_iff(GroupedConfusion(PERFECT))
@@ -267,6 +278,32 @@ class TestProportionalPreservation:
             (GroupShift("p", FN_TO_TP, 1), GroupShift("q", FN_TO_TP, 3))
         )
         assert report.preserved
+
+    def test_base_with_one_false_negative_is_feasible(self):
+        # The base group's multiplier is 1, so one false negative is enough.
+        base = ConfusionMatrix(3, 1, 1, 2)
+        report = check_proportional_preservation(
+            GroupedConfusion({"p": base, "q": base.scaled(2)})
+        )
+        assert report.after["p"] == ConfusionMatrix(4, 1, 0, 2)
+        assert report.preserved
+
+    def test_rate_left_undefined_in_every_group_is_preserved(self):
+        # Without true negatives, the shift empties NPV's denominator in both
+        # groups: sufficiency is NOT-COMPARABLE, which is not a break.
+        g = GroupedConfusion({"p": ConfusionMatrix(1, 1, 1, 0), "q": ConfusionMatrix(2, 2, 2, 0)})
+        report = check_proportional_preservation(g)
+        assert report.after.matrices == {
+            "p": ConfusionMatrix(2, 1, 0, 0),
+            "q": ConfusionMatrix(4, 2, 0, 0),
+        }
+        assert report.sufficiency.holds is None
+        assert report.sufficiency.component_gaps == {"ppv_gap": 0, "npv_gap": None}
+        assert report.separation.holds is True
+        assert report.separation.disparity == 0
+        assert report.preserved is True
+        # Nothing is within a nan eps, so there separation's verdict fails.
+        assert check_proportional_preservation(g, math.nan).preserved is False
 
     def test_non_proportional_rejected(self):
         with pytest.raises(PreconditionError, match="not integer multiples"):

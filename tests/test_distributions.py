@@ -12,9 +12,9 @@ import pytest
 from joint_oracle import oracle_min_cell, oracle_target_domain
 
 from fairaudit import cli
+from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.distributions import (
     EPS_DEFAULT,
-    FAIL,
     PASS,
     VACUOUS,
     DeterministicMap,
@@ -23,6 +23,7 @@ from fairaudit.distributions import (
     check_ci_property,
     ci_deviation,
     compose_ci,
+    within,
 )
 from fairaudit.errors import InputError
 from fairaudit.generators import (
@@ -34,6 +35,7 @@ from fairaudit.generators import (
     random_pair_ci_instance,
     random_product_instance,
 )
+from fairaudit.measures import independence, separation, sufficiency
 
 BIN = ("0", "1")
 
@@ -424,6 +426,21 @@ class TestCheckCIProperty:
             assert "forward_x_indep_wy_given_z" in verdict.conclusions
             assert "backward_x_indep_y_given_z" in verdict.conclusions
 
+    @pytest.mark.parametrize("copied", ["W", "Y"])
+    def test_property_4_forward_needs_both_premises(self, copied):
+        # X, Y, Z uniform and independent, with W or Y a copy of X: exactly
+        # one forward premise is 0 and the third deviation is positive too,
+        # so neither direction is derived.
+        variables = tuple((name, BIN) for name in ("X", "Y", "Z", "W"))
+        keys = itertools.product(BIN, repeat=3)
+        copies = {"W": lambda x, y, z: (x, y, z, x), "Y": lambda x, y, z: (x, x, z, y)}
+        j = FiniteJoint(variables, {copies[copied](*key): 1 for key in keys})
+        verdict = check_ci_property(4, j)
+        dev_a, dev_b, dev_c = verdict.premises.values()
+        assert (dev_a == 0) != (dev_b == 0)
+        assert dev_c > 0
+        assert verdict == (VACUOUS, verdict.premises, {})
+
     def test_property_4_pair_construction(self):
         rng = random.Random(5)
         for _ in range(25):
@@ -465,17 +482,42 @@ class TestCheckCIProperty:
         assert check_ci_property(1, j, eps=0.0625).status == PASS
         assert check_ci_property(1, j, eps=math.nextafter(0.0625, 0)).status == VACUOUS
 
-    def test_infinite_and_nan_eps_compare_as_floats(self):
+    def test_infinite_eps_admits_every_deviation(self):
         table = {("0", "0", "0"): 1, ("1", "1", "0"): 1, ("0", "0", "1"): 1, ("1", "1", "1"): 1}
         j = FiniteJoint(variables=(("X", BIN), ("Y", BIN), ("Z", BIN)), table=table)
         chain = random_chain_instance(random.Random(7))
-        # inf: no premise exceeds it and every conclusion lies within it.
+        # No premise exceeds inf and every conclusion lies within it.
         assert check_ci_property(1, j, eps=math.inf).status == PASS
         assert check_ci_property(4, chain, eps=math.inf).status == PASS
-        # nan: every comparison is false, so no premise is vacuous by ``>``,
-        # no conclusion passes by ``<=``, and property 4 derives none.
-        assert check_ci_property(1, j, eps=math.nan).status == FAIL
-        assert check_ci_property(4, chain, eps=math.nan).status == VACUOUS
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, math.inf, math.nan])
+    def test_nothing_is_within_nan_and_everything_within_inf(self, eps):
+        # Every premise and conclusion of these instances is exactly 0, so at
+        # any eps but nan each property passes. Nothing is within a nan eps:
+        # each property derives no conclusion and is vacuous.
+        rng = random.Random(1)
+        j = random_ci_instance(rng)
+        functional, h3 = random_functional_instance(rng)
+        instances = {
+            1: (j, None),
+            2: (j, random_map(rng, "X", "U", j.domain("X"))),
+            3: (functional, h3),
+            4: (random_chain_instance(rng), None),
+            5: (random_product_instance(rng), None),
+        }
+        for k, (instance, h) in instances.items():
+            exact = check_ci_property(k, instance, h, 0.0)
+            verdict = check_ci_property(k, instance, h, eps)
+            if math.isnan(eps):
+                assert verdict == (VACUOUS, exact.premises, {}), k
+            else:
+                assert verdict == (PASS, exact.premises, exact.conclusions), k
+        # Two equal groups: every measure's disparity is 0.
+        g = GroupedConfusion({"p": ConfusionMatrix(3, 1, 2, 4), "q": ConfusionMatrix(3, 1, 2, 4)})
+        holds = [measure(g, eps).holds for measure in (independence, sufficiency, separation)]
+        assert holds == [not math.isnan(eps)] * 3
+        for part, whole in ((0, 1), (1, 20), (1, 1), (3, 2)):
+            assert type(within(part, whole, eps)) is bool
 
 
 class TestDefaults:
