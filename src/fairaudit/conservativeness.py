@@ -148,15 +148,17 @@ def check_joint_independence_iff(
     """On a strictly positive table, verify that sufficiency and separation
     hold together iff A is independent of the joint (Y, R) pair.
 
-    The independence side is ``ci_deviation`` of A from the fused (Y, R)
-    variable on the count joint of ``g``, an exact ``Fraction``, so the two
-    sides are compared as boolean verdicts at ``eps`` without rounding.
+    Sufficiency and separation are decided by ``cells_hold`` on the cells'
+    integer gaps, and independence by the exact ``ci_deviation`` of A from the
+    fused (Y, R) variable on the count joint of ``g``: nothing is rounded.
     """
     if not is_positive(g):
         raise PreconditionError(
             "joint-independence equivalence requires strictly positive cells"
         )
-    suff_and_sep = bool(sufficiency(g, eps).holds) and bool(separation(g, eps).holds)
+    if len(g.groups) < 2:  # the measures' own precondition
+        raise PreconditionError(f"fairness measures need at least two groups, got {g.groups}")
+    suff_and_sep = all(cells_hold(m, g.matrices.values(), eps) for m in (SUFFICIENCY, SEPARATION))
     deviation = ci_deviation(to_joint(g), "A", ("Y", "R"))
     joint_independent = within(deviation.numerator, deviation.denominator, eps)
     return JointIndependenceVerdict(

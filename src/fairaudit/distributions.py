@@ -12,14 +12,14 @@ conditional independence are decided through a division-free deviation
 which agrees with the textbook definition P(X | Y, Z) = P(X | Z) on the
 support of Z and is total: zero-mass conditioning cells are vacuously
 satisfied instead of dividing by zero. It is homogeneous of degree 2 in the
-weights, so it is computed on the integer weights, summed in one pass into
-flat lists indexed by the positions of the (given, left, right) values, and
-divided once by the squared denominator. Left and right values take their
-places in their domains L and R (a fused side's is its product grid); those
-positions and each side's reader of a key are computed once per layout (the
-variables and the three sides) and cached. Given values are still numbered
-per call as they first appear, so a call costs the table's cells plus
-ng·|L|·|R| sums for the ng given values the table holds.
+weights, so it is computed on the integer weights and divided once by the
+squared denominator. Each weight is added once, at slot l·|R| + r of its
+given value's block, where l and r place its left and right values in their
+domains L and R (a fused side's is its product grid); a block's row, column
+and total sums are read off the block. The places and each side's reader of
+a key are cached per layout (the variables and the three sides). Given
+values are numbered per call as they first appear, so a call costs the
+table's cells plus ng·|L|·|R| for the ng given values the table holds.
 
 A joint's cells are checked once, where it enters the library: the public
 constructor checks every key and weight, while the joints derived from valid
@@ -69,13 +69,14 @@ def within(part: int, whole: int, eps: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _domains(variables: tuple[tuple[str, tuple[str, ...]], ...]) -> list[set[str]]:
+@functools.lru_cache(maxsize=256)
+def _domains(variables: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[frozenset[str], ...]:
     """Each variable's domain as a set, once the names are distinct and every
-    domain is nonempty without a repeated label."""
+    domain is nonempty without a repeated label; cached like :func:`_plan`."""
     names = [name for name, _ in variables]
     if len(set(names)) != len(names):
         raise InputError(f"duplicate variable names: {names}")
-    domains = [set(domain) for _, domain in variables]
+    domains = tuple(frozenset(domain) for _, domain in variables)
     for (name, domain), labels in zip(variables, domains):
         if not domain:
             raise InputError(f"variable {name!r} has an empty domain")
@@ -111,7 +112,7 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
         domains = _domains(variables)
         for key, w in table.items():
             shaped = type(key) is tuple and len(key) == len(variables)
-            if not (shaped and all(map(set.__contains__, domains, key))):
+            if not (shaped and all(map(frozenset.__contains__, domains, key))):
                 raise InputError(f"assignment {key!r} does not match declared variables")
             if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise InputError(f"weight at {key!r} must be a non-negative int, got {w!r}")
@@ -268,8 +269,8 @@ def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
 def _plan(variables: tuple, *sides: str | Sequence[str]) -> tuple:
     """What a :func:`ci_deviation` call needs that depends only on the layout:
     readers of the left, right and given values off a key (``None`` when
-    nothing is given), then the positions of the left and of the right values.
-    A refused layout raises, and an exception is not cached."""
+    nothing is given), then the block offset ``l * nr`` of each left value and
+    the place ``r`` of each right value; a refused layout is never cached."""
     left, right, given = map(_as_names, sides)
     if not left or not right:
         raise InputError("left and right must each name at least one variable")
@@ -279,8 +280,9 @@ def _plan(variables: tuple, *sides: str | Sequence[str]) -> tuple:
     at = [[_index(variables, name) for name in names] for names in (left, right, given)]
     pick = [operator.itemgetter(*i) if i else None for i in at]
     domains = [[variables[k][1] for k in i] for i in at[:2]]
-    grids = [d[0] if len(d) == 1 else itertools.product(*d) for d in domains]
-    return (*pick, *(dict(zip(grid, itertools.count())) for grid in grids))
+    left_grid, right_grid = (d[0] if len(d) == 1 else itertools.product(*d) for d in domains)
+    right_at = dict(zip(right_grid, itertools.count()))
+    return (*pick, dict(zip(left_grid, itertools.count(0, len(right_at)))), right_at)
 
 
 def ci_deviation(
@@ -297,34 +299,34 @@ def ci_deviation(
     except TypeError:  # a side given as an unhashable sequence, such as a list
         plan = _plan(j.variables, *map(_as_names, (left, right, given)))
     pick_l, pick_r, pick_g, left_at, right_at = plan
-    # Given values are numbered as they first occur, so the sums below have
-    # cells only for given values the table holds.
+    # Each cell is added once, at slot l * nr + r of its given value's block.
+    # Given values are numbered as they first occur: only those held get one.
     nl, nr, keys = len(left_at), len(right_at), j.table
-    given_keys = list(map(pick_g, keys)) if pick_g else [()] * len(keys)
-    given_at = dict(zip(dict.fromkeys(given_keys), itertools.count()))
-    ng = len(given_at)
-    p_lrg, p_lg, p_rg, p_g = [0] * (ng * nl * nr), [0] * (ng * nl), [0] * (ng * nr), [0] * ng
-    for g, l, r, weight in zip(
-        map(given_at.__getitem__, given_keys),
-        map(left_at.__getitem__, map(pick_l, keys)),
-        map(right_at.__getitem__, map(pick_r, keys)),
-        keys.values(),
-    ):
-        gl = g * nl + l
-        p_lrg[gl * nr + r] += weight
-        p_lg[gl] += weight
-        p_rg[g * nr + r] += weight
-        p_g[g] += weight
+    size, blocks = nl * nr, 1
+    slots = map(left_at.__getitem__, map(pick_l, keys))
+    if pick_g:
+        given_keys = list(map(pick_g, keys))
+        given_at = dict(zip(dict.fromkeys(given_keys), itertools.count(0, size)))
+        slots = map(operator.add, map(given_at.__getitem__, given_keys), slots)
+        blocks = len(given_at)
+    cells = [0] * (blocks * size)
+    for slot, r, weight in zip(slots, map(right_at.__getitem__, map(pick_r, keys)), keys.values()):
+        cells[slot + r] += weight
 
-    worst = 0  # a zero-mass given value has all-zero sums: vacuously satisfied
-    for gl, pl in enumerate(p_lg):
-        g = gl // nl
-        pg = p_g[g]
-        for w, pr in zip(p_lrg[gl * nr : gl * nr + nr], p_rg[g * nr : g * nr + nr]):
-            deviation = abs(w * pg - pl * pr)
-            if deviation > worst:
-                worst = deviation
-    return Fraction(worst, sum(p_g) ** 2)  # p_g holds each weight once: it sums to j.denominator
+    # A block's column r is its nl cells from slot r by step nr, and the rows
+    # of every block come in turn from one zip over the cells: nothing is copied.
+    starts = range(0, len(cells), size)
+    p_r = [sum(cells[at : b + size : nr]) for b in starts for at in range(b, b + nr)]
+    worst, rows = 0, zip(*[iter(cells)] * nr)
+    for cols in zip(*[iter(p_r)] * nr):  # each block's column sums
+        p_g = sum(cols)
+        for row in itertools.islice(rows, nl):
+            p_l = sum(row)
+            for w, pr in zip(row, cols):
+                deviation = abs(w * p_g - p_l * pr)
+                if deviation > worst:  # a given value without mass has all sums 0
+                    worst = deviation
+    return Fraction(worst, sum(p_r) ** 2)  # p_r holds each weight once: it sums to j.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .confusion import ConfusionMatrix, GroupedConfusion, to_joint
-from .distributions import DeterministicMap, FiniteJoint, apply_map, ci_deviation, compose_ci
-from .measures import separation, sufficiency
+from .confusion import GroupedConfusion, to_joint
+from .distributions import DeterministicMap, FiniteJoint, apply_map, ci_deviation
+# sufficiency and separation stay bound for perfbench/replay.py
+from .measures import SEPARATION, SUFFICIENCY, cell_gaps, separation, sufficiency
 
 #: Smallest cell mass guaranteed by the positivity generator.
 POSITIVITY_FLOOR = 1e-3
@@ -58,11 +59,13 @@ def random_sizes(rng: random.Random, count: int, low: int = 2, high: int = 3) ->
 def random_ci_instance(rng: random.Random) -> FiniteJoint:
     """A joint with X independent of Y given Z, by construction."""
     nx, ny, nz = random_sizes(rng, 3)
-    z_dom = _labels(nz)
+    x_dom, y_dom, z_dom = map(_labels, (nx, ny, nz))
     pz = _distribution(rng, z_dom, low=0.05)
-    px = {z: _distribution(rng, _labels(nx)) for z in z_dom}
-    py = {z: _distribution(rng, _labels(ny)) for z in z_dom}
-    return compose_ci(pz, px, py)
+    px = {z: _distribution(rng, x_dom) for z in z_dom}
+    py = {z: _distribution(rng, y_dom) for z in z_dom}
+    grid = itertools.product(z_dom, x_dom, y_dom)
+    table = {(x, y, z): pz[z] * px[z][x] * py[z][y] for z, x, y in grid}
+    return FiniteJoint.from_valid((("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table)
 
 
 def random_map(rng: random.Random, source: str, target: str, domain: Sequence[str]) -> DeterministicMap:
@@ -163,36 +166,30 @@ def random_perfect_grouped(rng: random.Random) -> GroupedConfusion:
     """Perfect predictor per group (no false cells); zero TP or TN cells are
     allowed so undefined rates stay reachable."""
     groups = _group_labels(rng.randint(2, MAX_GROUPS))
-    matrices = {}
+    tally = {}
     for group in groups:
         a, d = 0, 0
         while a + d == 0:
             a, d = rng.randint(0, 20), rng.randint(0, 20)
-        matrices[group] = ConfusionMatrix(a, 0, 0, d)
-    return GroupedConfusion(matrices)
+        tally[group] = (a, 0, 0, d)
+    return GroupedConfusion.from_valid(tally)
 
 
 def random_positive_grouped(rng: random.Random) -> GroupedConfusion:
     """Strictly positive cells, each at most 30, in every group."""
     groups = _group_labels(rng.randint(2, MAX_GROUPS))
-    return GroupedConfusion(
-        {
-            group: ConfusionMatrix(
-                rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 30)
-            )
-            for group in groups
-        }
-    )
+    tally = {group: [rng.randint(1, 30) for _ in range(4)] for group in groups}
+    return GroupedConfusion.from_valid(tally)
 
 
 def random_proportional_grouped(rng: random.Random) -> GroupedConfusion:
     """Positive matrices that are exact integer multiples (1 to 4) of a common
     base, so the group variable is independent of the (Y, R) pair."""
-    base = ConfusionMatrix(
-        rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12)
-    )
+    base = [rng.randint(1, 12) for _ in range(4)]
     groups = _group_labels(rng.randint(2, MAX_GROUPS))
-    return GroupedConfusion({group: base.scaled(rng.randint(1, 4)) for group in groups})
+    multipliers = {group: rng.randint(1, 4) for group in groups}
+    tally = {group: [k * cell for cell in base] for group, k in multipliers.items()}
+    return GroupedConfusion.from_valid(tally)
 
 
 def random_nonproportional_grouped(rng: random.Random) -> GroupedConfusion:
@@ -200,13 +197,11 @@ def random_nonproportional_grouped(rng: random.Random) -> GroupedConfusion:
     deviation from joint independence exceeds 1/1000 (at most 1000 draws)."""
     for _ in range(1000):
         g = random_positive_grouped(rng)
-        gaps = [
-            gap
-            for verdict in (sufficiency(g), separation(g))
-            for gap in verdict.component_gaps.values()
-        ]
-        if any(gap is not None and gap >= Fraction(1, 20) for gap in gaps) and (
-            ci_deviation(to_joint(g), "A", ("Y", "R")) > Fraction(1, 1000)
-        ):
+        wide = any(
+            20 * part >= whole  # positive cells leave no gap undefined
+            for measure in (SUFFICIENCY, SEPARATION)
+            for part, whole, _, _ in cell_gaps(measure, g.matrices.values()).values()
+        )
+        if wide and ci_deviation(to_joint(g), "A", ("Y", "R")) > Fraction(1, 1000):
             return g
     raise AssertionError("failed to generate a non-proportional instance")

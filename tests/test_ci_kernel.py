@@ -16,12 +16,25 @@ and count joints) must also equal the public constructor's joint on its parts
 The kernel caches the readers and positions of each layout (the joint's
 variables and the three sides), so joints that share variables, fused sides
 and givens on one layout, and refused layouts are checked on repeated calls.
+The checked domains of each joint's variables are cached too: refused
+variables raise on every call, the cached sets cannot change, and the public
+constructor still checks every key against them.
+
+``oracle_single_pass_deviation`` is the kernel as it was before it added each
+cell once: one pass that added each weight into four flat lists of sums. On
+the count joint of 20k positive groups, with 20k values on the left or given,
+the kernel must equal it and allocate at most 1.25 times its peak, so the
+kernel keeps no per-key or full-grid table.
 """
 
+import functools
+import gc
 import itertools
+import operator
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,9 +43,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from joint_oracle import assert_revalidates, oracle_min_cell
 
-from fairaudit.confusion import to_joint
+from fairaudit import distributions
+from fairaudit.confusion import GroupedConfusion, to_joint
 from fairaudit.distributions import (
     FiniteJoint,
+    _domains,
+    _index,
     apply_map,
     check_ci_property,
     ci_deviation,
@@ -323,3 +339,128 @@ class TestLayoutPlanCache:
         for _ in range(2):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 ci_deviation(j, left, right, given_names)
+
+
+class TestDomainCache:
+    """``FiniteJoint`` checks each layout's variables once and caches their
+    domains as sets; the keys of every table are still checked against them."""
+
+    @pytest.mark.parametrize(
+        "variables, message",
+        [
+            ((("X", ("0",)), ("X", ("1",))), "duplicate variable names: ['X', 'X']"),
+            ((("X", ("0",)), ("Y", ())), "variable 'Y' has an empty domain"),
+            ((("X", ("0", "1", "0")),), "variable 'X' repeats domain labels: ('0', '1', '0')"),
+        ],
+        ids=["duplicate-name", "empty-domain", "repeated-label"],
+    )
+    def test_refused_variables_raise_on_every_call(self, variables, message):
+        key = tuple(domain[0] if domain else "0" for _, domain in variables)
+        for _ in range(2):
+            for build in (FiniteJoint, FiniteJoint.from_valid):
+                with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                    build(variables, {key: 1})
+
+    def test_cached_domains_cannot_change(self):
+        variables = (("X", ("0", "1")), ("Y", ("a", "b", "c")))
+        domains = _domains(variables)
+        assert domains is _domains(variables)
+        assert domains == (frozenset({"0", "1"}), frozenset({"a", "b", "c"}))
+        with pytest.raises(AttributeError):
+            domains[0].add("2")
+        with pytest.raises(TypeError):
+            domains[0] = frozenset({"2"})
+        assert _domains(variables) == (frozenset({"0", "1"}), frozenset({"a", "b", "c"}))
+
+    def test_a_cached_layout_still_refuses_a_key_outside_it(self):
+        variables = (("X", ("0", "1")), ("Y", ("a", "b")))
+        FiniteJoint(variables, {("0", "a"): 1})  # checks the layout and caches it
+        for key in (("2", "a"), ("0", "c"), ("a", "0"), ("0",), ("0", "a", "a"), "0a"):
+            message = f"assignment {key!r} does not match declared variables"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                FiniteJoint(variables, {("0", "a"): 1, key: 1})
+
+
+# ---------------------------------------------------------------------------
+# The kernel before each cell was added once, and the guard against a memo
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_plan(variables: tuple, left: tuple, right: tuple, given: tuple) -> tuple:
+    at = [[_index(variables, name) for name in names] for names in (left, right, given)]
+    pick = [operator.itemgetter(*i) if i else None for i in at]
+    domains = [[variables[k][1] for k in i] for i in at[:2]]
+    grids = [d[0] if len(d) == 1 else itertools.product(*d) for d in domains]
+    return (*pick, *(dict(zip(grid, itertools.count())) for grid in grids))
+
+
+def oracle_single_pass_deviation(
+    j: FiniteJoint,
+    left: str | Sequence[str],
+    right: str | Sequence[str],
+    given: str | Sequence[str] = (),
+) -> Fraction:
+    plan = _oracle_plan(j.variables, *map(_as_names, (left, right, given)))
+    pick_l, pick_r, pick_g, left_at, right_at = plan
+    nl, nr, keys = len(left_at), len(right_at), j.table
+    given_keys = list(map(pick_g, keys)) if pick_g else [()] * len(keys)
+    given_at = dict(zip(dict.fromkeys(given_keys), itertools.count()))
+    ng = len(given_at)
+    p_lrg, p_lg, p_rg, p_g = [0] * (ng * nl * nr), [0] * (ng * nl), [0] * (ng * nr), [0] * ng
+    for g, l, r, weight in zip(
+        map(given_at.__getitem__, given_keys),
+        map(left_at.__getitem__, map(pick_l, keys)),
+        map(right_at.__getitem__, map(pick_r, keys)),
+        keys.values(),
+    ):
+        gl = g * nl + l
+        p_lrg[gl * nr + r] += weight
+        p_lg[gl] += weight
+        p_rg[g * nr + r] += weight
+        p_g[g] += weight
+
+    worst = 0
+    for gl, pl in enumerate(p_lg):
+        g = gl // nl
+        pg = p_g[g]
+        for w, pr in zip(p_lrg[gl * nr : gl * nr + nr], p_rg[g * nr : g * nr + nr]):
+            deviation = abs(w * pg - pl * pr)
+            if deviation > worst:
+                worst = deviation
+    return Fraction(worst, sum(p_g) ** 2)
+
+
+def _cold_peak(kernel, clear, j: FiniteJoint, sides: tuple) -> tuple[Fraction, int]:
+    """The kernel's result and the peak bytes it allocated, its layout plan included."""
+    clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = kernel(j, *sides)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelGuard:
+    GROUPS = 20_000
+    PEAK_RATIO = 1.25
+
+    @pytest.fixture(scope="class")
+    def joint(self):
+        rng = random.Random(157)
+        tally = {f"g{i}": [rng.randint(1, 30) for _ in range(4)] for i in range(self.GROUPS)}
+        return to_joint(GroupedConfusion.from_valid(tally))
+
+    @pytest.mark.parametrize(
+        "sides", [("A", ("Y", "R")), ("Y", "R", "A")], ids=["groups-left", "groups-given"]
+    )
+    def test_large_count_joint_matches_the_oracle_within_its_memory(self, joint, sides):
+        expected, oracle_peak = _cold_peak(
+            oracle_single_pass_deviation, _oracle_plan.cache_clear, joint, sides
+        )
+        deviation, peak = _cold_peak(ci_deviation, distributions._plan.cache_clear, joint, sides)
+        assert deviation == expected
+        assert expected > 0
+        assert peak <= self.PEAK_RATIO * oracle_peak, (peak, oracle_peak)

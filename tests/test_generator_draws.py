@@ -1,11 +1,15 @@
-"""The suite generators draw the same instances as the oracle helpers.
+"""The suite generators draw the same instances as the oracle helpers and
+the oracle builders.
 
 ``check-props`` prints only counts, so its goldens cannot see a changed
 stream of instances. Every ``random_*`` generator the CLI imports draws 50
 instances for each of seeds 0-19, once with the current helpers and once
 with ``generator_oracle``'s patched in; the instances must be equal, with the
 same repr (cell order and value types included), and the random state must
-be equal after every draw.
+be equal after every draw. The generators that build their tables from valid
+parts are compared the same way with ``generator_oracle``'s builders, which
+build through the checking constructors and accept non-proportional draws by
+their verdicts, patched in.
 """
 
 import random
@@ -14,6 +18,7 @@ import generator_oracle
 import pytest
 
 from fairaudit import cli, generators
+from fairaudit.confusion import GroupedConfusion
 
 SEEDS = range(20)
 DRAWS = 50
@@ -51,3 +56,28 @@ def test_draws_match_the_oracle_helpers(name, monkeypatch):
             patch.setattr(generators, "_weights", generator_oracle._weights)
             oracle = _draws(name, seed)
         assert current == oracle, (name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(generator_oracle.BUILDERS))
+def test_draws_match_the_oracle_builders(name, monkeypatch):
+    for seed in SEEDS:
+        current = _draws(name, seed)
+        with monkeypatch.context() as patch:
+            for builder, build in generator_oracle.BUILDERS.items():
+                patch.setattr(generators, builder, build)
+            oracle = _draws(name, seed)
+        assert current == oracle, (name, seed)
+
+
+def test_non_proportional_draws_are_accepted_from_a_gap_of_one_twentieth(monkeypatch):
+    # Seeded draws almost never land near the threshold, so the positive
+    # generator is replaced by fixed tables. Both deviate from joint
+    # independence by more than 1/1000; the largest rate gap of ``below`` is
+    # 11/230, under 1/20, and that of ``exact`` is 1/20 (FPR 3/20 against 2/20).
+    below = GroupedConfusion.from_valid({"g0": (9, 21, 17, 9), "g1": (7, 15, 15, 8)})
+    exact = GroupedConfusion.from_valid({"g0": (25, 3, 19, 17), "g1": (27, 2, 19, 18)})
+    wide = GroupedConfusion.from_valid({"g0": (1, 30, 30, 1), "g1": (30, 1, 1, 30)})
+    for module in (generators, generator_oracle):
+        draws = iter([below, exact, wide])
+        monkeypatch.setattr(module, "random_positive_grouped", lambda rng: next(draws))
+        assert module.random_nonproportional_grouped(random.Random(0)) == exact, module
