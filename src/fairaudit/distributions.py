@@ -21,10 +21,12 @@ a key are cached per layout (the variables and the three sides). Given
 values are numbered per call as they first appear, so a call costs the
 table's cells plus ng·|L|·|R| for the ng given values the table holds.
 
-A joint's cells are checked once, where it enters the library: the public
-constructor checks every key and weight, while the joints derived from valid
+A joint is checked once, where it enters the library: the public constructor
+checks its variables, keys and weights, while the joints derived from valid
 parts (mapped, composed, generated and count joints) are built by
-:meth:`FiniteJoint.from_valid`, which checks only the variables and the mass.
+:meth:`FiniteJoint.from_valid`, which checks only the mass. The tests rebuild
+each kind through the public constructor; :func:`compose_ci`, whose parts come
+from its caller, checks them itself.
 
 Every tolerance test is :func:`within`, which answers yes or no: ``part /
 whole`` is within eps when it is at most eps's exact binary value, decided on
@@ -69,22 +71,6 @@ def within(part: int, whole: int, eps: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _domains(variables: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[frozenset[str], ...]:
-    """Each variable's domain as a set, once the names are distinct and every
-    domain is nonempty without a repeated label; cached like :func:`_plan`."""
-    names = [name for name, _ in variables]
-    if len(set(names)) != len(names):
-        raise InputError(f"duplicate variable names: {names}")
-    domains = tuple(frozenset(domain) for _, domain in variables)
-    for (name, domain), labels in zip(variables, domains):
-        if not domain:
-            raise InputError(f"variable {name!r} has an empty domain")
-        if len(labels) != len(domain):
-            raise InputError(f"variable {name!r} repeats domain labels: {domain}")
-    return domains
-
-
 def _index(variables: tuple[tuple[str, tuple[str, ...]], ...], name: str) -> int:
     for i, (known, _) in enumerate(variables):
         if known == name:
@@ -109,7 +95,15 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
     ) -> FiniteJoint:
         variables = tuple((name, tuple(domain)) for name, domain in variables)
         table = dict(table)
-        domains = _domains(variables)
+        names = [name for name, _ in variables]
+        if len(set(names)) != len(names):
+            raise InputError(f"duplicate variable names: {names}")
+        domains = tuple(frozenset(domain) for _, domain in variables)
+        for (name, domain), labels in zip(variables, domains):
+            if not domain:
+                raise InputError(f"variable {name!r} has an empty domain")
+            if len(labels) != len(domain):
+                raise InputError(f"variable {name!r} repeats domain labels: {domain}")
         for key, w in table.items():
             shaped = type(key) is tuple and len(key) == len(variables)
             if not (shaped and all(map(frozenset.__contains__, domains, key))):
@@ -122,11 +116,10 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
     def from_valid(
         cls, variables: tuple[tuple[str, tuple[str, ...]], ...], table: dict[tuple[str, ...], int]
     ) -> FiniteJoint:
-        """A joint on parts known valid, kept as given: ``variables`` are
-        ``(name, domain)`` tuples, every key of ``table`` lies in their grid and
-        every weight is a non-negative int. The cells are not checked again;
-        the variables are, and a table without mass is still rejected."""
-        _domains(variables)
+        """A joint on parts the caller made valid, kept as given: ``variables``
+        are ``(name, domain)`` tuples with distinct names and nonempty domains
+        that repeat no label, every key of ``table`` is a tuple in their grid
+        and every weight is a non-negative int. Only the mass is checked."""
         if sum(table.values()) == 0:
             raise InputError("joint has no mass: every weight is 0")
         return super().__new__(cls, variables, table)
@@ -213,10 +206,10 @@ def compose_ci(
     """Assemble the joint over (X, Y, Z) with integer weights
     w(x,y,z) = pz[z] * px_given_z[z][x] * py_given_z[z][y].
 
-    ``px_given_z`` and ``py_given_z`` map each z-value to a row of
+    ``px_given_z`` and ``py_given_z`` map each z-value to a nonempty row of
     non-negative integer weights over the x (resp. y) domain; rows need not
-    share a total. The weight factorizes over z, so X ind. Y | Z holds
-    exactly: the deviation is 0.
+    share a total. All three inputs are checked here. The weight factorizes
+    over z, so X ind. Y | Z holds exactly: the deviation is 0.
     """
     z_dom = tuple(pz)
     if not z_dom:
@@ -244,6 +237,9 @@ def compose_ci(
     check_weights(pz, "pz")
     x_dom = check_rows(px_given_z, "px_given_z")
     y_dom = check_rows(py_given_z, "py_given_z")
+    for name, domain in (("X", x_dom), ("Y", y_dom)):
+        if not domain:
+            raise InputError(f"variable {name!r} has an empty domain")
 
     table = {
         (x, y, z): pz[z] * px_given_z[z][x] * py_given_z[z][y]
@@ -371,6 +367,8 @@ def check_ci_property(
     def fits(dev: Fraction) -> bool:
         return within(*dev.as_integer_ratio(), eps)
 
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 5:
+        raise InputError(f"property id must be 1..5, got {k!r}")
     conclusions: dict[str, Fraction] = {}
     if k == 1:
         premise = ci_deviation(j, "X", "Y", "Z")
@@ -410,7 +408,7 @@ def check_ci_property(
         if fits(dev_c):
             conclusions["backward_x_indep_y_given_z"] = dev_a
             conclusions["backward_x_indep_w_given_yz"] = dev_b
-    elif k == 5:
+    else:  # k == 5
         min_cell = j.min_cell()
         dev_xy = ci_deviation(j, "X", "Y", "Z")
         dev_xz = ci_deviation(j, "X", "Z", "Y")
@@ -421,8 +419,6 @@ def check_ci_property(
         }
         if min_cell > 0 and fits(dev_xy) and fits(dev_xz):
             conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
-    else:
-        raise InputError(f"property id must be 1..5, got {k!r}")
 
     if not conclusions:
         return PropertyVerdict(VACUOUS, premises, {})

@@ -46,7 +46,9 @@ def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -
 def random_joint(
     rng: random.Random, variables: Sequence[tuple[str, Sequence[str]]]
 ) -> FiniteJoint:
-    """Generic random joint with integer weights from uniform draws in [0, 1]."""
+    """Generic random joint with integer weights from uniform draws in [0, 1].
+    The caller's variables are taken as valid: distinct names and nonempty
+    domains that repeat no label."""
     variables = tuple((name, tuple(domain)) for name, domain in variables)
     keys = list(itertools.product(*(domain for _, domain in variables)))
     return FiniteJoint.from_valid(variables, dict(zip(keys, _weights(rng, len(keys)))))

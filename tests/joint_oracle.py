@@ -1,8 +1,11 @@
-"""Oracles for joints the library derives without checking their cells.
+"""Oracles for joints the library derives without checking their variables
+or cells.
 
 ``assert_revalidates`` rebuilds a derived joint through the public
-constructor, which checks every cell, and requires the same joint field for
-field. ``oracle_min_cell`` and ``oracle_target_domain`` are
+constructor, which checks the variables and every cell, and requires the same
+joint field for field. It is where a derived joint's variables are checked:
+``FiniteJoint.from_valid`` checks only the mass, so the tests run it on every
+builder (the generators, ``to_joint``, ``apply_map`` and ``compose_ci``). ``oracle_min_cell`` and ``oracle_target_domain`` are
 ``FiniteJoint.min_cell`` and ``apply_map``'s target domain as they were
 before: a walk over the whole assignment grid, and a list built with a
 membership test per source label.

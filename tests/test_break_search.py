@@ -9,6 +9,12 @@ of increments, and ``find_break``, which decides each candidate on its
 shifted cells, the identical witness or precondition error at every eps
 tested: 0, 1e-9, 0.02, 0.05, inf, nan and the float value of each component
 gap of the input.
+
+Two anchors pin the search's order for any branch and bound that replaces
+it: on 1,500 groups the witness is the second candidate, so the walk over
+groups may not recurse once per group, and on the walking input at eps 0.004
+the witness is the 1,322nd increment, so no bound may prune a subtree that
+holds an earlier one.
 """
 
 import collections
@@ -26,6 +32,7 @@ from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.conservativeness import (
     DIRECTIONS,
     FN_TO_TP,
+    FP_TO_TN,
     BreakWitness,
     GroupShift,
     Increment,
@@ -260,3 +267,28 @@ class TestBound:
         monkeypatch.setattr(ConfusionMatrix, "__new__", staticmethod(counted("matrix", new)))
         assert find_break(g, 0.02, 20) is None
         assert calls == {}
+
+
+class TestAnchors:
+    WALKING = GroupedConfusion({f"g{i}": ConfusionMatrix(2000, 300, 300, 2000) for i in range(3)})
+
+    def test_second_candidate_of_1500_groups(self):
+        # Every group shifts one record: all FN->TP keeps the groups identical,
+        # and the next candidate turns only the last group's shift to FP->TN.
+        groups = [f"g{i}" for i in range(1500)]
+        g = GroupedConfusion({group: ConfusionMatrix(2, 1, 1, 2) for group in groups})
+        witness = find_break(g, 0.0, 1500)
+        directions = [FN_TO_TP] * 1499 + [FP_TO_TN]
+        assert witness.increment == Increment(map(GroupShift, groups, directions, [1] * 1500))
+        assert witness.broken == (SUFFICIENCY, SEPARATION)
+
+    def test_walking_input_breaks_at_the_1322nd_increment(self):
+        counts, directions = (1, 1, 10), (FN_TO_TP, FN_TO_TP, FP_TO_TN)
+        witness = find_break(self.WALKING, 0.004, 30)
+        assert witness == oracle_find_break(self.WALKING, 0.004, 30)
+        shifts = map(GroupShift, self.WALKING.groups, directions, counts)
+        assert witness.increment == Increment(shifts)
+        assert witness.broken == (SEPARATION,)
+        # The enumerator yields each increment once, so this is its first time.
+        walked = itertools.islice(_candidate_increments(self.WALKING, 30), 1321, None)
+        assert next(walked) == (counts, directions)

@@ -16,9 +16,10 @@ and count joints) must also equal the public constructor's joint on its parts
 The kernel caches the readers and positions of each layout (the joint's
 variables and the three sides), so joints that share variables, fused sides
 and givens on one layout, and refused layouts are checked on repeated calls.
-The checked domains of each joint's variables are cached too: refused
-variables raise on every call, the cached sets cannot change, and the public
-constructor still checks every key against them.
+A joint's variables are checked once, by the public constructor: refused
+variables raise on every call, every key is checked against them, and no
+derived joint (generated, count, mapped or composed) goes through that check
+again at run time.
 
 ``oracle_single_pass_deviation`` is the kernel as it was before it added each
 cell once: one pass that added each weight into four flat lists of sums. On
@@ -47,11 +48,11 @@ from fairaudit import distributions
 from fairaudit.confusion import GroupedConfusion, to_joint
 from fairaudit.distributions import (
     FiniteJoint,
-    _domains,
     _index,
     apply_map,
     check_ci_property,
     ci_deviation,
+    compose_ci,
 )
 from fairaudit.errors import InputError
 from fairaudit.generators import (
@@ -341,9 +342,9 @@ class TestLayoutPlanCache:
                 ci_deviation(j, left, right, given_names)
 
 
-class TestDomainCache:
-    """``FiniteJoint`` checks each layout's variables once and caches their
-    domains as sets; the keys of every table are still checked against them."""
+class TestVariableCheck:
+    """``FiniteJoint`` checks the variables of each joint it is given and every
+    key against them; the joints the library derives skip that check."""
 
     @pytest.mark.parametrize(
         "variables, message",
@@ -357,24 +358,42 @@ class TestDomainCache:
     def test_refused_variables_raise_on_every_call(self, variables, message):
         key = tuple(domain[0] if domain else "0" for _, domain in variables)
         for _ in range(2):
-            for build in (FiniteJoint, FiniteJoint.from_valid):
-                with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-                    build(variables, {key: 1})
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                FiniteJoint(variables, {key: 1})
 
-    def test_cached_domains_cannot_change(self):
-        variables = (("X", ("0", "1")), ("Y", ("a", "b", "c")))
-        domains = _domains(variables)
-        assert domains is _domains(variables)
-        assert domains == (frozenset({"0", "1"}), frozenset({"a", "b", "c"}))
-        with pytest.raises(AttributeError):
-            domains[0].add("2")
-        with pytest.raises(TypeError):
-            domains[0] = frozenset({"2"})
-        assert _domains(variables) == (frozenset({"0", "1"}), frozenset({"a", "b", "c"}))
+    def test_derived_joints_skip_the_variable_check(self, monkeypatch):
+        # from_valid keeps what it is given: refused variables pass unchecked.
+        variables = (("X", ("0", "0")), ("X", ()))
+        assert FiniteJoint.from_valid(variables, {("0", "0"): 1}).variables == variables
 
-    def test_a_cached_layout_still_refuses_a_key_outside_it(self):
+        # No derived path reaches the public constructor, which checks them.
+        def refused(cls, *args, **kwargs):
+            raise AssertionError("a derived joint ran the variable check")
+
+        monkeypatch.setattr(FiniteJoint, "__new__", refused)
+        rng = random.Random(139)
+        for _ in range(20):
+            ci = random_ci_instance(rng)
+            apply_map(ci, random_map(rng, "X", "U", ci.domain("X")))
+            random_functional_instance(rng)
+            for build in (random_chain_instance, random_pair_ci_instance, random_product_instance):
+                build(rng)
+            random_joint(rng, [("X", ("0", "1")), ("Y", ("0",))])
+            for generate in (
+                random_perfect_grouped,
+                random_positive_grouped,
+                random_proportional_grouped,
+                random_nonproportional_grouped,
+            ):
+                to_joint(generate(rng))
+        rows = {"0": {"a": 1, "b": 2}, "1": {"a": 3, "b": 0}}
+        compose_ci({"0": 1, "1": 2}, rows, rows)
+        with pytest.raises(AssertionError, match="ran the variable check"):
+            FiniteJoint((("X", ("0",)),), {("0",): 1})
+
+    def test_a_checked_layout_still_refuses_a_key_outside_it(self):
         variables = (("X", ("0", "1")), ("Y", ("a", "b")))
-        FiniteJoint(variables, {("0", "a"): 1})  # checks the layout and caches it
+        FiniteJoint(variables, {("0", "a"): 1})  # the same variables, checked before
         for key in (("2", "a"), ("0", "c"), ("a", "0"), ("0",), ("0", "a", "a"), "0a"):
             message = f"assignment {key!r} does not match declared variables"
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):

@@ -4,12 +4,13 @@ import io
 import itertools
 import math
 import random
+import re
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from joint_oracle import oracle_min_cell, oracle_target_domain
+from joint_oracle import assert_revalidates, oracle_min_cell, oracle_target_domain
 
 from fairaudit import cli
 from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
@@ -307,6 +308,40 @@ class TestComposeCI:
         partial = {"0": {"0": 1}}
         with pytest.raises(InputError, match="missing a row"):
             compose_ci(pz, partial, partial)
+
+    def test_seeded_compositions_revalidate(self):
+        rng = random.Random(149)
+        for _ in range(200):
+            z_dom, x_dom, y_dom = ([str(v) for v in range(rng.randint(1, 3))] for _ in "zxy")
+            pz = {z: rng.randint(1, 5) for z in z_dom}
+            px = {z: {x: rng.randint(0, 5) for x in x_dom} for z in z_dom}
+            py = {z: {y: rng.randint(0, 5) for y in y_dom} for z in z_dom}
+            try:
+                j = compose_ci(pz, px, py)
+            except InputError as exc:  # each z drew a row of zeros on the X or Y side
+                assert str(exc) == "joint has no mass: every weight is 0"
+                continue
+            assert_revalidates(j)
+            assert ci_deviation(j, "X", "Y", "Z") == 0
+
+    @pytest.mark.parametrize(
+        "px, py, message",
+        [
+            ({"0": {}}, {"0": {"0": 1}}, "variable 'X' has an empty domain"),
+            ({"0": {"0": 1}}, {"0": {}}, "variable 'Y' has an empty domain"),
+            ({"0": {}}, {"0": {}}, "variable 'X' has an empty domain"),
+            (
+                {"0": {}},
+                {"0": {"0": -1}},
+                "each weight of py_given_z row for z='0' must be a non-negative int, got -1",
+            ),
+        ],
+        ids=["empty-x", "empty-y", "both-empty", "bad-py-row-first"],
+    )
+    @pytest.mark.parametrize("pz", [{"0": 1}, {"0": 0}], ids=["mass", "no-mass"])
+    def test_empty_row_rejected(self, pz, px, py, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            compose_ci(pz, px, py)
 
     @pytest.mark.parametrize("weight", [True, False, "1", None])
     @pytest.mark.parametrize("where", ["pz", "px", "py"])

@@ -4,9 +4,9 @@ a value that is not a matrix, an empty group that holds one or an empty group
 listed twice, a hand-built record's score that is out of range, a str or a
 bool, a joint's repeated label and unknown variable, a map's empty mapping or
 repeated variable, the CI composer's empty ``pz`` and disagreeing rows, an
-empty side of a deviation, and property 3 given a map that is not from Z
-onto Y. Also property 2's vacuous verdict, and the CLI's exit on a path it
-cannot read.
+empty side of a deviation, a property id that is a bool or a float, and
+property 3 given a map that is not from Z onto Y. Also property 2's vacuous
+verdict, and the CLI's exit on a path it cannot read.
 """
 
 import errno
@@ -110,6 +110,12 @@ REFUSED: dict[str, tuple[Callable[[], Any], type, str]] = {
         lambda: ci_deviation(COUPLED, (), "Y", "Z"),
         InputError,
         "left and right must each name at least one variable",
+    ),
+    "property-id-a-bool": (
+        lambda: check_ci_property(True, COUPLED), InputError, "property id must be 1..5, got True"
+    ),
+    "property-id-a-float": (
+        lambda: check_ci_property(1.0, COUPLED), InputError, "property id must be 1..5, got 1.0"
     ),
     "property-3-map-not-onto-y": (
         lambda: check_ci_property(3, COUPLED, DeterministicMap("X", "Y", {"0": "0", "1": "1"})),
