@@ -17,7 +17,7 @@ scaled score metric d, with every violating pair reported.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from numbers import Real
 from typing import NamedTuple
@@ -184,9 +184,12 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
     predictions can violate. Records without scores are skipped and
     reported. Violations are ``(id_a, id_b, d)`` rows with the smaller id
     first, sorted by descending margin ``1.0 - d``, then by id pair. Cost: a
-    sort of the negatives by score, two bisections per positive (float
+    sort of the negatives by score; per positive p, two bisections for the
+    window of scores within ``2 * scale`` of p, which holds every violating
+    negative after rounding (tied scores too, when ``2 * scale`` is below the
+    ulp of p), then two bisections of ``violates`` inside it (float
     arithmetic is monotone, so its violating negatives are one run of that
-    order), then the violating rows, grouped by margin: a sort of the
+    order); then the violating rows, grouped by margin: a sort of the
     distinct margins, and of the id pairs only where a margin repeats.
     """
     if isinstance(scale, bool) or not (
@@ -202,8 +205,10 @@ def lipschitz_violations(ds: Dataset, scale: float = 1.0) -> LipschitzReport:
     # one row, or a list of the rows once a second arrives.
     buckets = {}
     for pid, p in positives:
-        lo = bisect_left(scores, True, key=lambda t: t >= p or violates(abs(p - t) / scale))
-        hi = bisect_left(scores, True, lo, key=lambda t: t > p and not violates(abs(p - t) / scale))
+        near = lambda t: violates(abs(p - t) / scale)
+        lo, hi = bisect_left(scores, p - 2 * scale), bisect_right(scores, p + 2 * scale)
+        lo = bisect_left(scores, True, lo, hi, key=lambda t: t >= p or near(t))
+        hi = bisect_left(scores, True, lo, hi, key=lambda t: t > p and not near(t))
         for t, nid in negatives[lo:hi]:
             d = abs(p - t) / scale
             row = (pid, nid, d) if pid < nid else (nid, pid, d)

@@ -23,9 +23,9 @@ from .conservativeness import (
     GroupShift,
     Increment,
     apply_increment,
-    check_conservativeness,
     check_joint_independence_iff,
     find_break,
+    perfect_predictor_holds,
 )
 from .distributions import EPS_DEFAULT, FAIL, VACUOUS, check_ci_property
 from .errors import AuditError, Infeasible
@@ -175,7 +175,7 @@ def cmd_check_props(args: argparse.Namespace) -> tuple[int, Any]:
         return Suite(count, sum(not ok(generate(rng)) for _ in range(count)))
 
     ci_suites = {str(k): _run_ci_suite(rng, k, count, eps) for k in range(1, 6)}
-    perfect = suite(random_perfect_grouped, lambda g: check_conservativeness(g, eps).holds)
+    perfect = suite(random_perfect_grouped, lambda g: perfect_predictor_holds(g, eps))
     joint = JointIndependenceSuites(
         suite(random_proportional_grouped, lambda g: _joint_iff_is(g, eps, True)),
         suite(random_nonproportional_grouped, lambda g: _joint_iff_is(g, eps, False)),

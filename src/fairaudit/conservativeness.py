@@ -118,23 +118,31 @@ def is_perfect(g: GroupedConfusion) -> bool:
     return all(m.b == 0 and m.c == 0 for m in g.matrices.values())
 
 
+def perfect_predictor_holds(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> bool:
+    """Whether sufficiency and separation hold on the perfect predictor ``g``,
+    a NOT-COMPARABLE measure (an empty rate denominator) counting as holding
+    since no gap exists. Each is decided by ``cells_hold`` on the integer
+    cells: no verdict is built. A table that is not perfect is refused, and
+    so is one with fewer than two groups, as the measures refuse it."""
+    if not is_perfect(g):
+        raise PreconditionError("predictor is not perfect: false cells present")
+    if len(g.groups) < 2:
+        raise PreconditionError(f"fairness measures need at least two groups, got {g.groups}")
+    cells = g.matrices.values()
+    return all(cells_hold(m, cells, eps) is not False for m in (SUFFICIENCY, SEPARATION))
+
+
 def check_conservativeness(
     g: GroupedConfusion, eps: float = EPS_DEFAULT
 ) -> ConservativenessReport:
-    """On a perfect predictor, assert that sufficiency and separation hold.
-
-    NOT-COMPARABLE verdicts (from empty rate denominators) count as holding,
-    since no gap exists. Independence carries no such guarantee; its verdict
-    is reported alongside to illustrate that a perfect predictor is in
-    general incompatible with it.
+    """On a perfect predictor, assert that sufficiency and separation hold:
+    ``holds`` is :func:`perfect_predictor_holds`, beside both verdicts.
+    Independence carries no such guarantee; its verdict is reported alongside
+    to illustrate that a perfect predictor is in general incompatible with it.
     """
-    if not is_perfect(g):
-        raise PreconditionError("predictor is not perfect: false cells present")
-    suff = sufficiency(g, eps)
-    sep = separation(g, eps)
-    ind = independence(g, eps)
-    holds = suff.holds is not False and sep.holds is not False
-    return ConservativenessReport(suff, sep, ind, holds)
+    holds = perfect_predictor_holds(g, eps)
+    verdicts = (sufficiency(g, eps), separation(g, eps), independence(g, eps))
+    return ConservativenessReport(*verdicts, holds)
 
 
 # ---------------------------------------------------------------------------

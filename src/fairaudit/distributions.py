@@ -193,8 +193,8 @@ def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
     if h.target in j.names:
         raise InputError(f"target variable {h.target!r} already present")
     target_dom = tuple(dict.fromkeys(map(h, j.domain(h.source))))
-    src_idx = j.index(h.source)
-    table = {key + (h(key[src_idx]),): weight for key, weight in j.table.items()}
+    src_idx, mapping = j.index(h.source), h.mapping  # h is defined on the whole domain
+    table = {key + (mapping[key[src_idx]],): weight for key, weight in j.table.items()}
     return FiniteJoint.from_valid(j.variables + ((h.target, target_dom),), table)
 
 

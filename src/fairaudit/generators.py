@@ -1,7 +1,8 @@
 """Seeded random instance builders for the verification suites.
 
 Everything takes an explicit ``random.Random`` so suites are reproducible;
-the same seed always yields the same instances.
+the same seed always yields the same instances. The joint builders draw each
+factor's weights as a list, in a fixed order, and index it by position.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ def _weights(rng: random.Random, n: int, low: float = 0.0) -> list[int]:
     return [round((low + span * draw()) * RESOLUTION) for _ in range(n)]
 
 
-def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -> dict[str, int]:
-    return dict(zip(domain, _weights(rng, len(domain), low)))
-
-
 def random_joint(
     rng: random.Random, variables: Sequence[tuple[str, Sequence[str]]]
 ) -> FiniteJoint:
@@ -62,11 +59,11 @@ def random_ci_instance(rng: random.Random) -> FiniteJoint:
     """A joint with X independent of Y given Z, by construction."""
     nx, ny, nz = random_sizes(rng, 3)
     x_dom, y_dom, z_dom = map(_labels, (nx, ny, nz))
-    pz = _distribution(rng, z_dom, low=0.05)
-    px = {z: _distribution(rng, x_dom) for z in z_dom}
-    py = {z: _distribution(rng, y_dom) for z in z_dom}
-    grid = itertools.product(z_dom, x_dom, y_dom)
-    table = {(x, y, z): pz[z] * px[z][x] * py[z][y] for z, x, y in grid}
+    pz = _weights(rng, nz, low=0.05)
+    px = [_weights(rng, nx) for _ in z_dom]
+    py = [_weights(rng, ny) for _ in z_dom]
+    grid = itertools.product(enumerate(z_dom), enumerate(x_dom), enumerate(y_dom))
+    table = {(x, y, z): pz[k] * px[k][i] * py[k][j] for (k, z), (i, x), (j, y) in grid}
     return FiniteJoint.from_valid((("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table)
 
 
@@ -97,16 +94,16 @@ def random_chain_instance(rng: random.Random) -> FiniteJoint:
     both X ind. Y | Z and X ind. W | (Y, Z) hold exactly by construction."""
     nx, ny, nz, nw = random_sizes(rng, 4, 2, 2)
     x_dom, y_dom, z_dom, w_dom = map(_labels, (nx, ny, nz, nw))
-    pz = _distribution(rng, z_dom, low=0.05)
-    px = {z: _distribution(rng, x_dom) for z in z_dom}
-    py = {z: _distribution(rng, y_dom) for z in z_dom}
-    pw = {(y, z): _distribution(rng, w_dom) for y in y_dom for z in z_dom}
+    pz = _weights(rng, nz, low=0.05)
+    px = [_weights(rng, nx) for _ in z_dom]
+    py = [_weights(rng, ny) for _ in z_dom]
+    pw = [[_weights(rng, nw) for _ in z_dom] for _ in y_dom]
     table = {
-        (x, y, z, w): pz[z] * px[z][x] * py[z][y] * pw[(y, z)][w]
-        for x in x_dom
-        for y in y_dom
-        for z in z_dom
-        for w in w_dom
+        (x, y, z, w): pz[k] * px[k][i] * py[k][j] * pw[j][k][m]
+        for i, x in enumerate(x_dom)
+        for j, y in enumerate(y_dom)
+        for k, z in enumerate(z_dom)
+        for m, w in enumerate(w_dom)
     }
     variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom), ("W", w_dom))
     return FiniteJoint.from_valid(variables, table)
@@ -117,15 +114,15 @@ def random_pair_ci_instance(rng: random.Random) -> FiniteJoint:
     independent of the (W, Y) pair given Z exactly by construction."""
     nx, ny, nz, nw = random_sizes(rng, 4, 2, 2)
     x_dom, y_dom, z_dom, w_dom = map(_labels, (nx, ny, nz, nw))
-    pz = _distribution(rng, z_dom, low=0.05)
-    px = {z: _distribution(rng, x_dom) for z in z_dom}
+    pz = _weights(rng, nz, low=0.05)
+    px = [_weights(rng, nx) for _ in z_dom]
     pairs = [(w, y) for w in w_dom for y in y_dom]
-    pwy = {z: dict(zip(pairs, _weights(rng, len(pairs)))) for z in z_dom}
+    pwy = [_weights(rng, len(pairs)) for _ in z_dom]
     table = {
-        (x, y, z, w): pz[z] * px[z][x] * pwy[z][(w, y)]
-        for x in x_dom
-        for (w, y) in pairs
-        for z in z_dom
+        (x, y, z, w): pz[k] * px[k][i] * pwy[k][p]
+        for i, x in enumerate(x_dom)
+        for p, (w, y) in enumerate(pairs)
+        for k, z in enumerate(z_dom)
     }
     variables = (("X", x_dom), ("Y", y_dom), ("Z", z_dom), ("W", w_dom))
     return FiniteJoint.from_valid(variables, table)

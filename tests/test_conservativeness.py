@@ -20,6 +20,7 @@ from fairaudit.conservativeness import (
     find_break,
     group_multipliers,
     is_perfect,
+    perfect_predictor_holds,
 )
 from fairaudit.errors import InputError, PreconditionError
 from fairaudit.measures import separation, sufficiency
@@ -75,6 +76,41 @@ class TestCheckConservativeness:
     def test_non_perfect_rejected(self):
         with pytest.raises(PreconditionError, match="not perfect"):
             check_conservativeness(GroupedConfusion(BEFORE))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.05, math.nan])
+    def test_predicate_is_the_verdicts_rule(self, eps):
+        # On perfect tables every defined gap is 0, and a group with no
+        # positives or no negatives leaves rates undefined: such a measure
+        # counts as holding. Nothing is within a nan eps, so there only the
+        # undefined measures hold.
+        rng = random.Random(67)
+        undefined = passed = 0
+        for _ in range(300):
+            g = random_perfect_grouped(rng)
+            report = check_conservativeness(g, eps)
+            verdicts = (report.sufficiency.holds, report.separation.holds)
+            rule = False not in verdicts
+            assert perfect_predictor_holds(g, eps) is rule is report.holds
+            undefined += None in verdicts
+            passed += rule
+        assert undefined > 10
+        assert passed == (undefined if math.isnan(eps) else 300)
+
+    @pytest.mark.parametrize(
+        "g", [GroupedConfusion(BEFORE), GroupedConfusion({"p": ConfusionMatrix(1, 0, 1, 0)})]
+    )
+    def test_predicate_refuses_a_table_that_is_not_perfect(self, g):
+        for check in (perfect_predictor_holds, check_conservativeness):
+            with pytest.raises(PreconditionError) as raised:
+                check(g, 0.05)
+            assert str(raised.value) == "predictor is not perfect: false cells present"
+
+    def test_predicate_refuses_one_group_as_the_verdicts_do(self):
+        g = GroupedConfusion({"p": ConfusionMatrix(5, 0, 0, 7)})
+        for check in (perfect_predictor_holds, check_conservativeness):
+            with pytest.raises(PreconditionError) as raised:
+                check(g)
+            assert str(raised.value) == "fairness measures need at least two groups, got ('p',)"
 
 
 class TestJointIndependenceIff:

@@ -373,11 +373,22 @@ class TestApplyMap:
         with pytest.raises(InputError, match="already present"):
             apply_map(j, h)
 
-    def test_partial_mapping_rejected(self):
-        j = uniform_joint(2, 2)
-        h = DeterministicMap(source="X", target="U", mapping={"0": "u"})
-        with pytest.raises(InputError, match="not defined"):
-            apply_map(j, h)
+    @pytest.mark.parametrize(
+        "table, mapping, missing",
+        [
+            # every value carries mass, the missing one does, or only a
+            # value after it does: the first missing domain value is named
+            ({(x, y): 1 for x in "012" for y in BIN}, {"0": "u"}, "1"),
+            ({("0", "0"): 1, ("2", "1"): 1}, {"0": "u", "1": "v"}, "2"),
+            ({("2", "1"): 1}, {"0": "u", "2": "v"}, "1"),
+            ({("0", "0"): 1}, {"2": "u"}, "0"),
+        ],
+    )
+    def test_partial_mapping_rejected(self, table, mapping, missing):
+        j = FiniteJoint((("X", ("0", "1", "2")), ("Y", BIN)), table)
+        with pytest.raises(InputError) as raised:
+            apply_map(j, DeterministicMap("X", "U", mapping))
+        assert str(raised.value) == f"mapping for 'X' is not defined at {missing!r}"
 
     def test_target_domain_in_first_appearance_order(self):
         rng = random.Random(149)

@@ -35,11 +35,15 @@ The scan bisects each positive's run of violating negatives, and the writer
 formats each distinct id and distance once. The edge cases at the end aim
 at both: equal distances on either side of a positive, signed zeros, all
 negatives on one side, subnormal scales, rows sharing ids and distances,
-and no run at all. One test bounds the predicate calls by two bisections
-per positive, where a scan of every pair makes P x N. Continuous scores,
-where nearly every distance is distinct, go through the oracle too, and one
-test bounds ``render``'s peak memory on them by a multiple of its output,
-and what it leaves allocated on return by the output alone.
+and no run at all. Each positive's bisections run inside the window of
+scores within ``2 * scale`` of it: one test finds no predicate call when no
+window holds a negative (a scan of every pair makes P x N), one bounds the
+calls by the window's size, and one puts ``2 * scale`` below the ulp of
+tied scores, so that the window is the scores equal to the positive's.
+Continuous scores, where nearly every distance is distinct, go through the
+oracle too, and one test bounds ``render``'s peak memory on them by a
+multiple of its output, and what it leaves allocated on return by the
+output alone.
 """
 
 from __future__ import annotations
@@ -515,13 +519,8 @@ def test_no_positive_has_a_violating_run() -> None:
         )
 
 
-def test_the_scan_bisects_instead_of_testing_every_pair(monkeypatch) -> None:
-    # 2,000 distinct scores 1/2000 apart at scale 1e-9: no pair violates.
-    # Two bisections per positive call the predicate at most
-    # ceil(log2(N + 1)) + 1 times each; testing every pair calls it P x N times.
-    rng = random.Random(22)
-    records = [Record(f"r{i}", "g", True, rng.random() < 0.5, i / 2000) for i in range(2000)]
-    ds = Dataset.from_records(records)
+def counted_violates(monkeypatch) -> Counter:
+    """Count the scan's calls of its predicate from here on."""
     calls = Counter()
     violates = adversary.violates
 
@@ -530,7 +529,49 @@ def test_the_scan_bisects_instead_of_testing_every_pair(monkeypatch) -> None:
         return violates(distance)
 
     monkeypatch.setattr(adversary, "violates", counting)
+    return calls
+
+
+def test_the_scan_bisects_instead_of_testing_every_pair(monkeypatch) -> None:
+    # 2,000 distinct scores 1/2000 apart at scale 1e-9: no pair violates, and
+    # no positive's window of scores within 2e-9 holds a negative, so the
+    # predicate is never called; testing every pair calls it P x N times.
+    rng = random.Random(22)
+    records = [Record(f"r{i}", "g", True, rng.random() < 0.5, i / 2000) for i in range(2000)]
+    ds = Dataset.from_records(records)
+    calls = counted_violates(monkeypatch)
     assert lipschitz_violations(ds, 1e-9).violations == []
-    positives = sum(rec.r for rec in records)
-    negatives = len(records) - positives
-    assert 0 < calls["violates"] <= 2 * positives * (math.ceil(math.log2(negatives + 1)) + 1)
+    assert calls["violates"] == 0
+
+
+def test_the_window_bounds_the_predicate_calls(monkeypatch) -> None:
+    # 250 clusters 1/250 apart, each of four records 5e-8 apart, positive and
+    # negative in turn, at scale 1e-7: a positive's window holds at most the
+    # three other records of its cluster, so each of its two bisections calls
+    # the predicate at most ceil(log2(3 + 1)) + 1 times. Bisecting all 500
+    # negatives would take about twice as many calls.
+    rows = [(f"c{c}-{j}", j % 2 == 0, c / 250 + j * 5e-8) for c in range(250) for j in range(4)]
+    assert assert_matches_oracle(dataset(rows), 1e-7) == 3 * 250
+    calls = counted_violates(monkeypatch)
+    lipschitz_violations(dataset(rows), 1e-7)
+    positives = sum(r for _, r, _ in rows)
+    assert 0 < calls["violates"] <= 2 * positives * (math.ceil(math.log2(3 + 1)) + 1)
+
+
+def test_ties_violate_at_a_scale_below_the_ulp() -> None:
+    # 2 * scale is below the ulp of every score, so p - 2 * scale and
+    # p + 2 * scale round to p and the window is the scores tied with p:
+    # its upper end must include them. The neighbours one ulp away do not
+    # violate.
+    rows = [(f"p{i}", True, 0.5) for i in range(3)] + [
+        ("n0", False, 0.5),
+        ("n1", False, 0.5),
+        ("n2", False, math.nextafter(0.5, 1.0)),
+        ("n3", False, math.nextafter(0.5, 0.0)),
+        ("p3", True, 0.75),
+        ("n4", False, 0.75),
+        ("n5", False, 0.25),
+    ]
+    for scale in (1e-20, 1e-300, 5e-324):
+        assert 2 * scale < math.ulp(0.25) and 0.5 - 2 * scale == 0.5 + 2 * scale == 0.5
+        assert assert_matches_oracle(dataset(rows), scale) == 3 * 2 + 1

@@ -240,6 +240,24 @@ class TestInvariances:
                     if original.witnesses is not None:
                         assert set(original.witnesses) == set(permuted.witnesses)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    def test_swapping_false_cells_exchanges_sufficiency_and_separation(self, eps):
+        # Swapping b and c exchanges Y and R: PPV becomes 1 - FNR and NPV
+        # becomes 1 - FPR, so each gap is the other measure's matching gap.
+        # The witnesses may differ where two groups tie.
+        for seed, draws in ((41, 60), (43, 25), (47, 25)):
+            rng = random.Random(seed)
+            for _ in range(draws):
+                g = random_positive_grouped(rng)
+                swapped = GroupedConfusion(
+                    {group: ConfusionMatrix(m.a, m.c, m.b, m.d) for group, m in g.matrices.items()}
+                )
+                for one, other in ((swapped, g), (g, swapped)):
+                    suff, sep = sufficiency(one, eps), separation(other, eps)
+                    assert suff.component_gaps["ppv_gap"] == sep.component_gaps["fnr_gap"]
+                    assert suff.component_gaps["npv_gap"] == sep.component_gaps["fpr_gap"]
+                    assert (suff.disparity, suff.holds) == (sep.disparity, sep.holds)
+
     def test_proportional_groups_hold_exactly(self):
         rng = random.Random(53)
         for _ in range(25):
