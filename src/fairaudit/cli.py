@@ -27,7 +27,8 @@ from .conservativeness import (
     find_break,
     perfect_predictor_holds,
 )
-from .distributions import EPS_DEFAULT, FAIL, VACUOUS, check_ci_property
+# check_ci_property stays bound for perfbench/replay.py
+from .distributions import EPS_DEFAULT, FAIL, VACUOUS, check_ci_property, ci_property_status
 from .errors import AuditError, Infeasible
 from .generators import (
     POSITIVITY_FLOOR,
@@ -156,7 +157,7 @@ def _run_ci_suite(
             instance = random_chain_instance(rng) if i % 2 == 0 else random_pair_ci_instance(rng)
         else:
             instance = random_product_instance(rng)
-        statuses.append(check_ci_property(k, instance, h, eps).status)
+        statuses.append(ci_property_status(k, instance, h, eps))
     vacuous = statuses.count(VACUOUS)
     counts = (count, statuses.count(FAIL), count - vacuous, vacuous)
     return FlooredCISuite(*counts, POSITIVITY_FLOOR) if k == 5 else CISuite(*counts)

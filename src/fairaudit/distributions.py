@@ -31,6 +31,9 @@ from its caller, checks them itself.
 Every tolerance test is :func:`within`, which answers yes or no: ``part /
 whole`` is within eps when it is at most eps's exact binary value, decided on
 integers; an infinite eps admits every value, and nothing is within a nan eps.
+It answers alike for a pair and its scaled multiples, so the five properties
+are decided on the kernel's unreduced pairs: :func:`ci_property_status` reads
+the status alone, and :func:`check_ci_property` reduces each to a Fraction.
 
 All values are immutable named tuples (joints, maps and verdicts) and every
 operation is a pure function, so everything here is safe to share across
@@ -141,9 +144,12 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
     def min_cell(self) -> Fraction:
         """Smallest mass over the full assignment grid: 0 when the table, whose
         keys all lie in the grid, has fewer cells than the grid."""
-        grid = math.prod(len(domain) for _, domain in self.variables)
-        weight = min(self.table.values()) if len(self.table) == grid else 0
-        return Fraction(weight, self.denominator)
+        return Fraction(_min_weight(self), self.denominator)
+
+
+def _min_weight(j: FiniteJoint) -> int:
+    grid = math.prod(len(domain) for _, domain in j.variables)
+    return min(j.table.values()) if len(j.table) == grid else 0
 
 
 class DeterministicMap(namedtuple("DeterministicMap", "source target mapping")):
@@ -281,19 +287,13 @@ def _plan(variables: tuple, *sides: str | Sequence[str]) -> tuple:
     return (*pick, dict(zip(left_grid, itertools.count(0, len(right_at)))), right_at)
 
 
-def ci_deviation(
-    j: FiniteJoint,
-    left: str | Sequence[str],
-    right: str | Sequence[str],
-    given: str | Sequence[str] = (),
-) -> Fraction:
-    """Division-free conditional-independence deviation of ``left`` from
-    ``right`` given ``given``. Either side may be a set of variables, which
-    is equivalent to fusing them into one product-domain variable."""
+def _ci_pair(j: FiniteJoint, *sides: str | Sequence[str]) -> tuple[int, int]:
+    """:func:`ci_deviation` of the left, right and given ``sides`` as its
+    unreduced integer pair ``(worst, total**2)``."""
     try:
-        plan = _plan(j.variables, left, right, given)
+        plan = _plan(j.variables, *sides)
     except TypeError:  # a side given as an unhashable sequence, such as a list
-        plan = _plan(j.variables, *map(_as_names, (left, right, given)))
+        plan = _plan(j.variables, *map(_as_names, sides))
     pick_l, pick_r, pick_g, left_at, right_at = plan
     # Each cell is added once, at slot l * nr + r of its given value's block.
     # Given values are numbered as they first occur: only those held get one.
@@ -322,7 +322,19 @@ def ci_deviation(
                 deviation = abs(w * p_g - p_l * pr)
                 if deviation > worst:  # a given value without mass has all sums 0
                     worst = deviation
-    return Fraction(worst, sum(p_r) ** 2)  # p_r holds each weight once: it sums to j.denominator
+    return worst, sum(p_r) ** 2  # p_r holds each weight once: it sums to j.denominator
+
+
+def ci_deviation(
+    j: FiniteJoint,
+    left: str | Sequence[str],
+    right: str | Sequence[str],
+    given: str | Sequence[str] = (),
+) -> Fraction:
+    """Division-free conditional-independence deviation of ``left`` from
+    ``right`` given ``given``: the kernel's integer pair, reduced. Either side
+    may be a set of variables, like one variable over their product domain."""
+    return Fraction(*_ci_pair(j, left, right, given))
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +342,96 @@ def ci_deviation(
 # ---------------------------------------------------------------------------
 
 
-def _functional_violation_mass(j: FiniteJoint, h: DeterministicMap) -> Fraction:
-    """Total mass on assignments where target != h(source)."""
-    src = j.index(h.source)
-    tgt = j.index(h.target)
-    weight = sum(w for key, w in j.table.items() if key[tgt] != h(key[src]))
-    return Fraction(weight, j.denominator)
+def _ci_property(
+    k: int, j: FiniteJoint, h: DeterministicMap | None, eps: float
+) -> tuple[str, dict[str, tuple[int, int]], dict[str, tuple[int, int]]]:
+    """Status, premises and conclusions of property ``k``, each value an
+    unreduced integer pair ``(part, whole)`` with ``whole > 0``. ``within``
+    answers the same for a pair as for its reduced fraction."""
+
+    def fits(pair: tuple[int, int]) -> bool:
+        return within(*pair, eps)
+
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 5:
+        raise InputError(f"property id must be 1..5, got {k!r}")
+    conclusions: dict[str, tuple[int, int]] = {}
+    if k == 1:
+        premise = _ci_pair(j, "X", "Y", "Z")
+        premises = {"x_indep_y_given_z": premise}
+        if fits(premise):
+            conclusions = {"y_indep_x_given_z": _ci_pair(j, "Y", "X", "Z")}
+    elif k == 2:
+        if h is None or h.source != "X":
+            raise InputError("property 2 needs a DeterministicMap from X")
+        extended = apply_map(j, h)  # refuses a bad map whether or not the premise fits
+        premise = _ci_pair(j, "X", "Y", "Z")
+        premises = {"x_indep_y_given_z": premise}
+        if fits(premise):
+            u = h.target
+            conclusions = {
+                f"{u.lower()}_indep_y_given_z": _ci_pair(extended, u, "Y", "Z"),
+                f"x_indep_y_given_z{u.lower()}": _ci_pair(extended, "X", "Y", ("Z", u)),
+            }
+    elif k == 3:
+        if h is None or h.source != "Z" or h.target != "Y":
+            raise InputError("property 3 needs a DeterministicMap from Z onto Y")
+        # Total mass where Y != h(Z); h must be defined on Z's whole domain.
+        image = {z: h(z) for z in j.domain("Z")}
+        src, tgt = j.index("Z"), j.index("Y")
+        weight = sum(w for key, w in j.table.items() if key[tgt] != image[key[src]])
+        premise = (weight, j.denominator)
+        premises = {"y_equals_h_of_z_violation_mass": premise}
+        if fits(premise):
+            conclusions = {"x_indep_y_given_z": _ci_pair(j, "X", "Y", "Z")}
+    elif k == 4:
+        dev_a = _ci_pair(j, "X", "Y", "Z")
+        dev_b = _ci_pair(j, "X", "W", ("Y", "Z"))
+        dev_c = _ci_pair(j, "X", ("W", "Y"), "Z")
+        premises = {
+            "x_indep_y_given_z": dev_a,
+            "x_indep_w_given_yz": dev_b,
+            "x_indep_wy_given_z": dev_c,
+        }
+        if fits(dev_a) and fits(dev_b):
+            conclusions["forward_x_indep_wy_given_z"] = dev_c
+        if fits(dev_c):
+            conclusions["backward_x_indep_y_given_z"] = dev_a
+            conclusions["backward_x_indep_w_given_yz"] = dev_b
+    else:  # k == 5
+        min_cell = (_min_weight(j), j.denominator)
+        dev_xy = _ci_pair(j, "X", "Y", "Z")
+        dev_xz = _ci_pair(j, "X", "Z", "Y")
+        premises = {
+            "positivity_min_cell": min_cell,
+            "x_indep_y_given_z": dev_xy,
+            "x_indep_z_given_y": dev_xz,
+        }
+        if min_cell[0] > 0 and fits(dev_xy) and fits(dev_xz):
+            conclusions = {"x_indep_yz": _ci_pair(j, "X", ("Y", "Z"), ())}
+
+    if not conclusions:
+        return VACUOUS, premises, {}
+    return (PASS if all(map(fits, conclusions.values())) else FAIL), premises, conclusions
+
+
+def ci_property_status(
+    k: int, j: FiniteJoint, h: DeterministicMap | None = None, eps: float = EPS_DEFAULT
+) -> str:
+    """The status alone of :func:`check_ci_property`'s verdict, decided on
+    the same integers without building a ``Fraction``."""
+    return _ci_property(k, j, h, eps)[0]
 
 
 def check_ci_property(
-    k: int,
-    j: FiniteJoint,
-    h: DeterministicMap | None = None,
-    eps: float = EPS_DEFAULT,
+    k: int, j: FiniteJoint, h: DeterministicMap | None = None, eps: float = EPS_DEFAULT
 ) -> PropertyVerdict:
     """Numerically verify one of the five conditional-independence properties
     on a concrete instance.
 
     The instance uses canonical variable names: X, Y, Z (properties 1, 2, 3,
     5) plus W (property 4). Property 2 additionally needs ``h`` mapping X to a
-    fresh variable; property 3 needs ``h`` mapping Z onto Y.
+    fresh variable; property 3 needs ``h`` mapping Z onto Y. Either map must
+    be defined on its source's whole domain, which is checked first.
 
     1. X ind. Y | Z  implies  Y ind. X | Z.
     2. X ind. Y | Z and U = h(X)  imply  (i) U ind. Y | Z and
@@ -362,65 +444,9 @@ def check_ci_property(
     A conclusion is derived only when its own premises are within ``eps``
     (property 5's also need a positive ``min_cell``). A verdict that derives
     none is vacuous: it asserts nothing and is distinct from a failure.
+    Every premise and conclusion is decided on the kernel's unreduced integer
+    pair, and the verdict reports each as that pair's reduced ``Fraction``.
     """
-
-    def fits(dev: Fraction) -> bool:
-        return within(*dev.as_integer_ratio(), eps)
-
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 5:
-        raise InputError(f"property id must be 1..5, got {k!r}")
-    conclusions: dict[str, Fraction] = {}
-    if k == 1:
-        premise = ci_deviation(j, "X", "Y", "Z")
-        premises = {"x_indep_y_given_z": premise}
-        if fits(premise):
-            conclusions = {"y_indep_x_given_z": ci_deviation(j, "Y", "X", "Z")}
-    elif k == 2:
-        if h is None or h.source != "X":
-            raise InputError("property 2 needs a DeterministicMap from X")
-        premise = ci_deviation(j, "X", "Y", "Z")
-        premises = {"x_indep_y_given_z": premise}
-        if fits(premise):
-            extended = apply_map(j, h)
-            u = h.target
-            conclusions = {
-                f"{u.lower()}_indep_y_given_z": ci_deviation(extended, u, "Y", "Z"),
-                f"x_indep_y_given_z{u.lower()}": ci_deviation(extended, "X", "Y", ("Z", u)),
-            }
-    elif k == 3:
-        if h is None or h.source != "Z" or h.target != "Y":
-            raise InputError("property 3 needs a DeterministicMap from Z onto Y")
-        premise = _functional_violation_mass(j, h)
-        premises = {"y_equals_h_of_z_violation_mass": premise}
-        if fits(premise):
-            conclusions = {"x_indep_y_given_z": ci_deviation(j, "X", "Y", "Z")}
-    elif k == 4:
-        dev_a = ci_deviation(j, "X", "Y", "Z")
-        dev_b = ci_deviation(j, "X", "W", ("Y", "Z"))
-        dev_c = ci_deviation(j, "X", ("W", "Y"), "Z")
-        premises = {
-            "x_indep_y_given_z": dev_a,
-            "x_indep_w_given_yz": dev_b,
-            "x_indep_wy_given_z": dev_c,
-        }
-        if fits(dev_a) and fits(dev_b):
-            conclusions["forward_x_indep_wy_given_z"] = dev_c
-        if fits(dev_c):
-            conclusions["backward_x_indep_y_given_z"] = dev_a
-            conclusions["backward_x_indep_w_given_yz"] = dev_b
-    else:  # k == 5
-        min_cell = j.min_cell()
-        dev_xy = ci_deviation(j, "X", "Y", "Z")
-        dev_xz = ci_deviation(j, "X", "Z", "Y")
-        premises = {
-            "positivity_min_cell": min_cell,
-            "x_indep_y_given_z": dev_xy,
-            "x_indep_z_given_y": dev_xz,
-        }
-        if min_cell > 0 and fits(dev_xy) and fits(dev_xz):
-            conclusions = {"x_indep_yz": ci_deviation(j, "X", ("Y", "Z"))}
-
-    if not conclusions:
-        return PropertyVerdict(VACUOUS, premises, {})
-    status = PASS if all(map(fits, conclusions.values())) else FAIL
-    return PropertyVerdict(status, premises, conclusions)
+    status, *values = _ci_property(k, j, h, eps)
+    fractions = ({name: Fraction(*pair) for name, pair in pairs.items()} for pairs in values)
+    return PropertyVerdict(status, *fractions)

@@ -2,7 +2,8 @@
 
 Everything takes an explicit ``random.Random`` so suites are reproducible;
 the same seed always yields the same instances. The joint builders draw each
-factor's weights as a list, in a fixed order, and index it by position.
+factor's weights as a list, in a fixed order, and index it by position. Every
+integer draw is ``_below``, the getrandbits rule of ``randint`` and ``choice``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,16 @@ def _labels(n: int) -> tuple[str, ...]:
     return _LABELS[:n]
 
 
+def _below(rng: random.Random, n: int) -> int:
+    # Random._randbelow's own rule (CPython 3.10-3.12), drawn inline: the same
+    # draws as randint and choice, without their extra frames.
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _weights(rng: random.Random, n: int, low: float = 0.0) -> list[int]:
     # Random.uniform(low, 1.0)'s own formula, drawn inline: bit-identical weights.
     span, draw = 1.0 - low, rng.random
@@ -52,7 +63,7 @@ def random_joint(
 
 
 def random_sizes(rng: random.Random, count: int, low: int = 2, high: int = 3) -> list[int]:
-    return [rng.randint(low, high) for _ in range(count)]
+    return [low + _below(rng, high - low + 1) for _ in range(count)]
 
 
 def random_ci_instance(rng: random.Random) -> FiniteJoint:
@@ -71,7 +82,7 @@ def random_map(rng: random.Random, source: str, target: str, domain: Sequence[st
     """Random total map; target domain size 2 when possible so the map is
     usually non-injective."""
     values = _labels(min(2, len(domain)))
-    mapping = {value: rng.choice(values) for value in domain}
+    mapping = {value: values[_below(rng, len(values))] for value in domain}
     return DeterministicMap(source=source, target=target, mapping=mapping)
 
 
@@ -84,7 +95,7 @@ def random_functional_instance(
     h = DeterministicMap(
         source="Z",
         target="Y",
-        mapping={value: rng.choice(("u", "v")) for value in _labels(nz)},
+        mapping={value: ("u", "v")[_below(rng, 2)] for value in _labels(nz)},
     )
     return apply_map(base, h), h
 
@@ -164,29 +175,29 @@ def _group_labels(n: int) -> tuple[str, ...]:
 def random_perfect_grouped(rng: random.Random) -> GroupedConfusion:
     """Perfect predictor per group (no false cells); zero TP or TN cells are
     allowed so undefined rates stay reachable."""
-    groups = _group_labels(rng.randint(2, MAX_GROUPS))
+    groups = _group_labels(2 + _below(rng, MAX_GROUPS - 1))
     tally = {}
     for group in groups:
         a, d = 0, 0
         while a + d == 0:
-            a, d = rng.randint(0, 20), rng.randint(0, 20)
+            a, d = _below(rng, 21), _below(rng, 21)
         tally[group] = (a, 0, 0, d)
     return GroupedConfusion.from_valid(tally)
 
 
 def random_positive_grouped(rng: random.Random) -> GroupedConfusion:
     """Strictly positive cells, each at most 30, in every group."""
-    groups = _group_labels(rng.randint(2, MAX_GROUPS))
-    tally = {group: [rng.randint(1, 30) for _ in range(4)] for group in groups}
+    groups = _group_labels(2 + _below(rng, MAX_GROUPS - 1))
+    tally = {group: [1 + _below(rng, 30) for _ in range(4)] for group in groups}
     return GroupedConfusion.from_valid(tally)
 
 
 def random_proportional_grouped(rng: random.Random) -> GroupedConfusion:
     """Positive matrices that are exact integer multiples (1 to 4) of a common
     base, so the group variable is independent of the (Y, R) pair."""
-    base = [rng.randint(1, 12) for _ in range(4)]
-    groups = _group_labels(rng.randint(2, MAX_GROUPS))
-    multipliers = {group: rng.randint(1, 4) for group in groups}
+    base = [1 + _below(rng, 12) for _ in range(4)]
+    groups = _group_labels(2 + _below(rng, MAX_GROUPS - 1))
+    multipliers = {group: 1 + _below(rng, 4) for group in groups}
     tally = {group: [k * cell for cell in base] for group, k in multipliers.items()}
     return GroupedConfusion.from_valid(tally)
 

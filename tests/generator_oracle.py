@@ -1,8 +1,9 @@
 """The generators' draw helpers and builders as they were before.
 
-``_labels`` formats each label on every call, and ``_weights`` draws through
-``Random.uniform``. Patched into :mod:`fairaudit.generators`, they must yield
-the same instances and leave the random state where the current helpers do.
+``_labels`` formats each label on every call, ``_weights`` draws through
+``Random.uniform``, and ``_below`` through ``Random.randrange``. Patched into
+:mod:`fairaudit.generators`, they must yield the same instances and leave the
+random state where the current helpers do.
 
 The ``random_*`` builders below are the generators as they were when they
 built every matrix and table through the checking constructors
@@ -32,6 +33,10 @@ def _labels(n: int) -> tuple[str, ...]:
 
 def _weights(rng: random.Random, n: int, low: float = 0.0) -> list[int]:
     return [round(rng.uniform(low, 1.0) * RESOLUTION) for _ in range(n)]
+
+
+def _below(rng: random.Random, n: int) -> int:
+    return rng.randrange(n)
 
 
 def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -> dict[str, int]:

@@ -23,6 +23,7 @@ from fairaudit.distributions import (
     apply_map,
     check_ci_property,
     ci_deviation,
+    ci_property_status,
     compose_ci,
     within,
 )
@@ -447,6 +448,41 @@ class TestCheckCIProperty:
     def test_property_2_requires_map(self):
         with pytest.raises(InputError, match="property 2"):
             check_ci_property(2, uniform_joint(2, 2, 2))
+
+    @pytest.mark.parametrize("check", [check_ci_property, ci_property_status])
+    @pytest.mark.parametrize("premise_fits", [True, False])
+    @pytest.mark.parametrize(
+        "target, mapping, message",
+        [
+            ("Y", {"0": "0", "1": "1"}, "target variable 'Y' already present"),
+            ("U", {"0": "0"}, "mapping for 'X' is not defined at '1'"),
+        ],
+    )
+    def test_property_2_refuses_a_bad_map_whatever_the_premise(
+        self, check, premise_fits, target, mapping, message
+    ):
+        # Uniform X, Y, Z fit the premise; X = Y given a fair coin Z does not.
+        h = DeterministicMap(source="X", target=target, mapping=mapping)
+        if premise_fits:
+            j = uniform_joint(2, 2, 2)
+        else:
+            table = {(x, x, z): 1 for x in BIN for z in BIN}
+            j = FiniteJoint(variables=(("X", BIN), ("Y", BIN), ("Z", BIN)), table=table)
+        assert (ci_deviation(j, "X", "Y", "Z") == 0) == premise_fits
+        with pytest.raises(InputError, match=re.escape(message)):
+            check(2, j, h)
+
+    @pytest.mark.parametrize("check", [check_ci_property, ci_property_status])
+    @pytest.mark.parametrize("premise_fits", [True, False])
+    def test_property_3_refuses_a_map_undefined_on_z(self, check, premise_fits):
+        # Z's domain has a label "2" the table does not hold and h skips.
+        # Y = h(Z) on every held cell fits the premise; Y = 0 throughout does not.
+        h = DeterministicMap(source="Z", target="Y", mapping={"0": "0", "1": "1"})
+        variables = (("X", BIN), ("Z", ("0", "1", "2")), ("Y", BIN))
+        table = {(x, z, z if premise_fits else "0"): 1 for x in BIN for z in BIN}
+        j = FiniteJoint(variables=variables, table=table)
+        with pytest.raises(InputError, match=re.escape("mapping for 'Z' is not defined at '2'")):
+            check(3, j, h)
 
     def test_property_3_identity_map(self):
         # Y is a copy of Z while X is arbitrarily coupled with Z.

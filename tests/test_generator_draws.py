@@ -2,7 +2,8 @@
 the oracle builders.
 
 ``check-props`` prints only counts, so its goldens cannot see a changed
-stream of instances. Every ``random_*`` generator the CLI imports draws 50
+stream of instances. ``_below`` must draw as ``Random.randrange`` does, the
+random state included. Every ``random_*`` generator the CLI imports draws 50
 instances for each of seeds 0-19, once with the current helpers and once
 with ``generator_oracle``'s patched in; the instances must be equal, with the
 same repr (cell order and value types included), and the random state must
@@ -54,8 +55,20 @@ def test_draws_match_the_oracle_helpers(name, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(generators, "_labels", generator_oracle._labels)
             patch.setattr(generators, "_weights", generator_oracle._weights)
+            patch.setattr(generators, "_below", generator_oracle._below)
             oracle = _draws(name, seed)
         assert current == oracle, (name, seed)
+
+
+def test_below_draws_as_randrange():
+    # Every width from 1 to 64, and each side of every power of two up to 2**70.
+    widths = [*range(1, 65), *(2**k + d for k in range(1, 71) for d in (-1, 1))]
+    for seed in range(3):
+        rng, expected = random.Random(seed), random.Random(seed)
+        for n in widths:
+            for _ in range(3):
+                assert generators._below(rng, n) == expected.randrange(n), (seed, n)
+                assert rng.getstate() == expected.getstate(), (seed, n)
 
 
 @pytest.mark.parametrize("name", sorted(generator_oracle.BUILDERS))
