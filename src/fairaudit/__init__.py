@@ -35,17 +35,16 @@ from .conservativeness import (
     FN_TO_TP,
     FP_TO_TN,
     BreakWitness,
-    ConservativenessReport,
     GroupShift,
     Increment,
     JointIndependenceVerdict,
     ProportionalPreservationReport,
     apply_increment,
-    check_conservativeness,
     check_joint_independence_iff,
     check_proportional_preservation,
     find_break,
     is_perfect,
+    perfect_predictor_holds,
 )
 from .distributions import (
     EPS_DEFAULT,
@@ -76,7 +75,6 @@ __all__ = [
     "AuditError",
     "BreakWitness",
     "ConfusionMatrix",
-    "ConservativenessReport",
     "DeterministicMap",
     "EPS_DEFAULT",
     "FN_TO_TP",
@@ -105,7 +103,6 @@ __all__ = [
     "apply_increment",
     "apply_map",
     "check_ci_property",
-    "check_conservativeness",
     "check_joint_independence_iff",
     "check_proportional_preservation",
     "ci_deviation",
@@ -117,6 +114,7 @@ __all__ = [
     "is_positive",
     "lipschitz_violations",
     "measure_via_distribution",
+    "perfect_predictor_holds",
     "reservoir_attack",
     "separation",
     "sufficiency",

@@ -213,8 +213,11 @@ def _number(parse: Callable[[str], Any], ok: Callable[[Any], bool], expected: st
 
 
 # NaN at --eps would fail every verdict silently; at --scale it would flag no
-# pair, and inf every pair. _size serves --count, --budget and --z-max.
-_tolerance = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+# pair, and inf every pair. Adding 0.0 reads -0 as 0, so no output prints
+# eps = -0.0. _size serves --count, --budget and --z-max.
+_tolerance = _number(
+    lambda raw: float(raw) + 0.0, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"
+)
 _size = _number(int, lambda v: v >= 0, "an integer >= 0")
 _scale = _number(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 

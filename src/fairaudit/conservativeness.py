@@ -19,12 +19,13 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .confusion import ConfusionMatrix, GroupedConfusion, is_positive, to_joint
 from .distributions import EPS_DEFAULT, ci_deviation, within
 from .errors import InputError, PreconditionError
-from .measures import (
+from .measures import (  # independence stays bound for perfbench/replay.py
     SEPARATION,
     SUFFICIENCY,
     MeasureVerdict,
     cells_hold,
     independence,
+    require_two_groups,
     separation,
     sufficiency,
 )
@@ -62,16 +63,6 @@ class Increment(namedtuple("Increment", "shifts")):
         if not any(shift.count > 0 for shift in shifts):
             raise InputError("increment must shift at least one record")
         return super().__new__(cls, shifts)
-
-
-class ConservativenessReport(NamedTuple):
-    """Prop-style report for a perfect predictor: sufficiency and separation
-    must hold, while independence may still fail and is reported alongside."""
-
-    sufficiency: MeasureVerdict
-    separation: MeasureVerdict
-    independence: MeasureVerdict
-    holds: bool
 
 
 class JointIndependenceVerdict(NamedTuple):
@@ -126,23 +117,9 @@ def perfect_predictor_holds(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> bo
     so is one with fewer than two groups, as the measures refuse it."""
     if not is_perfect(g):
         raise PreconditionError("predictor is not perfect: false cells present")
-    if len(g.groups) < 2:
-        raise PreconditionError(f"fairness measures need at least two groups, got {g.groups}")
+    require_two_groups(g.groups)
     cells = g.matrices.values()
     return all(cells_hold(m, cells, eps) is not False for m in (SUFFICIENCY, SEPARATION))
-
-
-def check_conservativeness(
-    g: GroupedConfusion, eps: float = EPS_DEFAULT
-) -> ConservativenessReport:
-    """On a perfect predictor, assert that sufficiency and separation hold:
-    ``holds`` is :func:`perfect_predictor_holds`, beside both verdicts.
-    Independence carries no such guarantee; its verdict is reported alongside
-    to illustrate that a perfect predictor is in general incompatible with it.
-    """
-    holds = perfect_predictor_holds(g, eps)
-    verdicts = (sufficiency(g, eps), separation(g, eps), independence(g, eps))
-    return ConservativenessReport(*verdicts, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +141,7 @@ def check_joint_independence_iff(
         raise PreconditionError(
             "joint-independence equivalence requires strictly positive cells"
         )
-    if len(g.groups) < 2:  # the measures' own precondition
-        raise PreconditionError(f"fairness measures need at least two groups, got {g.groups}")
+    require_two_groups(g.groups)
     suff_and_sep = all(cells_hold(m, g.matrices.values(), eps) for m in (SUFFICIENCY, SEPARATION))
     deviation = ci_deviation(to_joint(g), "A", ("Y", "R"))
     joint_independent = within(deviation.numerator, deviation.denominator, eps)
@@ -279,16 +255,13 @@ def find_break(
     measure. Each candidate is decided on its shifted cells, and only the
     first breaking one is built into a witness.
     """
-    failing = [
-        verdict.measure
-        for verdict in (sufficiency(g, eps), separation(g, eps))
-        if verdict.holds is not True
-    ]
+    require_two_groups(g.groups)
+    matrices = list(g.matrices.values())
+    failing = [m for m in (SUFFICIENCY, SEPARATION) if cells_hold(m, matrices, eps) is not True]
     if failing:
         raise PreconditionError(
             f"measures must hold before searching: {', '.join(failing)} did not"
         )
-    matrices = list(g.matrices.values())
     for counts, directions in _candidate_increments(g, budget):
         cells = list(map(_shifted, matrices, directions, counts))
         broken = tuple(
@@ -334,7 +307,7 @@ def check_proportional_preservation(
 ) -> ProportionalPreservationReport:
     """Shift FN to TP in proportion to group size (k records in a group with
     multiplier k) and verify that neither sufficiency nor separation fails. As
-    in :func:`check_conservativeness`, a NOT-COMPARABLE measure survives: the
+    in :func:`perfect_predictor_holds`, a NOT-COMPARABLE measure survives: the
     shift left one of its rates undefined in every group.
 
     Requires the group matrices to be exact integer multiples of a common

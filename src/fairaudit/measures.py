@@ -98,14 +98,19 @@ def cells_hold(measure: str, cells: Collection[Sequence[int]], eps: float) -> bo
     return all(within(part, whole, eps) for part, whole, _, _ in gaps)
 
 
+def require_two_groups(groups: Sequence[str]) -> None:
+    """Refuse fewer than two groups, as every check that compares groups does."""
+    if len(groups) < 2:
+        raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
+
+
 def _cell_verdict(
     measure: str, cells: Mapping[str, Sequence[int]], eps: float
 ) -> MeasureVerdict:
     """Evaluate a measure on per-group cells ``(a, b, c, d)``; both routes end here."""
     gaps_at = cell_gaps(measure, cells.values())
     groups = tuple(cells)
-    if len(groups) < 2:
-        raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
+    require_two_groups(groups)
     gaps = {label: None if gap is None else Fraction(*gap[:2]) for label, gap in gaps_at.items()}
     if None in gaps.values():
         return MeasureVerdict(measure, None, gaps, None, None, eps)

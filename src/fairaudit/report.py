@@ -26,14 +26,13 @@ from .confusion import ConfusionMatrix, GroupedConfusion, is_positive
 from .conservativeness import (
     FN_TO_TP,
     BreakWitness,
-    ConservativenessReport,
     GroupShift,
     Increment,
     JointIndependenceVerdict,
-    check_conservativeness,
     check_joint_independence_iff,
     find_break,
     is_perfect,
+    perfect_predictor_holds,
 )
 from .errors import PreconditionError
 from .measures import MeasureVerdict, independence, separation, sufficiency
@@ -200,7 +199,6 @@ _RECORDS = (
     GroupShift,
     ReservoirPlan,
     ReservoirAttackResult,
-    ConservativenessReport,
     JointIndependenceVerdict,
     BreakWitness,
     BreakSearch,
@@ -332,12 +330,14 @@ def _write_rows(violations: Violations, out: list[str], nl: str) -> None:
 
 
 class FairnessReport(NamedTuple):
-    """Everything an audit run produces, ready to serialize."""
+    """Everything an audit run produces, ready to serialize. ``perfect_holds``
+    is :func:`perfect_predictor_holds` on a perfect table and ``None`` on any
+    other; ``verdicts`` are independence, sufficiency and separation."""
 
     eps: float
     grouped: GroupedConfusion
     verdicts: tuple[MeasureVerdict, MeasureVerdict, MeasureVerdict]
-    perfect_report: ConservativenessReport | None
+    perfect_holds: bool | None
     joint_independence: JointIndependenceVerdict | None
     break_search: BreakSearch | None
 
@@ -346,7 +346,7 @@ class FairnessReport(NamedTuple):
 
     def payload(self) -> dict[str, Any]:
         """The audit's members, their values still results for :func:`render`."""
-        g = self.grouped
+        g, measures = self.grouped, {v.measure: v for v in self.verdicts}
         out: dict[str, Any] = {
             **header(self.eps),
             "input": {
@@ -358,11 +358,13 @@ class FairnessReport(NamedTuple):
             "group_stats": {
                 group: {name: getattr(g[group], name) for name in STATS} for group in g.groups
             },
-            "measures": {v.measure: v for v in self.verdicts},
+            "measures": measures,
             "all_hold": self.all_hold(),
             "conservativeness": {
-                "perfect_predictor": self.perfect_report is not None,
-                "perfect_check": self.perfect_report,
+                "perfect_predictor": self.perfect_holds is not None,
+                "perfect_check": None
+                if self.perfect_holds is None
+                else {"holds": self.perfect_holds, **measures},
                 "joint_independence": self.joint_independence,
             },
         }
@@ -384,12 +386,11 @@ class FairnessReport(NamedTuple):
         lines += [f"  {group}: {stats_text(g[group])}" for group in g.groups]
         lines += ["", "measures", *(f"  {verdict_text(v)}" for v in self.verdicts)]
         lines += ["", "conservativeness"]
-        lines.append(f"  perfect predictor: {'no' if self.perfect_report is None else 'yes'}")
-        if self.perfect_report is not None:
-            ok = "confirmed" if self.perfect_report.holds else "VIOLATED"
-            independence_status = verdict_status(self.perfect_report.independence)
+        lines.append(f"  perfect predictor: {'no' if self.perfect_holds is None else 'yes'}")
+        if self.perfect_holds is not None:
+            ok = "confirmed" if self.perfect_holds else "VIOLATED"
             lines.append(f"  perfect-predictor guarantee (sufficiency & separation): {ok}")
-            lines.append(f"    independence alongside: {independence_status}")
+            lines.append(f"    independence alongside: {verdict_status(self.verdicts[0])}")
         if self.joint_independence is not None:
             ji = self.joint_independence
             lines.append(
@@ -412,7 +413,7 @@ def build_report(
 ) -> FairnessReport:
     """Run the full audit pipeline over a grouped confusion table."""
     verdicts = (independence(g, eps), sufficiency(g, eps), separation(g, eps))
-    perfect_report = check_conservativeness(g, eps) if is_perfect(g) else None
+    perfect_holds = perfect_predictor_holds(g, eps) if is_perfect(g) else None
     joint = check_joint_independence_iff(g, eps) if is_positive(g) else None
     search = None
     if break_budget is not None:
@@ -420,7 +421,7 @@ def build_report(
             search = BreakSearch(break_budget, find_break(g, eps, break_budget))
         except PreconditionError as exc:
             search = BreakSearch(break_budget, None, str(exc))
-    return FairnessReport(eps, g, verdicts, perfect_report, joint, search)
+    return FairnessReport(eps, g, verdicts, perfect_holds, joint, search)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from fairaudit.conservativeness import (
     GroupShift,
     Increment,
     apply_increment,
-    check_conservativeness,
     check_joint_independence_iff,
     check_proportional_preservation,
     find_break,
@@ -52,6 +51,7 @@ from fairaudit.measures import (
     separation,
     sufficiency,
 )
+from fairaudit.report import build_report
 
 BEFORE = GroupedConfusion(
     {"p": ConfusionMatrix(10, 2, 3, 11), "q": ConfusionMatrix(20, 4, 6, 22)}
@@ -110,9 +110,9 @@ def test_criterion_2_perfect_predictor_suite():
     held = 0
     for _ in range(1000):
         g = random_perfect_grouped(rng)
-        report = check_conservativeness(g)
-        assert report.holds
-        for verdict in (report.sufficiency, report.separation):
+        report = build_report(g, EPS_DEFAULT)
+        assert report.perfect_holds
+        for verdict in report.verdicts[1:]:  # sufficiency, separation
             for gap in verdict.component_gaps.values():
                 assert gap is None or gap == 0
         held += 1

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 import pytest
 from builders import export_csv, synthesize_dataset
 
-from fairaudit import cli, conservativeness
+from fairaudit import cli, conservativeness, measures
 from fairaudit.cli import main
 from fairaudit.confusion import (
     ConfusionMatrix,
@@ -543,6 +543,71 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"expected a finite number > 0, got {scale!r}" in captured.err
+
+
+class TestNegativeZeroEps:
+    """``--eps -0`` passes the ``>= 0`` check and is read as 0: every command
+    prints the bytes of ``--eps 0``, so no header shows ``eps = -0.0``."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("zero", ["-0", "-0.0"])
+    @pytest.mark.parametrize("command", ["audit", "demo", "check-props", "counterexample"])
+    def test_same_bytes_as_zero(self, before_csv, command, zero, fmt):
+        argv = {
+            "audit": (command, before_csv),
+            "demo": (command,),
+            "check-props": (command, "--count", "5"),
+            "counterexample": (command, before_csv),
+        }[command]
+        expected = run_cli(*argv, "--eps", "0", "--format", fmt)
+        assert run_cli(*argv, "--eps", zero, "--format", fmt) == expected
+        assert "-0.0" not in expected[1]
+
+
+class TestVerdictsBuilt:
+    """Each command builds a measure's verdict once, where it reports it: the
+    audit's perfect-predictor check and the break search's precondition and
+    candidates are decided on the integer cells."""
+
+    @staticmethod
+    def count(monkeypatch):
+        built, verdict = [], measures.MeasureVerdict
+
+        def counted(*args):
+            built.append(args[0])
+            return verdict(*args)
+
+        monkeypatch.setattr(measures, "MeasureVerdict", counted)
+        return built
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_perfect_audit_builds_its_three_verdicts(self, tmp_path, monkeypatch, fmt):
+        path = tmp_path / "perfect.csv"
+        perfect = {"p": ConfusionMatrix(5, 0, 0, 7), "q": ConfusionMatrix(3, 0, 0, 2)}
+        export_csv(synthesize_dataset(GroupedConfusion(perfect)), str(path))
+        built = self.count(monkeypatch)
+        code, out = run_cli("audit", str(path), "--format", fmt)
+        assert code == 1  # independence fails beside the perfect-predictor guarantee
+        if fmt == "json":
+            assert json.loads(out)["conservativeness"]["perfect_check"]["holds"] is True
+        else:
+            assert "perfect-predictor guarantee (sufficiency & separation): confirmed" in out
+        assert built == ["independence", "sufficiency", "separation"]
+
+    def test_counterexample_builds_only_its_witness_verdicts(self, before_csv, monkeypatch):
+        built = self.count(monkeypatch)
+        code, out = run_cli("counterexample", before_csv, "--format", "json")
+        assert code == 0 and json.loads(out)["witness"] is not None
+        assert built == ["sufficiency", "separation"]
+
+    def test_counterexample_without_witness_builds_none(self, tmp_path, monkeypatch):
+        path = tmp_path / "equal.csv"
+        equal = {"p": ConfusionMatrix(4, 0, 0, 4), "q": ConfusionMatrix(4, 0, 0, 4)}
+        export_csv(synthesize_dataset(GroupedConfusion(equal)), str(path))
+        built = self.count(monkeypatch)
+        code, out = run_cli("counterexample", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["witness"] is None
+        assert built == []
 
 
 class TestDeterminism:

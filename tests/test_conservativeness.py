@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conservativeness_oracle import check_conservativeness
 
 from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.conservativeness import (
@@ -14,7 +15,6 @@ from fairaudit.conservativeness import (
     GroupShift,
     Increment,
     apply_increment,
-    check_conservativeness,
     check_joint_independence_iff,
     check_proportional_preservation,
     find_break,
@@ -22,8 +22,10 @@ from fairaudit.conservativeness import (
     is_perfect,
     perfect_predictor_holds,
 )
+from fairaudit.distributions import EPS_DEFAULT
 from fairaudit.errors import InputError, PreconditionError
 from fairaudit.measures import separation, sufficiency
+from fairaudit.report import build_report, render
 from fairaudit.generators import (
     random_nonproportional_grouped,
     random_perfect_grouped,
@@ -47,15 +49,19 @@ class TestIsPerfect:
         assert not is_perfect(GroupedConfusion({"p": ConfusionMatrix(1, 0, 1, 0)}))
 
 
-class TestCheckConservativeness:
+class TestPerfectPredictor:
+    """The audit's perfect-predictor check: ``perfect_holds`` is
+    :func:`perfect_predictor_holds`, read beside the audit's own verdicts."""
+
     def test_perfect_tables_report(self):
-        report = check_conservativeness(GroupedConfusion(PERFECT))
-        assert report.holds
-        assert report.sufficiency.disparity == 0
-        assert report.separation.disparity == 0
+        report = build_report(GroupedConfusion(PERFECT), EPS_DEFAULT)
+        independence, suff, sep = report.verdicts
+        assert report.perfect_holds is True
+        assert suff.disparity == 0
+        assert sep.disparity == 0
         # Selection rates 5/12 vs 3/5 differ, so independence fails alongside.
-        assert report.independence.holds is False
-        assert report.independence.disparity == abs(
+        assert independence.holds is False
+        assert independence.disparity == abs(
             Fraction(5, 12) - Fraction(3, 5)
         )
 
@@ -63,34 +69,38 @@ class TestCheckConservativeness:
         g = GroupedConfusion(
             {"p": ConfusionMatrix(4, 0, 0, 4), "q": ConfusionMatrix(7, 0, 0, 7)}
         )
-        report = check_conservativeness(g)
-        assert report.holds
-        assert report.independence.holds is True
+        report = build_report(g, EPS_DEFAULT)
+        assert report.perfect_holds is True
+        assert report.verdicts[0].holds is True
 
     def test_random_perfect_predictors_always_hold(self):
         rng = random.Random(61)
         for _ in range(100):
-            report = check_conservativeness(random_perfect_grouped(rng))
-            assert report.holds
+            assert perfect_predictor_holds(random_perfect_grouped(rng)) is True
 
     def test_non_perfect_rejected(self):
         with pytest.raises(PreconditionError, match="not perfect"):
-            check_conservativeness(GroupedConfusion(BEFORE))
+            perfect_predictor_holds(GroupedConfusion(BEFORE))
+        assert build_report(GroupedConfusion(BEFORE), EPS_DEFAULT).perfect_holds is None
 
     @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.05, math.nan])
     def test_predicate_is_the_verdicts_rule(self, eps):
         # On perfect tables every defined gap is 0, and a group with no
         # positives or no negatives leaves rates undefined: such a measure
         # counts as holding. Nothing is within a nan eps, so there only the
-        # undefined measures hold.
+        # undefined measures hold. The audit's perfect_check is written as
+        # the report check_conservativeness built, byte for byte.
         rng = random.Random(67)
         undefined = passed = 0
         for _ in range(300):
             g = random_perfect_grouped(rng)
-            report = check_conservativeness(g, eps)
-            verdicts = (report.sufficiency.holds, report.separation.holds)
+            report = build_report(g, eps)
+            oracle = check_conservativeness(g, eps)
+            verdicts = (oracle.sufficiency.holds, oracle.separation.holds)
             rule = False not in verdicts
-            assert perfect_predictor_holds(g, eps) is rule is report.holds
+            assert perfect_predictor_holds(g, eps) is rule is report.perfect_holds is oracle.holds
+            perfect_check = report.payload()["conservativeness"]["perfect_check"]
+            assert render(perfect_check) == render(oracle._asdict())
             undefined += None in verdicts
             passed += rule
         assert undefined > 10
@@ -100,17 +110,9 @@ class TestCheckConservativeness:
         "g", [GroupedConfusion(BEFORE), GroupedConfusion({"p": ConfusionMatrix(1, 0, 1, 0)})]
     )
     def test_predicate_refuses_a_table_that_is_not_perfect(self, g):
-        for check in (perfect_predictor_holds, check_conservativeness):
-            with pytest.raises(PreconditionError) as raised:
-                check(g, 0.05)
-            assert str(raised.value) == "predictor is not perfect: false cells present"
-
-    def test_predicate_refuses_one_group_as_the_verdicts_do(self):
-        g = GroupedConfusion({"p": ConfusionMatrix(5, 0, 0, 7)})
-        for check in (perfect_predictor_holds, check_conservativeness):
-            with pytest.raises(PreconditionError) as raised:
-                check(g)
-            assert str(raised.value) == "fairness measures need at least two groups, got ('p',)"
+        with pytest.raises(PreconditionError) as raised:
+            perfect_predictor_holds(g, 0.05)
+        assert str(raised.value) == "predictor is not perfect: false cells present"
 
 
 class TestJointIndependenceIff:

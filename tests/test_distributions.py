@@ -16,6 +16,7 @@ from fairaudit import cli
 from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.distributions import (
     EPS_DEFAULT,
+    FAIL,
     PASS,
     VACUOUS,
     DeterministicMap,
@@ -600,6 +601,61 @@ class TestCheckCIProperty:
         assert holds == [not math.isnan(eps)] * 3
         for part, whole in ((0, 1), (1, 20), (1, 1), (3, 2)):
             assert type(within(part, whole, eps)) is bool
+
+
+def binary_joint(names: str, weights: tuple[int, ...]) -> FiniteJoint:
+    """The joint of binary variables ``names`` with ``weights`` on the keys in
+    ``itertools.product(("0", "1"), repeat=len(names))`` order."""
+    keys = itertools.product(BIN, repeat=len(names))
+    return FiniteJoint([(name, BIN) for name in names], dict(zip(keys, weights)))
+
+
+class TestApproximatePremises:
+    """check-props builds instances whose premises hold exactly. Near
+    independence is not enough: at eps 0.05 properties 4 and 5 fail on these
+    joints, and at eps 0 each is vacuous, since its premises are not 0."""
+
+    # Weights on (X, Y, Z, W) for property 4 and on (X, Y, Z) for property 5.
+    FORWARD = binary_joint("XYZW", (0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1))
+    BACKWARD = binary_joint("XYZW", (0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1))
+    INTERSECTION = binary_joint("XYZ", (1, 1, 1, 2, 1, 2, 2, 1))
+
+    def test_property_4_contraction_fails_forward(self):
+        verdict = check_ci_property(4, self.FORWARD, eps=0.05)
+        assert verdict.status == FAIL
+        assert verdict.premises["x_indep_y_given_z"] == Fraction(1, 25)
+        assert verdict.premises["x_indep_w_given_yz"] == Fraction(1, 25)
+        assert verdict.conclusions == {"forward_x_indep_wy_given_z": Fraction(2, 25)}
+
+    def test_property_4_decomposition_fails_backward_at_its_bound(self):
+        verdict = check_ci_property(4, self.BACKWARD, eps=0.05)
+        assert verdict.status == FAIL
+        assert verdict.premises["x_indep_wy_given_z"] == Fraction(2, 49)
+        assert verdict.conclusions == {
+            "backward_x_indep_y_given_z": Fraction(4, 49),
+            "backward_x_indep_w_given_yz": 0,
+        }
+        # Summing over W: dev(X, Y | Z) <= |W| dev(X, (W, Y) | Z), with equality here.
+        size_w = len(self.BACKWARD.domain("W"))
+        decomposed = ci_deviation(self.BACKWARD, "X", ("W", "Y"), "Z")
+        assert ci_deviation(self.BACKWARD, "X", "Y", "Z") == size_w * decomposed
+
+    def test_property_5_intersection_fails(self):
+        verdict = check_ci_property(5, self.INTERSECTION, eps=0.05)
+        assert verdict.status == FAIL
+        assert verdict.premises == {
+            "positivity_min_cell": Fraction(1, 11),
+            "x_indep_y_given_z": Fraction(3, 121),
+            "x_indep_z_given_y": Fraction(3, 121),
+        }
+        assert verdict.conclusions == {"x_indep_yz": Fraction(7, 121)}
+
+    @pytest.mark.parametrize("witness", ["FORWARD", "BACKWARD", "INTERSECTION"])
+    def test_vacuous_at_eps_zero(self, witness):
+        j = getattr(self, witness)
+        k = 5 if witness == "INTERSECTION" else 4
+        assert check_ci_property(k, j, eps=0).status == VACUOUS
+        assert ci_property_status(k, j, None, 0.05) == FAIL
 
 
 class TestDefaults:

@@ -32,12 +32,10 @@ from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion
 from fairaudit.conservativeness import (
     FN_TO_TP,
     BreakWitness,
-    ConservativenessReport,
     GroupShift,
     Increment,
     JointIndependenceVerdict,
     ProportionalPreservationReport,
-    check_conservativeness,
     check_joint_independence_iff,
     check_proportional_preservation,
     find_break,
@@ -66,7 +64,6 @@ EPS = 1e-9
 def arguments() -> dict[type, tuple]:
     """Constructor arguments for one instance of each type."""
     g = GroupedConfusion(cli.DEMO_BEFORE)
-    perfect = GroupedConfusion({"p": ConfusionMatrix(3, 0, 0, 2), "q": ConfusionMatrix(1, 0, 0, 4)})
     shift = GroupShift("p", FN_TO_TP, 1)
     increment = Increment((shift, GroupShift("q", FN_TO_TP, 1)))
     verdict = sufficiency(g, EPS)
@@ -91,7 +88,6 @@ def arguments() -> dict[type, tuple]:
         MeasureVerdict: tuple(verdict),
         GroupShift: tuple(shift),
         Increment: (increment.shifts,),
-        ConservativenessReport: tuple(check_conservativeness(perfect, EPS)),
         JointIndependenceVerdict: tuple(check_joint_independence_iff(g, EPS)),
         BreakWitness: tuple(witness),
         ProportionalPreservationReport: tuple(check_proportional_preservation(g, EPS)),

@@ -6,7 +6,9 @@ the names:
 ``num_payload``, ``verdict_payload``, ``matrix_payload``,
 ``matrices_payload``, ``stats_payload``, ``increment_payload``,
 ``break_payload``, the body of ``FairnessReport.payload`` and the reservoir
-payload of ``cmd_attack``. Each copied a result's fields into a dict under the
+payload of ``cmd_attack``. The payload body reads its perfect-predictor
+check off ``conservativeness_oracle.check_conservativeness``, the report it
+once held, instead of a field of the report. Each copied a result's fields into a dict under the
 fields' own names, so ``render`` must write a result as ``json.dumps(...,
 sort_keys=True, indent=2)`` writes its oracle payload, and as ``json_oracle``
 writes it through ``jsonable``. Text comparison also tells ``1`` from ``1.0``
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from builders import export_csv, synthesize_dataset
+from conservativeness_oracle import check_conservativeness
 from json_oracle import dumps, jsonable
 
 from fairaudit import cli
@@ -40,9 +43,9 @@ from fairaudit.conservativeness import (
     BreakWitness,
     GroupShift,
     Increment,
-    check_conservativeness,
     check_joint_independence_iff,
     find_break,
+    is_perfect,
 )
 from fairaudit.distributions import PropertyVerdict
 from fairaudit.errors import Infeasible, PreconditionError
@@ -131,6 +134,7 @@ def oracle_break_payload(
 
 def oracle_report_payload(self: FairnessReport) -> dict[str, Any]:
     g = self.grouped
+    perfect_report = check_conservativeness(g, self.eps) if is_perfect(g) else None
     out: dict[str, Any] = {
         **header(self.eps),
         "input": {
@@ -143,14 +147,14 @@ def oracle_report_payload(self: FairnessReport) -> dict[str, Any]:
         "measures": {v.measure: verdict_payload(v) for v in self.verdicts},
         "all_hold": self.all_hold(),
         "conservativeness": {
-            "perfect_predictor": self.perfect_report is not None,
+            "perfect_predictor": perfect_report is not None,
             "perfect_check": None
-            if self.perfect_report is None
+            if perfect_report is None
             else {
-                "sufficiency": verdict_payload(self.perfect_report.sufficiency),
-                "separation": verdict_payload(self.perfect_report.separation),
-                "independence": verdict_payload(self.perfect_report.independence),
-                "holds": self.perfect_report.holds,
+                "sufficiency": verdict_payload(perfect_report.sufficiency),
+                "separation": verdict_payload(perfect_report.separation),
+                "independence": verdict_payload(perfect_report.independence),
+                "holds": perfect_report.holds,
             },
             "joint_independence": None
             if self.joint_independence is None
@@ -282,9 +286,9 @@ def test_tables_cover_not_comparable_and_both_outcomes() -> None:
 def test_perfect_tables_conservativeness(seed: int) -> None:
     g = random_table(random.Random(seed), perfect=True)
     report = build_report(g, EPS)
-    assert report.perfect_report is not None
+    assert report.perfect_holds is not None
     expected = oracle_report_payload(report)["conservativeness"]["perfect_check"]
-    assert_same_json(check_conservativeness(g, EPS), expected)
+    assert_same_json(report.payload()["conservativeness"]["perfect_check"], expected)
     assert_same_json(report, oracle_report_payload(report))
 
 

@@ -6,7 +6,9 @@ bool, a joint's repeated label and unknown variable, a map's empty mapping or
 repeated variable, the CI composer's empty ``pz`` and disagreeing rows, an
 empty side of a deviation, a property id that is a bool or a float, and
 property 3 given a map that is not from Z onto Y. Also property 2's vacuous
-verdict, and the CLI's exit on a path it cannot read.
+verdict, the CLI's exit on a path it cannot read, and the one rule that every
+check comparing groups refuses a table of one group by, in the library and
+through the CLI.
 """
 
 import errno
@@ -17,8 +19,13 @@ from typing import Any, Callable
 import pytest
 
 from fairaudit import cli
-from fairaudit.adversary import ReservoirPlan
-from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record
+from fairaudit.adversary import ReservoirPlan, reservoir_attack
+from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, to_joint
+from fairaudit.conservativeness import (
+    check_joint_independence_iff,
+    find_break,
+    perfect_predictor_holds,
+)
 from fairaudit.distributions import (
     VACUOUS,
     DeterministicMap,
@@ -27,7 +34,15 @@ from fairaudit.distributions import (
     ci_deviation,
     compose_ci,
 )
-from fairaudit.errors import InputError
+from fairaudit.errors import InputError, PreconditionError
+from fairaudit.measures import (
+    evaluate_measure,
+    independence,
+    measure_via_distribution,
+    separation,
+    sufficiency,
+)
+from fairaudit.report import build_report
 
 BIN = ("0", "1")
 
@@ -155,3 +170,47 @@ def test_audit_of_a_path_that_cannot_be_read_exits_two(tmp_path, capsys, name, c
     assert out == ""
     # The reason follows the path once; the path is not repeated after it.
     assert err == f"error: cannot read {path}: {os.strerror(code)}\n"
+
+
+#: One group with every cell filled, so each check passes the preconditions
+#: it tests before the group count; the perfect-predictor check needs b = c = 0.
+ONE_GROUP = GroupedConfusion({"p": ConfusionMatrix(1, 1, 1, 1)})
+ONE_PERFECT_GROUP = GroupedConfusion({"p": ConfusionMatrix(1, 0, 0, 1)})
+TWO_GROUPS_NEEDED = "fairness measures need at least two groups, got ('p',)"
+
+ONE_GROUP_CHECKS: dict[str, Callable[[], Any]] = {
+    "independence": lambda: independence(ONE_GROUP),
+    "sufficiency": lambda: sufficiency(ONE_GROUP),
+    "separation": lambda: separation(ONE_GROUP),
+    "evaluate_measure": lambda: evaluate_measure(ONE_GROUP, "separation"),
+    "measure_via_distribution": lambda: measure_via_distribution(
+        to_joint(ONE_GROUP), "sufficiency"
+    ),
+    "perfect_predictor_holds": lambda: perfect_predictor_holds(ONE_PERFECT_GROUP),
+    "check_joint_independence_iff": lambda: check_joint_independence_iff(ONE_GROUP),
+    "find_break": lambda: find_break(ONE_GROUP, 0.05, 2),
+    "reservoir_attack": lambda: reservoir_attack(ONE_GROUP, "p", 100),
+    "build_report": lambda: build_report(ONE_GROUP, 1e-9, 2),
+}
+
+
+@pytest.mark.parametrize("check", ONE_GROUP_CHECKS)
+def test_one_group_is_refused_by_every_check_alike(check: str) -> None:
+    with pytest.raises(PreconditionError, match=f"^{re.escape(TWO_GROUPS_NEEDED)}$"):
+        ONE_GROUP_CHECKS[check]()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("audit",), ("audit", "--find-break"), ("counterexample",), ("attack", "reservoir")],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_one_group_csv_exits_two(tmp_path, capsys, command, fmt) -> None:
+    path = tmp_path / "one-group.csv"
+    path.write_text("id,group,y_true,y_pred\nr1,p,1,1\nr2,p,0,1\nr3,p,1,0\n")
+    argv = [*command, str(path), "--format", fmt]
+    if command[0] == "attack":
+        argv += ["--group", "p"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {TWO_GROUPS_NEEDED}\n")
