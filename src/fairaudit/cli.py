@@ -1,6 +1,7 @@
 """Command-line interface: the parser, and one body per command that calls
 the library and returns an exit code and one result. ``main`` writes only the
 requested format of it; :mod:`fairaudit.report` decides every word of output.
+``run``, the process entry, ends the process as soon as the output is flushed.
 
 Exit codes: 0 all requested measures hold (or the command completed),
 1 a fairness measure failed (or a verification suite had failures),
@@ -11,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import __version__
 from .adversary import lipschitz_violations, reservoir_attack, swap_attack, violates
@@ -334,10 +336,42 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(output)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _output_error(exc)
     return code
 
 
+def _output_error(exc: OSError) -> int:
+    """Name a failed write of the output on stderr; its exit code."""
+    print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def run(argv: Sequence[str] | None = None) -> NoReturn:
+    """The process entry: ``main``'s exit code, or argparse's own for
+    ``--version``, ``--help`` and usage errors once stdout is flushed, and then
+    ``os._exit``, so the interpreter is not torn down after the output is out.
+
+    A failed flush of argparse's output prints the output error and exits 2.
+    When ``main`` itself reports an output error, what stdout still holds is
+    dropped, not flushed again. An uncaught exception ends the process as
+    Python would.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+        try:
+            sys.stdout.flush()
+        except OSError as err:
+            code = _output_error(err)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -25,6 +25,8 @@ is within ``eps`` by ``distributions.within``. Any undefined constituent rate
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
+from operator import itemgetter
 from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .confusion import CELLS, LABEL, NEG, POS, RATES, GroupedConfusion
@@ -69,12 +71,16 @@ def cell_gaps(
     and the positions of the first pair attaining it; ``None`` when some
     group's rate is undefined. The first pair is the first group holding an
     extreme value with the first later group holding the other extreme, or
-    positions 0 and 1 when all values are equal.
+    positions 0 and 1 when all values are equal. Fewer than two groups are
+    refused, after an unknown measure.
     """
+    components = _components(measure)
+    if len(cells) < 2:
+        require_two_groups(tuple(cells))
     gaps: dict[str, tuple[int, int, int, int] | None] = {}
-    for label, rate in _components(measure).items():
-        rates = [RATES[rate](*m) for m in cells]
-        if any(whole == 0 for _, whole in rates):
+    for label, rate in components.items():
+        rates = list(starmap(RATES[rate], cells))
+        if 0 in map(itemgetter(1), rates):
             gaps[label] = None
             continue
         high = low = 0  # the first position holding the largest and the smallest rate
@@ -98,8 +104,9 @@ def cells_hold(measure: str, cells: Collection[Sequence[int]], eps: float) -> bo
     return all(within(part, whole, eps) for part, whole, _, _ in gaps)
 
 
-def require_two_groups(groups: Sequence[str]) -> None:
-    """Refuse fewer than two groups, as every check that compares groups does."""
+def require_two_groups(groups: Sequence) -> None:
+    """Refuse fewer than two groups, named or given by their cells, as every
+    check that compares groups does."""
     if len(groups) < 2:
         raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
 
@@ -108,9 +115,10 @@ def _cell_verdict(
     measure: str, cells: Mapping[str, Sequence[int]], eps: float
 ) -> MeasureVerdict:
     """Evaluate a measure on per-group cells ``(a, b, c, d)``; both routes end here."""
-    gaps_at = cell_gaps(measure, cells.values())
+    _components(measure)  # an unknown measure is refused before the group count
     groups = tuple(cells)
-    require_two_groups(groups)
+    require_two_groups(groups)  # naming the groups, where cell_gaps names their cells
+    gaps_at = cell_gaps(measure, cells.values())
     gaps = {label: None if gap is None else Fraction(*gap[:2]) for label, gap in gaps_at.items()}
     if None in gaps.values():
         return MeasureVerdict(measure, None, gaps, None, None, eps)

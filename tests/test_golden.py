@@ -188,7 +188,8 @@ CASES = {
 }
 
 
-def run_case(name: str, fmt: str, workdir: Path) -> tuple[int, str, str]:
+def case_argv(name: str, fmt: str, workdir: Path) -> list[str]:
+    """The CLI arguments of case ``name`` in ``fmt``, its input written to ``workdir``."""
     source, argv = CASES[name]
     csv_path = workdir / f"{name}.csv"
     if isinstance(source, str):
@@ -196,10 +197,20 @@ def run_case(name: str, fmt: str, workdir: Path) -> tuple[int, str, str]:
     elif source is not None:
         ds = source() if callable(source) else synthesize_dataset(GroupedConfusion(source))
         export_csv(ds, str(csv_path))
-    args = [arg.replace("{csv}", str(csv_path)) for arg in argv] + ["--format", fmt]
+    return [arg.replace("{csv}", str(csv_path)) for arg in argv] + ["--format", fmt]
+
+
+def expected_run(name: str, fmt: str) -> tuple[int, str, str]:
+    """The golden exit code, stdout and stderr of case ``name`` in ``fmt``."""
+    status = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
+    code, stderr = status[f"{name}.{fmt}"]
+    return code, (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8"), stderr
+
+
+def run_case(name: str, fmt: str, workdir: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
+        code = main(case_argv(name, fmt, workdir))
     return code, out.getvalue(), err.getvalue().replace(str(workdir), "<dir>")
 
 
@@ -241,7 +252,6 @@ def test_output_matches_golden(
     for owner, attr in OTHER_FORMAT[fmt]:
         monkeypatch.setattr(owner, attr, refuse(attr))
     code, stdout, stderr = run_case(name, fmt, tmp_path)
-    status = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
-    expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
-    assert [code, stderr] == status[f"{name}.{fmt}"]
-    assert stdout == expected
+    expected_code, expected_stdout, expected_stderr = expected_run(name, fmt)
+    assert (code, stderr) == (expected_code, expected_stderr)
+    assert stdout == expected_stdout

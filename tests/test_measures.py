@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from fairaudit.measures import (
     MEASURES,
     SEPARATION,
     SUFFICIENCY,
+    cell_gaps,
+    cells_hold,
     evaluate_measure,
     independence,
     measure_via_distribution,
@@ -47,6 +50,41 @@ class TestIndependence:
     def test_single_group_rejected(self):
         with pytest.raises(PreconditionError, match="two groups"):
             independence(GroupedConfusion({"p": ConfusionMatrix(1, 1, 1, 1)}))
+
+
+class TestCellKernelTwoGroupRule:
+    """``cell_gaps`` and ``cells_hold`` refuse fewer than two groups as the
+    verdicts do, naming the cells they were given, and still refuse an unknown
+    measure first."""
+
+    @pytest.mark.parametrize("check", [cell_gaps, lambda m, cells: cells_hold(m, cells, 0.1)])
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize(
+        "cells, got",
+        [
+            ([(1, 1, 1, 1)], "((1, 1, 1, 1),)"),
+            ([], "()"),
+            ({"p": (5, 0, 0, 7)}.values(), "((5, 0, 0, 7),)"),
+        ],
+        ids=["one-group", "no-group", "one-group-view"],
+    )
+    def test_fewer_than_two_groups_refused(self, check, measure, cells, got):
+        message = f"fairness measures need at least two groups, got {got}"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            check(measure, cells)
+
+    @pytest.mark.parametrize("cells", [[], [(1, 1, 1, 1)]], ids=["no-group", "one-group"])
+    def test_unknown_measure_refused_before_the_group_count(self, cells):
+        with pytest.raises(InputError, match="unknown measure"):
+            cell_gaps("parity", cells)
+        with pytest.raises(InputError, match="unknown measure"):
+            evaluate_measure(GroupedConfusion({"p": ConfusionMatrix(1, 1, 1, 1)}), "parity")
+
+    def test_two_groups_are_decided(self):
+        assert cells_hold(INDEPENDENCE, [(1, 1, 1, 1), (1, 1, 1, 1)], 0.1) is True
+        assert cell_gaps(INDEPENDENCE, [(1, 1, 1, 1), (3, 0, 0, 1)]) == {
+            "selection_rate_gap": (4, 16, 0, 1)  # 3/4 - 2/4, unreduced
+        }
 
 
 class TestSufficiency:
