@@ -15,7 +15,7 @@ import math
 import os
 import random
 import sys
-from typing import Any, Callable, NoReturn, Sequence
+from typing import IO, Any, Callable, NoReturn, Sequence
 
 from . import __version__
 from .adversary import lipschitz_violations, reservoir_attack, swap_attack, violates
@@ -251,8 +251,23 @@ def _add_schema_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a failed write of its own text to stdout (that
+    of ``--version`` or ``--help``) is an output error, exit 2, where argparse
+    drops it and exits 0; its subparsers are of this class too."""
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        if not message or file is not sys.stdout:
+            super()._print_message(message, file)
+            return
+        try:
+            file.write(message)
+        except OSError as exc:
+            self.exit(_output_error(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairaudit",
         description="Audit group-fairness measures on binary classification data.",
     )
@@ -351,7 +366,8 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
     ``--version``, ``--help`` and usage errors once stdout is flushed, and then
     ``os._exit``, so the interpreter is not torn down after the output is out.
 
-    A failed flush of argparse's output prints the output error and exits 2.
+    A failed write or flush of argparse's output prints the output error and
+    exits 2, with stdout buffered or not.
     When ``main`` itself reports an output error, what stdout still holds is
     dropped, not flushed again. An uncaught exception ends the process as
     Python would.

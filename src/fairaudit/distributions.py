@@ -17,9 +17,14 @@ squared denominator. Each weight is added once, at slot l·|R| + r of its
 given value's block, where l and r place its left and right values in their
 domains L and R (a fused side's is its product grid); a block's row, column
 and total sums are read off the block. The places and each side's reader of
-a key are cached per layout (the variables and the three sides). Given
-values are numbered per call as they first appear, so a call costs the
-table's cells plus ng·|L|·|R| for the ng given values the table holds.
+a key are cached per layout (the variables and the three sides). On a layout
+whose grid, the product of all the joint's domain sizes, has at most
+``SLOT_TABLE_CELLS`` cells, the cache also holds the slot of every key of the
+grid, with a block for every given value of the grid: a call then costs one
+lookup per table cell plus the grid's sums. A larger layout keeps no key
+table: its given values are numbered per call as they first appear, so a call
+costs the table's cells plus ng·|L|·|R| for the ng given values the table
+holds.
 
 A joint is checked once, where it enters the library: the public constructor
 checks its variables, keys and weights, while the joints derived from valid
@@ -267,12 +272,32 @@ def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(spec)
 
 
+#: Largest grid, the product of all of a joint's domain sizes, whose layout
+#: keeps a table from every key of the grid to its slot. It covers every layout
+#: check-props builds (the largest, property 2's joint over X, Y, Z and U, has
+#: 3*3*3*2 = 54 cells) and audit's count joints of up to 16 groups, and with
+#: 256 cached layouts the tables hold at most 16,384 keys. A larger layout keeps
+#: none, so the kernel's memory follows the table, not the grid.
+SLOT_TABLE_CELLS = 64
+
+
+class _Plan(NamedTuple):
+    """What a :func:`ci_deviation` call needs that depends only on the layout."""
+
+    pick_l: operator.itemgetter  # reads a key's left value
+    pick_r: operator.itemgetter  # reads a key's right value
+    pick_g: operator.itemgetter | None  # reads a key's given value; None when nothing is given
+    left_at: dict  # the block offset l * nr of each left value
+    right_at: dict  # the place r of each right value
+    slot_of: dict | None  # a small grid's slot of every key; None above SLOT_TABLE_CELLS
+    cell_count: int  # a small grid's cells over all given values' blocks; 0 above it
+
+
 @functools.lru_cache(maxsize=256)
-def _plan(variables: tuple, *sides: str | Sequence[str]) -> tuple:
-    """What a :func:`ci_deviation` call needs that depends only on the layout:
-    readers of the left, right and given values off a key (``None`` when
-    nothing is given), then the block offset ``l * nr`` of each left value and
-    the place ``r`` of each right value; a refused layout is never cached."""
+def _plan(variables: tuple, *sides: str | Sequence[str]) -> _Plan:
+    """The layout's :class:`_Plan`. On a grid of at most ``SLOT_TABLE_CELLS``
+    cells, every value of the given grid gets a block, held or not, and every
+    key of the grid its slot in it. A refused layout is never cached."""
     left, right, given = map(_as_names, sides)
     if not left or not right:
         raise InputError("left and right must each name at least one variable")
@@ -280,11 +305,30 @@ def _plan(variables: tuple, *sides: str | Sequence[str]) -> tuple:
     if len(set(all_names)) != len(all_names):
         raise InputError(f"variable groups must be pairwise disjoint: {all_names}")
     at = [[_index(variables, name) for name in names] for names in (left, right, given)]
-    pick = [operator.itemgetter(*i) if i else None for i in at]
-    domains = [[variables[k][1] for k in i] for i in at[:2]]
-    left_grid, right_grid = (d[0] if len(d) == 1 else itertools.product(*d) for d in domains)
+    pick_l, pick_r, pick_g = [operator.itemgetter(*i) if i else None for i in at]
+    left_grid, right_grid, given_grid = (
+        d[0] if len(d) == 1 else itertools.product(*d)
+        for d in ([variables[k][1] for k in i] for i in at)
+    )
     right_at = dict(zip(right_grid, itertools.count()))
-    return (*pick, dict(zip(left_grid, itertools.count(0, len(right_at)))), right_at)
+    left_at = dict(zip(left_grid, itertools.count(0, len(right_at))))
+    domains = [domain for _, domain in variables]
+    if math.prod(map(len, domains)) > SLOT_TABLE_CELLS:
+        return _Plan(pick_l, pick_r, pick_g, left_at, right_at, None, 0)
+    # An unheld given value keeps a block of zeros, which adds nothing.
+    size = len(left_at) * len(right_at)
+    given_at = dict(zip(given_grid, itertools.count(0, size)))
+    grid = list(itertools.product(*domains))
+    slots = map(
+        operator.add,
+        map(left_at.__getitem__, map(pick_l, grid)),
+        map(right_at.__getitem__, map(pick_r, grid)),
+    )
+    if pick_g:
+        slots = map(operator.add, map(given_at.__getitem__, map(pick_g, grid)), slots)
+    return _Plan(
+        pick_l, pick_r, pick_g, left_at, right_at, dict(zip(grid, slots)), len(given_at) * size
+    )
 
 
 def _ci_pair(j: FiniteJoint, *sides: str | Sequence[str]) -> tuple[int, int]:
@@ -294,20 +338,25 @@ def _ci_pair(j: FiniteJoint, *sides: str | Sequence[str]) -> tuple[int, int]:
         plan = _plan(j.variables, *sides)
     except TypeError:  # a side given as an unhashable sequence, such as a list
         plan = _plan(j.variables, *map(_as_names, sides))
-    pick_l, pick_r, pick_g, left_at, right_at = plan
+    pick_l, pick_r, pick_g, left_at, right_at, slot_of, cell_count = plan
     # Each cell is added once, at slot l * nr + r of its given value's block.
-    # Given values are numbered as they first occur: only those held get one.
     nl, nr, keys = len(left_at), len(right_at), j.table
-    size, blocks = nl * nr, 1
-    slots = map(left_at.__getitem__, map(pick_l, keys))
-    if pick_g:
-        given_keys = list(map(pick_g, keys))
-        given_at = dict(zip(dict.fromkeys(given_keys), itertools.count(0, size)))
-        slots = map(operator.add, map(given_at.__getitem__, given_keys), slots)
-        blocks = len(given_at)
-    cells = [0] * (blocks * size)
-    for slot, r, weight in zip(slots, map(right_at.__getitem__, map(pick_r, keys)), keys.values()):
-        cells[slot + r] += weight
+    size = nl * nr
+    if slot_of is not None:  # a small grid: one lookup places a cell
+        cells = [0] * cell_count
+        for key, weight in keys.items():
+            cells[slot_of[key]] += weight
+    else:  # given values are numbered as they first occur: only those held get one
+        slots, blocks = map(left_at.__getitem__, map(pick_l, keys)), 1
+        if pick_g:
+            given_keys = list(map(pick_g, keys))
+            given_at = dict(zip(dict.fromkeys(given_keys), itertools.count(0, size)))
+            slots = map(operator.add, map(given_at.__getitem__, given_keys), slots)
+            blocks = len(given_at)
+        cells = [0] * (blocks * size)
+        right_slots = map(right_at.__getitem__, map(pick_r, keys))
+        for slot, r, weight in zip(slots, right_slots, keys.values()):
+            cells[slot + r] += weight
 
     # A block's column r is its nl cells from slot r by step nr, and the rows
     # of every block come in turn from one zip over the cells: nothing is copied.

@@ -25,13 +25,19 @@ again at run time.
 cell once: one pass that added each weight into four flat lists of sums. On
 the count joint of 1,000 positive groups, with 1,000 values on the left or
 given, the kernel must equal it and allocate at most 1.25 times its peak, so
-the kernel keeps no per-key or full-grid table. A kernel with a per-layout
-key -> slot memo allocates 2.1 and 3.3 times the oracle's peak here.
+the kernel keeps no key table above ``SLOT_TABLE_CELLS``, 64 grid cells (this
+grid has 4,000). A kernel with a per-layout key -> slot memo at every size
+allocates 2.1 and 3.3 times the oracle's peak here. At or below 64 cells the
+layout holds every grid key's slot: ``TestSmallLayoutKeyTable`` checks both
+sides of the bound and the tables a check-props run leaves cached.
 """
 
+import contextlib
 import functools
 import gc
+import io
 import itertools
+import math
 import operator
 import random
 import re
@@ -45,7 +51,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from joint_oracle import assert_revalidates, oracle_min_cell
 
-from fairaudit import distributions
+from fairaudit import cli, distributions
 from fairaudit.confusion import GroupedConfusion, to_joint
 from fairaudit.distributions import (
     FiniteJoint,
@@ -341,6 +347,77 @@ class TestLayoutPlanCache:
         for _ in range(2):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 ci_deviation(j, left, right, given_names)
+
+
+def _variables(sizes: Sequence[int]) -> tuple:
+    """Variables X, Y, Z, W, U in that order, with domains of ``sizes``."""
+    return tuple(
+        (name, tuple(str(v) for v in range(size))) for name, size in zip("XYZWU", sizes)
+    )
+
+
+class TestSmallLayoutKeyTable:
+    """A layout whose grid, the product of all the joint's domain sizes, has at
+    most ``SLOT_TABLE_CELLS`` cells keeps the slot of every key of the grid and
+    places a cell with one lookup; a larger one keeps no key table. Both paths
+    must match the oracle."""
+
+    SMALL = ((4, 4, 4), (2, 2, 2, 8), (1, 4, 4, 4))  # 64 cells each
+    LARGE = ((3, 3, 8), (2, 2, 2, 9), (1, 3, 3, 8))  # 72 cells each
+
+    def test_a_64_cell_layout_holds_a_table_of_64_keys(self):
+        plan = distributions._plan(_variables((4, 4, 4)), "X", "Y", "Z")
+        assert len(plan.slot_of) == 64
+        assert sorted(plan.slot_of.values()) == list(range(64)) == list(range(plan.cell_count))
+
+    def test_a_72_cell_layout_holds_none(self):
+        plan = distributions._plan(_variables((3, 3, 8)), "X", "Y", "Z")
+        assert (plan.slot_of, plan.cell_count) == (None, 0)
+
+    @staticmethod
+    def _table(kind: str, variables: tuple, rng: random.Random) -> dict:
+        keys = list(itertools.product(*(domain for _, domain in variables)))
+        if kind == "dense":
+            return {key: rng.randint(1, 9) for key in keys}
+        if kind == "sparse":  # most keys missing
+            return {key: rng.randint(1, 9) for key in rng.sample(keys, len(keys) // 5)}
+        # The last variable's last value is held only with weight 0.
+        last = variables[-1][1][-1]
+        return {key: 0 if key[-1] == last else rng.randint(0, 9) for key in keys}
+
+    @pytest.mark.parametrize("sizes", SMALL + LARGE, ids=lambda sizes: "x".join(map(str, sizes)))
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "zero-weight-given"])
+    def test_both_sides_of_the_bound_match_the_oracle(self, sizes, kind):
+        variables = _variables(sizes)
+        j = FiniteJoint(variables, self._table(kind, variables, random.Random(163)))
+        assert_matches_oracle(j)
+        small = math.prod(sizes) <= distributions.SLOT_TABLE_CELLS
+        for sides in splits(j.names):
+            assert (distributions._plan(j.variables, *sides).slot_of is not None) == small
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2, 4), (2, 2, 2, 3, 3)], ids=["64", "72"])
+    def test_fused_sides_with_a_fused_given(self, sizes):
+        rng = random.Random(167)
+        for kind in ("dense", "sparse", "zero-weight-given"):
+            j = FiniteJoint(_variables(sizes), self._table(kind, _variables(sizes), rng))
+            for left, right, given_names in (
+                (("X", "W"), "Y", ("Z", "U")),
+                ("X", ("Y", "U"), ("W", "Z")),
+                (("U", "X"), ("W", "Y"), ()),
+            ):
+                deviation = ci_deviation(j, left, right, given_names)
+                assert deviation == oracle_ci_deviation(j, left, right, given_names)
+
+    def test_check_props_keeps_at_most_256_tables_of_64_keys(self):
+        distributions._plan.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check-props", "--count", "300"]) == 0
+        # The C lru_cache reports each cached result as a referent.
+        held = gc.get_referents(distributions._plan)
+        plans = [plan for plan in held if isinstance(plan, distributions._Plan)]
+        assert len(plans) == distributions._plan.cache_info().currsize > 0
+        assert all(plan.slot_of is not None for plan in plans)
+        assert sum(map(len, (plan.slot_of for plan in plans))) <= 256 * 64
 
 
 class TestVariableCheck:

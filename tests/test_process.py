@@ -4,7 +4,9 @@ Every other CLI test calls ``main`` in-process. Here each child runs with
 buffered streams (``PYTHONUNBUFFERED`` removed from its environment), so these
 tests show that the process entry, which ends the process with ``os._exit``
 once the output is flushed, loses no output, keeps every exit code and reports
-a failed write of stdout as an output error, exit 2, on one stderr line.
+a failed write of stdout as an output error, exit 2, on one stderr line. The
+failed write is also checked with ``PYTHONUNBUFFERED`` set, where the write
+itself fails, argparse's own output of ``--version`` and ``--help`` included.
 """
 
 import io
@@ -36,16 +38,19 @@ GOLDEN_CASES = [
 ARGPARSE_CASES = {"version": ["--version"], "usage-error": ["audit"]}
 
 
-def buffered_env() -> dict[str, str]:
-    """This environment with the package importable and stdout buffered."""
+def child_env(unbuffered: bool = False) -> dict[str, str]:
+    """This environment with the package importable and stdout buffered, or
+    unbuffered through ``PYTHONUNBUFFERED``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return env
 
 
-def spawn(argv: list[str], **kwargs) -> subprocess.Popen:
+def spawn(argv: list[str], unbuffered: bool = False, **kwargs) -> subprocess.Popen:
     return subprocess.Popen(
-        [sys.executable, "-m", "fairaudit.cli", *argv], env=buffered_env(), **kwargs
+        [sys.executable, "-m", "fairaudit.cli", *argv], env=child_env(unbuffered), **kwargs
     )
 
 
@@ -91,14 +96,32 @@ def test_process_matches_argparse_in_process(process_runs, case):
     assert process_runs[case] == expected
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["demo"], ["--version"]], ids=" ".join)
-def test_failed_write_to_buffered_stdout_exits_two_on_one_line(argv):
+#: Commands whose output fails to reach a full stdout: ``main``'s and argparse's own.
+FULL_STDOUT_CASES = [["demo"], ["--version"], ["--help"]]
+
+
+def failed_write(argv: list[str], unbuffered: bool) -> tuple[int, str]:
+    """The exit code and stderr of a child whose stdout is ``/dev/full``."""
     with open("/dev/full", "w") as full:
-        child = spawn(argv, stdout=full, stderr=subprocess.PIPE)
+        child = spawn(argv, unbuffered, stdout=full, stderr=subprocess.PIPE)
         _, err = child.communicate(timeout=60)
-    reason = os.strerror(28)  # ENOSPC
-    assert (child.returncode, err.decode("utf-8")) == (2, f"error: cannot write output: {reason}\n")
+    return child.returncode, err.decode("utf-8")
+
+
+#: The one stderr line of an output error on a full disk (ENOSPC).
+FULL_DISK = (2, f"error: cannot write output: {os.strerror(28)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", FULL_STDOUT_CASES, ids=" ".join)
+def test_failed_write_to_buffered_stdout_exits_two_on_one_line(argv):
+    assert failed_write(argv, unbuffered=False) == FULL_DISK
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", FULL_STDOUT_CASES, ids=" ".join)
+def test_failed_write_to_unbuffered_stdout_exits_two_on_one_line(argv):
+    assert failed_write(argv, unbuffered=True) == FULL_DISK
 
 
 def test_console_script_and_main_block_call_one_entry():
