@@ -52,6 +52,19 @@ def random_scored_dataset(rng: random.Random) -> tuple[Dataset, str]:
                 return ds, group
 
 
+def scored_rows_csv(path, rows: int) -> str:
+    """Write ``rows`` seeded records over groups g0..g3 with continuous
+    scores, so nearly every pair with different predictions violates the
+    Lipschitz condition at scale 1; return the path."""
+    rng = random.Random(5)
+    records = [
+        Record(f"r{i}", f"g{i % 4}", rng.random() < 0.5, rng.random() < 0.5, rng.random())
+        for i in range(rows)
+    ]
+    export_csv(Dataset.from_records(records), str(path))
+    return str(path)
+
+
 def export_csv(ds: Dataset, path: str) -> None:
     """Write a dataset in the canonical encoding (labels as +/-)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:

@@ -1,8 +1,9 @@
 """No CI property fails at eps 0 on any joint of the reduced scopes of
-``ci_property_scopes``; its full scopes run as a script."""
+``ci_property_scopes``, and property 1 keeps its symmetry on each; the full
+scopes run as a script."""
 
 import pytest
-from ci_property_scopes import FULL, REDUCED, tally
+from ci_property_scopes import APPROXIMATE, FULL, REDUCED, tally
 
 from fairaudit.distributions import FAIL, PASS, SLOT_TABLE_CELLS
 
@@ -15,13 +16,18 @@ def test_the_full_scopes_are_the_stated_ones():
         (4, 65_535),
         (5, 6_560),
     ]
+    assert [(scope.k, scope.size, scope.eps) for scope in APPROXIMATE] == [
+        (2, 26_240, 0.05),
+        (3, 26_240, 0.05),
+    ]
     # Every joint of a scope, property 2's with U added, keeps a key table.
     assert all(2 ** (len(scope.names) + (scope.k == 2)) <= SLOT_TABLE_CELLS for scope in FULL)
 
 
 @pytest.mark.parametrize("scope", REDUCED, ids=lambda scope: f"property-{scope.k}")
 def test_no_property_fails_at_eps_zero(scope):
-    statuses = tally(scope)
+    statuses, broken = tally(scope)
     assert statuses[FAIL] == 0
+    assert broken == 0  # property 1's symmetry; the others claim no bound here
     assert sum(statuses.values()) == scope.size
     assert statuses[PASS] > 0  # some joint derives a conclusion

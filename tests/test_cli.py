@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, the command surface, and exit codes."""
 
 import errno
+import gc
 import inspect
 import io
 import json
@@ -8,10 +9,10 @@ import math
 import os
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from builders import export_csv, synthesize_dataset
+from builders import export_csv, scored_rows_csv, synthesize_dataset
 
 from fairaudit import cli, conservativeness, measures
 from fairaudit.cli import main
@@ -643,6 +644,76 @@ class TestOutputErrors:
         assert capsys.readouterr().err == (
             f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
         )
+
+
+def tiled_csv(path, copies: int, factor: int) -> str:
+    """``copies`` of each ``BEFORE`` group, every count times ``factor``: the
+    measures still hold, so counterexample and reservoir run their search."""
+    g = GroupedConfusion(
+        {
+            f"{group}{i}": ConfusionMatrix(*(factor * n for n in m))
+            for group, m in BEFORE.matrices.items()
+            for i in range(copies)
+        }
+    )
+    export_csv(synthesize_dataset(g), str(path))
+    return str(path)
+
+
+class TestCyclicGarbage:
+    """``cli.run`` turns the cyclic collector off for the whole command. That
+    is safe only while a command leaves a fixed number of objects in reference
+    cycles whatever its input size (argparse's parsers): a count that grew
+    with the input would be memory the process never frees. Each case runs
+    ``main`` at a small and a larger input with the collector off, then
+    counts what a collection finds."""
+
+    #: Each command's argv on ``paths``, the input files of one size.
+    CASES = {
+        "audit text": lambda paths, small: ["audit", paths["tiled"]],
+        "audit json": lambda paths, small: ["audit", paths["tiled"], "--format", "json"],
+        "counterexample": lambda paths, small: ["counterexample", paths["tiled"]],
+        # demo's input is fixed; its two formats stand in for two sizes.
+        "demo": lambda paths, small: ["demo"] if small else ["demo", "--format", "json"],
+        "attack reservoir": lambda paths, small: [
+            "attack", "reservoir", paths["tiled"], "--group", "q0"
+        ],
+        "attack swap": lambda paths, small: [
+            "attack", "swap", paths["scored"], "--group", "g0", "--format", "json"
+        ],
+        "check-props": lambda paths, small: ["check-props", "--count", "30" if small else "300"],
+    }
+
+    @staticmethod
+    def cycles_left(argv: list[str]) -> tuple[int, int]:
+        """``main``'s exit code, and the objects a collection then finds."""
+        gc.collect()
+        gc.disable()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            return code, gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """The input files at each size: 78 and 7,800 tiled rows, 40 and 400 scored."""
+        workdir = tmp_path_factory.mktemp("cycles")
+        return {
+            small: {
+                "tiled": tiled_csv(workdir / f"tiled-{small}.csv", *((1, 1) if small else (20, 5))),
+                "scored": scored_rows_csv(workdir / f"scored-{small}.csv", 40 if small else 400),
+            }
+            for small in (True, False)
+        }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_count_does_not_grow_with_the_input(self, inputs, case):
+        small, large = (self.cycles_left(self.CASES[case](inputs[s], s)) for s in (True, False))
+        assert small == large
+        code, found = small
+        assert code == 0 and found > 0
 
 
 class TestBenchmarkReplayContract:

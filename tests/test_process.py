@@ -7,9 +7,13 @@ once the output is flushed, loses no output, keeps every exit code and reports
 a failed write of stdout as an output error, exit 2, on one stderr line. The
 failed write is also checked with ``PYTHONUNBUFFERED`` set, where the write
 itself fails, argparse's own output of ``--version`` and ``--help`` included.
+An output of many ``cli.OUTPUT_SLICE`` slices must reach stdout whole, and a
+pipe closed after the first slice is an output error too.
 """
 
+import errno
 import io
+import json
 import os
 import re
 import subprocess
@@ -18,6 +22,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from builders import scored_rows_csv
 from test_golden import case_argv, expected_run
 
 from fairaudit import cli
@@ -122,6 +127,39 @@ def test_failed_write_to_buffered_stdout_exits_two_on_one_line(argv):
 @pytest.mark.parametrize("argv", FULL_STDOUT_CASES, ids=" ".join)
 def test_failed_write_to_unbuffered_stdout_exits_two_on_one_line(argv):
     assert failed_write(argv, unbuffered=True) == FULL_DISK
+
+
+@pytest.fixture(scope="module")
+def dense_swap(tmp_path_factory) -> tuple[list[str], bytes]:
+    """A JSON swap attack on 300 dense rows, and the bytes ``main`` writes
+    for it in-process: about 4.6 MB, 70 slices."""
+    path = scored_rows_csv(tmp_path_factory.mktemp("dense") / "dense.csv", 300)
+    argv = ["attack", "swap", path, "--group", "g0", "--format", "json"]
+    code, out, err = in_process(argv)
+    assert (code, err) == (0, "") and len(out) >= 4 * cli.OUTPUT_SLICE
+    json.loads(out)  # no slice dropped or repeated in-process
+    return argv, out.encode("utf-8")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_output_of_many_slices_is_written_whole(dense_swap, unbuffered):
+    argv, expected = dense_swap
+    child = spawn(argv, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, b"")
+    assert out == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_pipe_closed_after_the_first_slice_exits_two_on_one_line(dense_swap, unbuffered):
+    argv, expected = dense_swap
+    child = spawn(argv, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = child.stdout.read(cli.OUTPUT_SLICE)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert first == expected[: cli.OUTPUT_SLICE]
+    assert child.returncode == 2
+    assert err.decode("utf-8") == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_console_script_and_main_block_call_one_entry():
