@@ -1,9 +1,10 @@
 """Command-line interface: the parser, and one body per command that calls
 the library and returns an exit code and one result. ``main`` writes only the
-requested format of it; :mod:`fairaudit.report` decides every word of output,
-and ``main`` writes it in ``OUTPUT_SLICE`` slices. ``run``, the process entry,
-runs the command without the cyclic collector and ends the process as soon as
-the output is flushed.
+requested format of it; :mod:`fairaudit.report` decides every word of output.
+``_emit`` writes every byte on stdout, argparse's ``--version`` and ``--help``
+text too, in ``OUTPUT_SLICE`` slices. ``run``, the process entry, runs the
+command without the cyclic collector and ends the process as soon as the
+output is flushed.
 
 Exit codes: 0 all requested measures hold (or the command completed),
 1 a fairness measure failed (or a verification suite had failures),
@@ -80,7 +81,7 @@ DEMO_BEFORE = {
     "q": ConfusionMatrix(20, 4, 6, 22),
 }
 
-#: ``main`` writes its output in slices of this many characters. Each slice's
+#: ``_emit`` writes stdout in slices of this many characters. Each slice's
 #: encoded copy stays below glibc's 128 KiB mmap threshold, so it reuses heap
 #: memory where one copy of a multi-megabyte output would land on fresh pages.
 OUTPUT_SLICE = 64 * 1024
@@ -260,18 +261,16 @@ def _add_schema_options(parser: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a failed write of its own text to stdout (that
-    of ``--version`` or ``--help``) is an output error, exit 2, where argparse
-    drops it and exits 0; its subparsers are of this class too."""
+    """argparse's parser, but its own text for stdout (that of ``--version``
+    or ``--help``) goes through ``_emit``, so a failed write is an output
+    error, exit 2, where argparse drops it and exits 0; its subparsers are of
+    this class too."""
 
     def _print_message(self, message: str, file: IO[str] | None = None) -> None:
         if not message or file is not sys.stdout:
             super()._print_message(message, file)
-            return
-        try:
-            file.write(message)
-        except OSError as exc:
-            self.exit(_output_error(exc))
+        elif _emit(message):
+            self.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,25 +354,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         output = render({**header(args.eps), **members(result)})
     else:
         output = render_text(result)
+    return _emit(output) or code
+
+
+def _emit(text: str) -> int:
+    """Write ``text`` to stdout in ``OUTPUT_SLICE`` slices and flush it: 0, or
+    2 once a failed write is named on stderr. No other code writes stdout."""
     try:
-        for start in range(0, len(output), OUTPUT_SLICE):
-            sys.stdout.write(output[start : start + OUTPUT_SLICE])
+        for start in range(0, len(text), OUTPUT_SLICE):
+            sys.stdout.write(text[start : start + OUTPUT_SLICE])
         sys.stdout.flush()
     except OSError as exc:
-        return _output_error(exc)
-    return code
-
-
-def _output_error(exc: OSError) -> int:
-    """Name a failed write of the output on stderr; its exit code."""
-    print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-    return 2
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def run(argv: Sequence[str] | None = None) -> NoReturn:
     """The process entry: ``main``'s exit code, or argparse's own for
-    ``--version``, ``--help`` and usage errors once stdout is flushed, and then
-    ``os._exit``, so the interpreter is not torn down after the output is out.
+    ``--version``, ``--help`` and usage errors, and then ``os._exit``, so the
+    interpreter is not torn down after the output is out.
 
     The command runs with the cyclic collector off. Its rows, records and
     counts form no reference cycles, so reference counting frees them, and
@@ -384,11 +384,8 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
     collecting them. ``main`` called in-process leaves the collector as its
     caller set it.
 
-    A failed write or flush of argparse's output prints the output error and
-    exits 2, with stdout buffered or not.
-    When ``main`` itself reports an output error, what stdout still holds is
-    dropped, not flushed again. An uncaught exception ends the process as
-    Python would.
+    After an output error, what stdout still holds is dropped, not flushed
+    again. An uncaught exception ends the process as Python would.
     """
     gc.disable()
     try:
@@ -397,10 +394,6 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
         if exc.code is not None and not isinstance(exc.code, int):
             raise
         code = exc.code or 0
-        try:
-            sys.stdout.flush()
-        except OSError as err:
-            code = _output_error(err)
     try:
         sys.stderr.flush()
     except OSError:

@@ -331,13 +331,10 @@ def _plan(variables: tuple, *sides: str | Sequence[str]) -> _Plan:
     )
 
 
-def _ci_pair(j: FiniteJoint, *sides: str | Sequence[str]) -> tuple[int, int]:
-    """:func:`ci_deviation` of the left, right and given ``sides`` as its
-    unreduced integer pair ``(worst, total**2)``."""
-    try:
-        plan = _plan(j.variables, *sides)
-    except TypeError:  # a side given as an unhashable sequence, such as a list
-        plan = _plan(j.variables, *map(_as_names, sides))
+def _ci_pair(j: FiniteJoint, *sides: str | tuple[str, ...]) -> tuple[int, int]:
+    """:func:`ci_deviation` of the left, right and given ``sides``, each a name
+    or a tuple of names, as its unreduced integer pair ``(worst, total**2)``."""
+    plan = _plan(j.variables, *sides)
     pick_l, pick_r, pick_g, left_at, right_at, slot_of, cell_count = plan
     # Each cell is added once, at slot l * nr + r of its given value's block.
     nl, nr, keys = len(left_at), len(right_at), j.table
@@ -383,7 +380,7 @@ def ci_deviation(
     """Division-free conditional-independence deviation of ``left`` from
     ``right`` given ``given``: the kernel's integer pair, reduced. Either side
     may be a set of variables, like one variable over their product domain."""
-    return Fraction(*_ci_pair(j, left, right, given))
+    return Fraction(*_ci_pair(j, *map(_as_names, (left, right, given))))
 
 
 # ---------------------------------------------------------------------------

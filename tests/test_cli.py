@@ -645,6 +645,15 @@ class TestOutputErrors:
             f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
         )
 
+    def test_subcommand_help_write_error_exits_two_with_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", FullStdout())  # a subparser's own text
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--help"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        )
+
 
 def tiled_csv(path, copies: int, factor: int) -> str:
     """``copies`` of each ``BEFORE`` group, every count times ``factor``: the

@@ -13,6 +13,8 @@ module imports ``dataclasses``, and starting the CLI loads neither it nor
 every public name the package root imports is listed, so a deletion cannot
 leave a dangling export. Every ``__new__`` the package defines raises
 somewhere, so a constructor that checks nothing is a declared named tuple.
+Only ``cli._emit`` writes or flushes stdout, and every ``print`` goes to
+stderr, so every byte of output meets one rule for a failed write.
 """
 
 import ast
@@ -219,3 +221,88 @@ def test_the_check_sees_constructors_without_a_raise():
         "        return cls((x,))\n"
     )
     assert unchecked_constructors(source) == ["Copied"]
+
+
+def stdout_writes(source: str) -> list[str]:
+    """Each ``sys.stdout.write`` or ``sys.stdout.flush`` that ``source`` names,
+    as ``<scope>: <name>``: the innermost function or class holding it, or
+    ``<module>``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            name = ast.unparse(child) if isinstance(child, ast.Attribute) else ""
+            if name in ("sys.stdout.write", "sys.stdout.flush"):
+                found.append(f"{scope}: {name}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def prints_to_stdout(source: str) -> list[str]:
+    """Each ``print`` call of ``source`` that does not pass ``file=sys.stderr``."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        if node.func.id == "print"
+        if not any(
+            kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords
+        )
+    ]
+
+
+def test_only_emit_writes_stdout():
+    offenders = {
+        path.name: stdout_writes(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {
+        "cli.py": ["_emit: sys.stdout.write", "_emit: sys.stdout.flush"]
+    }
+
+
+def test_every_print_goes_to_stderr():
+    offenders = {
+        path.name: prints_to_stdout(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_stdout_writes_by_function():
+    source = (
+        "import sys\n"
+        "sys.stdout.flush()\n"
+        "class Parser:\n"
+        "    def _print_message(self, message):\n"
+        "        sys.stdout.write(message)\n"
+        "def emit(text):\n"
+        "    write = sys.stdout.write\n"
+        "    sys.stderr.write(text)\n"
+        "    file = sys.stdout\n"
+    )
+    assert stdout_writes(source) == [
+        "<module>: sys.stdout.flush",
+        "_print_message: sys.stdout.write",
+        "emit: sys.stdout.write",
+    ]
+
+
+def test_the_check_sees_prints_to_stdout():
+    source = (
+        "import sys\n"
+        "print(output)\n"
+        "print('warning', file=sys.stderr)\n"
+        "print('x', end='', file=sys.stdout)\n"
+        "print('y', file=out)\n"
+    )
+    assert prints_to_stdout(source) == [
+        "print(output)",
+        "print('x', end='', file=sys.stdout)",
+        "print('y', file=out)",
+    ]
