@@ -54,7 +54,6 @@ from .distributions import (
     apply_map,
     check_ci_property,
     ci_deviation,
-    compose_ci,
 )
 from .errors import AuditError, Infeasible, InputError, PreconditionError
 from .measures import (
@@ -106,7 +105,6 @@ __all__ = [
     "check_joint_independence_iff",
     "check_proportional_preservation",
     "ci_deviation",
-    "compose_ci",
     "evaluate_measure",
     "find_break",
     "independence",

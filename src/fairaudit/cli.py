@@ -385,7 +385,8 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
     caller set it.
 
     After an output error, what stdout still holds is dropped, not flushed
-    again. An uncaught exception ends the process as Python would.
+    again. An uncaught exception ends the process as Python would. Only a child
+    process reaches it.
     """
     gc.disable()
     try:

@@ -76,11 +76,8 @@ class ConfusionMatrix(namedtuple("ConfusionMatrix", "a b c d")):
     def fnr(self) -> Fraction | None:
         return self._rate("fnr")
 
-    @property
-    def selection_rate(self) -> Fraction:
-        return Fraction(*RATES["selection_rate"](*self))
-
     def scaled(self, k: int) -> ConfusionMatrix:
+        """Every cell times ``k``: kept for ``group_multipliers`` (acceptance criterion 5)."""
         if k < 1:
             raise InputError("scale factor must be a positive integer")
         return ConfusionMatrix(self.a * k, self.b * k, self.c * k, self.d * k)
@@ -176,7 +173,8 @@ class Dataset(NamedTuple):
         that is not a real number in [0, 1] (a bool is not one) or a label
         ``y`` or ``r`` that is not a bool (checked first, record by record), an
         empty or repeated group universe, a repeated id, or a group outside
-        ``groups``."""
+        ``groups``. It stays for records built by hand, as in
+        ``perfbench/test_perfbench.py``."""
         records = tuple(records)
         for rec in records:
             score = rec.score

@@ -287,7 +287,8 @@ def find_break(
 
 def group_multipliers(g: GroupedConfusion) -> dict[str, int] | None:
     """Integer multipliers relative to the smallest group, or ``None`` when
-    the matrices are not exact multiples of a common base."""
+    the matrices are not exact multiples of a common base. It stays for
+    :func:`check_proportional_preservation`."""
     base_group = min(g.groups, key=lambda group: g[group].n)  # first smallest in order
     base = g[base_group]
     multipliers: dict[str, int] = {}
@@ -312,7 +313,8 @@ def check_proportional_preservation(
 
     Requires the group matrices to be exact integer multiples of a common
     base, and the base to have a false negative so the proportional shifts
-    are feasible.
+    are feasible. No command runs it; it stays for a README fact and
+    acceptance criterion 5.
     """
     multipliers = group_multipliers(g)
     if multipliers is None:

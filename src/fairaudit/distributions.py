@@ -28,10 +28,9 @@ holds.
 
 A joint is checked once, where it enters the library: the public constructor
 checks its variables, keys and weights, while the joints derived from valid
-parts (mapped, composed, generated and count joints) are built by
+parts (mapped, generated and count joints) are built by
 :meth:`FiniteJoint.from_valid`, which checks only the mass. The tests rebuild
-each kind through the public constructor; :func:`compose_ci`, whose parts come
-from its caller, checks them itself.
+each kind through the public constructor.
 
 Every tolerance test is :func:`within`, which answers yes or no: ``part /
 whole`` is within eps when it is at most eps's exact binary value, decided on
@@ -101,6 +100,7 @@ class FiniteJoint(namedtuple("FiniteJoint", "variables table")):
     def __new__(
         cls, variables: Iterable[tuple[str, Iterable[str]]], table: Mapping[tuple[str, ...], int]
     ) -> FiniteJoint:
+        """Kept as the one check on joints built outside the package."""
         variables = tuple((name, tuple(domain)) for name, domain in variables)
         table = dict(table)
         names = [name for name, _ in variables]
@@ -207,58 +207,6 @@ def apply_map(j: FiniteJoint, h: DeterministicMap) -> FiniteJoint:
     src_idx, mapping = j.index(h.source), h.mapping  # h is defined on the whole domain
     table = {key + (mapping[key[src_idx]],): weight for key, weight in j.table.items()}
     return FiniteJoint.from_valid(j.variables + ((h.target, target_dom),), table)
-
-
-def compose_ci(
-    pz: Mapping[str, int],
-    px_given_z: Mapping[str, Mapping[str, int]],
-    py_given_z: Mapping[str, Mapping[str, int]],
-) -> FiniteJoint:
-    """Assemble the joint over (X, Y, Z) with integer weights
-    w(x,y,z) = pz[z] * px_given_z[z][x] * py_given_z[z][y].
-
-    ``px_given_z`` and ``py_given_z`` map each z-value to a nonempty row of
-    non-negative integer weights over the x (resp. y) domain; rows need not
-    share a total. All three inputs are checked here. The weight factorizes
-    over z, so X ind. Y | Z holds exactly: the deviation is 0.
-    """
-    z_dom = tuple(pz)
-    if not z_dom:
-        raise InputError("pz must be nonempty")
-
-    def check_weights(weights: Mapping[str, int], label: str) -> None:
-        for p in weights.values():
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-                raise InputError(f"each weight of {label} must be a non-negative int, got {p!r}")
-
-    def check_rows(rows: Mapping[str, Mapping[str, int]], label: str) -> tuple[str, ...]:
-        domain: tuple[str, ...] | None = None
-        for z in z_dom:
-            if z not in rows:
-                raise InputError(f"{label} is missing a row for z={z!r}")
-            row = rows[z]
-            if domain is None:
-                domain = tuple(row)
-            elif set(row) != set(domain):
-                raise InputError(f"{label} rows disagree on the domain")
-            check_weights(row, f"{label} row for z={z!r}")
-        assert domain is not None
-        return domain
-
-    check_weights(pz, "pz")
-    x_dom = check_rows(px_given_z, "px_given_z")
-    y_dom = check_rows(py_given_z, "py_given_z")
-    for name, domain in (("X", x_dom), ("Y", y_dom)):
-        if not domain:
-            raise InputError(f"variable {name!r} has an empty domain")
-
-    table = {
-        (x, y, z): pz[z] * px_given_z[z][x] * py_given_z[z][y]
-        for z in z_dom
-        for x in x_dom
-        for y in y_dom
-    }
-    return FiniteJoint.from_valid((("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +440,8 @@ def check_ci_property(
     none is vacuous: it asserts nothing and is distinct from a failure.
     Every premise and conclusion is decided on the kernel's unreduced integer
     pair, and the verdict reports each as that pair's reduced ``Fraction``.
+    It and :class:`PropertyVerdict` stay for acceptance criterion 4, and the
+    benchmark's replay binds ``cli.check_ci_property``.
     """
     status, *values = _ci_property(k, j, h, eps)
     fractions = ({name: Fraction(*pair) for name, pair in pairs.items()} for pairs in values)

@@ -168,7 +168,8 @@ def measure_via_distribution(
     rate P(R=+ | A=a), PPV P(Y=+ | A=a, R=+), NPV P(Y=- | A=a, R=-), FPR
     P(R=+ | A=a, Y=-) and FNR P(R=- | A=a, Y=+). Each is an exact ratio of
     cell weights, undefined when its conditioning weight is 0. On
-    ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``.
+    ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``. No command
+    runs it; it stays for acceptance criterion 8 and the README's two routes.
     """
     if set(j.names) != {"A", "Y", "R"}:
         raise InputError(f"joint must have variables A, Y, R; got {j.names}")

@@ -7,7 +7,7 @@ random state where the current helpers do.
 
 The ``random_*`` builders below are the generators as they were when they
 built every matrix and table through the checking constructors
-(``ConfusionMatrix``, ``GroupedConfusion`` and ``compose_ci``), and when the
+(``ConfusionMatrix``, ``GroupedConfusion`` and ``FiniteJoint``), and when the
 non-proportional generator accepted a draw by its verdicts' ``Fraction``
 gaps, and when the joint generators drew each factor into a dict keyed by
 label (``_distribution`` below). They draw through the current module's
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from fairaudit import generators
 from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, to_joint
-from fairaudit.distributions import FiniteJoint, ci_deviation, compose_ci
+from fairaudit.distributions import FiniteJoint, ci_deviation
 from fairaudit.generators import MAX_GROUPS, RESOLUTION
 from fairaudit.measures import separation, sufficiency
 
@@ -43,13 +43,26 @@ def _distribution(rng: random.Random, domain: Sequence[str], low: float = 0.0) -
     return dict(zip(domain, generators._weights(rng, len(domain), low)))
 
 
+def product_joint(
+    pz: dict[str, int], px: dict[str, dict[str, int]], py: dict[str, dict[str, int]]
+) -> FiniteJoint:
+    """The joint over (X, Y, Z) of weight ``pz[z] * px[z][x] * py[z][y]``, built
+    through the public constructor; ``px`` and ``py`` map each z to a row."""
+    z_dom = tuple(pz)
+    x_dom, y_dom = tuple(px[z_dom[0]]), tuple(py[z_dom[0]])
+    table = {
+        (x, y, z): pz[z] * px[z][x] * py[z][y] for z in z_dom for x in x_dom for y in y_dom
+    }
+    return FiniteJoint((("X", x_dom), ("Y", y_dom), ("Z", z_dom)), table)
+
+
 def random_ci_instance(rng: random.Random) -> FiniteJoint:
     nx, ny, nz = generators.random_sizes(rng, 3)
     z_dom = generators._labels(nz)
     pz = _distribution(rng, z_dom, low=0.05)
     px = {z: _distribution(rng, generators._labels(nx)) for z in z_dom}
     py = {z: _distribution(rng, generators._labels(ny)) for z in z_dom}
-    return compose_ci(pz, px, py)
+    return product_joint(pz, px, py)
 
 
 def random_chain_instance(rng: random.Random) -> FiniteJoint:

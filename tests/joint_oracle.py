@@ -5,10 +5,10 @@ or cells.
 constructor, which checks the variables and every cell, and requires the same
 joint field for field. It is where a derived joint's variables are checked:
 ``FiniteJoint.from_valid`` checks only the mass, so the tests run it on every
-builder (the generators, ``to_joint``, ``apply_map`` and ``compose_ci``). ``oracle_min_cell`` and ``oracle_target_domain`` are
-``FiniteJoint.min_cell`` and ``apply_map``'s target domain as they were
-before: a walk over the whole assignment grid, and a list built with a
-membership test per source label.
+builder (the generators, ``to_joint`` and ``apply_map``). ``oracle_min_cell``
+and ``oracle_target_domain`` are ``FiniteJoint.min_cell`` and ``apply_map``'s
+target domain as they were before: a walk over the whole assignment grid, and
+a list built with a membership test per source label.
 """
 
 from __future__ import annotations

@@ -61,7 +61,8 @@ class TestReservoirAttack:
     def test_selection_rate_strictly_rises(self):
         g = GroupedConfusion(BEFORE)
         result = reservoir_attack(g, "q", z_max=13)
-        assert result.after["q"].selection_rate > g["q"].selection_rate
+        before, after = g["q"], result.after["q"]
+        assert Fraction(after.a + after.b, after.n) > Fraction(before.a + before.b, before.n)
 
     def test_balanced_group_needs_reservoir_of_two(self):
         g = GroupedConfusion(

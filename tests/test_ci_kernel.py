@@ -9,8 +9,8 @@ The generators build integer weights, so every instance that is conditionally
 independent by construction has deviation exactly 0, and every functional
 instance has violation mass exactly 0.
 
-Every joint the library derives on these draws (generated, composed, mapped
-and count joints) must also equal the public constructor's joint on its parts
+Every joint the library derives on these draws (generated, mapped and count
+joints) must also equal the public constructor's joint on its parts
 (``assert_revalidates``), and ``min_cell`` must match the grid walk.
 
 The kernel caches the readers and positions of each layout (the joint's
@@ -18,8 +18,8 @@ variables and the three sides), so joints that share variables, fused sides
 and givens on one layout, and refused layouts are checked on repeated calls.
 A joint's variables are checked once, by the public constructor: refused
 variables raise on every call, every key is checked against them, and no
-derived joint (generated, count, mapped or composed) goes through that check
-again at run time.
+derived joint (generated, count or mapped) goes through that check again at
+run time.
 
 ``oracle_single_pass_deviation`` is the kernel as it was before it added each
 cell once: one pass that added each weight into four flat lists of sums. On
@@ -59,7 +59,6 @@ from fairaudit.distributions import (
     apply_map,
     check_ci_property,
     ci_deviation,
-    compose_ci,
 )
 from fairaudit.errors import InputError
 from fairaudit.generators import (
@@ -464,8 +463,6 @@ class TestVariableCheck:
                 random_nonproportional_grouped,
             ):
                 to_joint(generate(rng))
-        rows = {"0": {"a": 1, "b": 2}, "1": {"a": 3, "b": 0}}
-        compose_ci({"0": 1, "1": 2}, rows, rows)
         with pytest.raises(AssertionError, match="ran the variable check"):
             FiniteJoint((("X", ("0",)),), {("0",): 1})
 

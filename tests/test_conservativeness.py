@@ -1,5 +1,6 @@
 """Tests for perfect-predictor guarantees and the increment break search."""
 
+import itertools
 import math
 import random
 import time
@@ -342,6 +343,26 @@ class TestProportionalPreservation:
         assert report.preserved is True
         # Nothing is within a nan eps, so there separation's verdict fails.
         assert check_proportional_preservation(g, math.nan).preserved is False
+
+    def test_every_small_proportional_table_is_preserved(self):
+        # Every base with cells 0..3 and a false negative, in 2 and 3 groups
+        # with multipliers 1..3 that include 1: 1,728 tables, at eps 0 and 1e-9.
+        # No measure depends on the order of the groups, so the multipliers are
+        # a multiset, in descending order: the base group comes last.
+        bases = [ConfusionMatrix(*m) for m in itertools.product(range(4), repeat=4) if m[2]]
+        tables = 0
+        for groups in (2, 3):
+            for ks in itertools.combinations_with_replacement((3, 2, 1), groups):
+                if 1 not in ks:
+                    continue
+                for base in bases:
+                    g = GroupedConfusion({f"g{i}": base.scaled(k) for i, k in enumerate(ks)})
+                    for eps in (0.0, EPS_DEFAULT):
+                        report = check_proportional_preservation(g, eps)
+                        assert report.preserved, (g, eps)
+                    assert list(report.multipliers.values()) == list(ks)
+                    tables += 1
+        assert tables == 1_728
 
     def test_non_proportional_rejected(self):
         with pytest.raises(PreconditionError, match="not integer multiples"):

@@ -3,10 +3,9 @@ exact message: the reservoir split, a matrix scaled by 0, a grouped table with
 a value that is not a matrix, an empty group that holds one or an empty group
 listed twice, a hand-built record's score that is out of range, a str or a
 bool, a joint's repeated label and unknown variable, a map's empty mapping or
-repeated variable, the CI composer's empty ``pz`` and disagreeing rows, an
-empty side of a deviation, a property id that is a bool or a float, and
-property 3 given a map that is not from Z onto Y. Also property 2's vacuous
-verdict, the CLI's exit on a path it cannot read, and the one rule that every
+repeated variable, an empty side of a deviation, a property id that is a bool
+or a float, and property 3 given a map that is not from Z onto Y. Also
+property 2's vacuous verdict, the CLI's exit on a path it cannot read, and the one rule that every
 check comparing groups refuses a table of one group by, in the library and
 through the CLI.
 """
@@ -32,7 +31,6 @@ from fairaudit.distributions import (
     FiniteJoint,
     check_ci_property,
     ci_deviation,
-    compose_ci,
 )
 from fairaudit.errors import InputError, PreconditionError
 from fairaudit.measures import (
@@ -110,16 +108,6 @@ REFUSED: dict[str, tuple[Callable[[], Any], type, str]] = {
         lambda: DeterministicMap("X", "X", {"0": "1"}),
         InputError,
         "source and target must be distinct variable names",
-    ),
-    "compose-empty-pz": (lambda: compose_ci({}, {}, {}), InputError, "pz must be nonempty"),
-    "compose-rows-disagree": (
-        lambda: compose_ci(
-            {"a": 1, "b": 1},
-            {"a": {"0": 1, "1": 1}, "b": {"0": 1, "2": 1}},
-            {"a": {"0": 1}, "b": {"0": 1}},
-        ),
-        InputError,
-        "px_given_z rows disagree on the domain",
     ),
     "deviation-empty-side": (
         lambda: ci_deviation(COUPLED, (), "Y", "Z"),

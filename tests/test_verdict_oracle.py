@@ -126,8 +126,8 @@ def fields(v: MeasureVerdict) -> list:
 def assert_matches_oracle(g: GroupedConfusion, eps_values=FIXED_EPS) -> None:
     """Both routes equal the oracle at each eps and at the float of each gap."""
     for m in g.matrices.values():
-        for rate, oracle in ORACLE_RATES.items():
-            assert getattr(m, rate) == oracle(m)
+        for rate in ("ppv", "npv", "fpr", "fnr"):
+            assert getattr(m, rate) == ORACLE_RATES[rate](m)
     j = to_joint(g)
     for measure in MEASURES:
         gaps = oracle_verdict(g, measure, 0.0).component_gaps.values()
