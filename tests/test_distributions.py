@@ -270,7 +270,8 @@ class TestIsCondIndependent:
 
 
 class TestProductJoints:
-    """A weight that factorizes over z satisfies X ind. Y | Z exactly."""
+    """A weight that factorizes over z satisfies X ind. Y | Z exactly. Product
+    tables go through the public constructor, which refuses a bad factor."""
 
     def test_uniform_components_give_uniform_joint(self):
         pz = {"0": 1, "1": 1}
@@ -306,6 +307,50 @@ class TestProductJoints:
                 assert str(exc) == "joint has no mass: every weight is 0"
                 continue
             assert ci_deviation(j, "X", "Y", "Z") == 0
+
+    def test_float_weight_rejected(self):
+        rows = {"0": {"0": 1, "1": 1}}
+        with pytest.raises(InputError, match="must be a non-negative int"):
+            product_joint({"0": 0.5}, rows, rows)
+
+    def test_negative_row_mass_rejected(self):
+        pz = {"0": 1}
+        bad = {"0": {"0": 2, "1": -1}}
+        good = {"0": {"0": 1, "1": 1}}
+        with pytest.raises(InputError, match="negative"):
+            product_joint(pz, bad, good)
+
+    def test_missing_row_reads_as_zero_mass(self):
+        # Only z="0" has cells: the constructor reads z="1" as mass 0.
+        table = {(x, y, "0"): 1 for x in BIN for y in BIN}
+        j = FiniteJoint((("X", BIN), ("Y", BIN), ("Z", BIN)), table)
+        assert (j.min_cell(), ci_deviation(j, "X", "Y", "Z")) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "variables, empty",
+        [
+            ((("X", ()), ("Y", BIN), ("Z", BIN)), "X"),
+            ((("X", BIN), ("Y", ()), ("Z", BIN)), "Y"),
+            ((("X", BIN), ("Y", BIN), ("Z", ())), "Z"),
+            ((("X", ()), ("Y", ()), ("Z", BIN)), "X"),
+        ],
+        ids=["empty-x", "empty-y", "empty-z", "both-empty"],
+    )
+    @pytest.mark.parametrize("table", [{("0", "0", "0"): 1}, {}], ids=["mass", "no-mass"])
+    def test_empty_row_rejected(self, variables, empty, table):
+        # The domain check comes before the key and mass checks.
+        message = f"variable {empty!r} has an empty domain"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            FiniteJoint(variables, table)
+
+    @pytest.mark.parametrize("weight", [True, False, "1", None])
+    @pytest.mark.parametrize("where", [0, 3, 7], ids=["first", "inner", "last"])
+    def test_non_int_weight_rejected(self, where, weight):
+        keys = list(itertools.product(BIN, BIN, BIN))
+        table = {key: 1 for key in keys} | {keys[where]: weight}
+        message = f"weight at {keys[where]!r} must be a non-negative int, got {weight!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            FiniteJoint((("X", BIN), ("Y", BIN), ("Z", BIN)), table)
 
 
 class TestApplyMap:

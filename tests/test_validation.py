@@ -2,12 +2,12 @@
 exact message: the reservoir split, a matrix scaled by 0, a grouped table with
 a value that is not a matrix, an empty group that holds one or an empty group
 listed twice, a hand-built record's score that is out of range, a str or a
-bool, a joint's repeated label and unknown variable, a map's empty mapping or
-repeated variable, an empty side of a deviation, a property id that is a bool
-or a float, and property 3 given a map that is not from Z onto Y. Also
-property 2's vacuous verdict, the CLI's exit on a path it cannot read, and the one rule that every
-check comparing groups refuses a table of one group by, in the library and
-through the CLI.
+bool, a joint's repeated label, repeated variable, key off its grid and
+unknown variable, a map's empty mapping or repeated variable, an empty side of
+a deviation, a property id that is a bool or a float, and property 3 given a
+map that is not from Z onto Y. Also property 2's vacuous verdict, the CLI's
+exit on a path it cannot read, and the one rule that every check comparing
+groups refuses a table of one group by, in the library and through the CLI.
 """
 
 import errno
@@ -97,6 +97,16 @@ REFUSED: dict[str, tuple[Callable[[], Any], type, str]] = {
         lambda: FiniteJoint((("X", ("0", "1", "0")),), {("0",): 1}),
         InputError,
         "variable 'X' repeats domain labels: ('0', '1', '0')",
+    ),
+    "joint-repeated-variable": (
+        lambda: FiniteJoint((("X", BIN), ("X", BIN)), {("0", "0"): 1}),
+        InputError,
+        "duplicate variable names: ['X', 'X']",
+    ),
+    "joint-key-off-the-grid": (
+        lambda: FiniteJoint((("X", BIN), ("Y", BIN)), {("0", "1"): 1, ("0", "2"): 1}),
+        InputError,
+        "assignment ('0', '2') does not match declared variables",
     ),
     "joint-unknown-variable": (
         lambda: COUPLED.index("W"), InputError, "unknown variable 'W'; have ('X', 'Y', 'Z')"
