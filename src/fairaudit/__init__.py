@@ -1,11 +1,10 @@
 """fairaudit: group-fairness auditing for binary classification data.
 
 Evaluates independence (statistical parity), sufficiency, and separation on
-grouped confusion matrices, both from the matrices and from the exact count
-joint of (A, Y, R), with equal verdicts; verifies the algebraic properties
-relating the measures on randomized instances; and demonstrates
-gerrymandering attacks that preserve group verdicts while violating
-individual fairness.
+grouped confusion matrices, comparing exact per-group rates; verifies the
+algebraic properties relating the measures on randomized instances; and
+demonstrates gerrymandering attacks that preserve group verdicts while
+violating individual fairness.
 
 Records and results are immutable named tuples, read by field name and equal to
 the plain tuple of their values; ``_replace`` skips a constructor's checks.
@@ -64,7 +63,6 @@ from .measures import (
     MeasureVerdict,
     evaluate_measure,
     independence,
-    measure_via_distribution,
     separation,
     sufficiency,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "is_perfect",
     "is_positive",
     "lipschitz_violations",
-    "measure_via_distribution",
     "perfect_predictor_holds",
     "reservoir_attack",
     "separation",

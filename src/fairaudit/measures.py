@@ -1,25 +1,17 @@
 """The three group-fairness measures over grouped confusion matrices.
 
 Each measure compares per-group rates across groups (independence: the
-selection rate; sufficiency: PPV and NPV; separation: FPR and FNR), and
-there are two routes to the rates:
-
-* :func:`evaluate_measure` reads the cells off each group's confusion
-  matrix, and
-* :func:`measure_via_distribution` sums the same cells out of a joint of
-  (A, Y, R), so each rate is the conditional probability it stands for, e.g.
-  PPV = P(Y=+ | A=a, R=+), the (conditional) independence of the measure.
-
-Both routes feed per-group cells ``(a, b, c, d)`` to one kernel,
-:func:`cell_gaps`, which turns them into each rate's integer ``(part, whole)``
-by ``confusion.RATES`` and compares rates by cross-multiplication. The verdict
-builds one ``Fraction`` per component gap, so on the count joint of a table
-the routes return equal verdicts for every eps; the break search asks the
-kernel through :func:`cells_hold` and builds nothing. ``disparity`` is the
-largest gap between two groups' values of one rate; the verdict holds when it
-is within ``eps`` by ``distributions.within``. Any undefined constituent rate
-(``whole`` is 0) makes the verdict NOT-COMPARABLE (``holds`` and
-``disparity`` are ``None``), which is deliberately neither a pass nor a fail.
+selection rate; sufficiency: PPV and NPV; separation: FPR and FNR), read off
+each group's confusion matrix. One kernel, :func:`cell_gaps`, turns per-group
+cells ``(a, b, c, d)`` into each rate's integer ``(part, whole)`` by
+``confusion.RATES`` and compares rates by cross-multiplication, so no rate
+passes through a float. The verdict builds one ``Fraction`` per component
+gap; the break search asks the kernel through :func:`cells_hold` and builds
+nothing. ``disparity`` is the largest gap between two groups' values of one
+rate; the verdict holds when it is within ``eps`` by
+``distributions.within``. Any undefined constituent rate (``whole`` is 0)
+makes the verdict NOT-COMPARABLE (``holds`` and ``disparity`` are ``None``),
+which is deliberately neither a pass nor a fail.
 """
 
 from __future__ import annotations
@@ -29,8 +21,8 @@ from itertools import starmap
 from operator import itemgetter
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .confusion import CELLS, LABEL, NEG, POS, RATES, GroupedConfusion
-from .distributions import EPS_DEFAULT, FiniteJoint, within
+from .confusion import RATES, GroupedConfusion
+from .distributions import EPS_DEFAULT, within
 from .errors import InputError, PreconditionError
 
 INDEPENDENCE = "independence"
@@ -111,23 +103,6 @@ def require_two_groups(groups: Sequence) -> None:
         raise PreconditionError(f"fairness measures need at least two groups, got {groups}")
 
 
-def _cell_verdict(
-    measure: str, cells: Mapping[str, Sequence[int]], eps: float
-) -> MeasureVerdict:
-    """Evaluate a measure on per-group cells ``(a, b, c, d)``; both routes end here."""
-    _components(measure)  # an unknown measure is refused before the group count
-    groups = tuple(cells)
-    require_two_groups(groups)  # naming the groups, where cell_gaps names their cells
-    gaps_at = cell_gaps(measure, cells.values())
-    gaps = {label: None if gap is None else Fraction(*gap[:2]) for label, gap in gaps_at.items()}
-    if None in gaps.values():
-        return MeasureVerdict(measure, None, gaps, None, None, eps)
-    winner = max(gaps, key=gaps.__getitem__)  # first label with the largest gap
-    part, whole, i, j = gaps_at[winner]
-    holds = within(part, whole, eps)
-    return MeasureVerdict(measure, gaps[winner], gaps, holds, (groups[i], groups[j]), eps)
-
-
 def _components(measure: str) -> Mapping[str, str]:
     """Gap label -> rate name for ``measure``."""
     try:
@@ -140,7 +115,17 @@ def evaluate_measure(
     g: GroupedConfusion, measure: str, eps: float = EPS_DEFAULT
 ) -> MeasureVerdict:
     """Evaluate a measure by comparing exact per-group rates."""
-    return _cell_verdict(measure, g.matrices, eps)
+    _components(measure)  # an unknown measure is refused before the group count
+    groups = g.groups
+    require_two_groups(groups)  # naming the groups, where cell_gaps names their cells
+    gaps_at = cell_gaps(measure, g.matrices.values())
+    gaps = {label: None if gap is None else Fraction(*gap[:2]) for label, gap in gaps_at.items()}
+    if None in gaps.values():
+        return MeasureVerdict(measure, None, gaps, None, None, eps)
+    winner = max(gaps, key=gaps.__getitem__)  # first label with the largest gap
+    part, whole, i, j = gaps_at[winner]
+    holds = within(part, whole, eps)
+    return MeasureVerdict(measure, gaps[winner], gaps, holds, (groups[i], groups[j]), eps)
 
 
 def independence(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
@@ -157,27 +142,3 @@ def separation(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> MeasureVerdict:
     """Equal FPR and equal FNR across groups."""
     return evaluate_measure(g, SEPARATION, eps)
 
-
-def measure_via_distribution(
-    j: FiniteJoint, measure: str, eps: float = EPS_DEFAULT
-) -> MeasureVerdict:
-    """Evaluate a measure on a joint over exactly (A, Y, R), with Y and R
-    over ``POS`` and ``NEG``.
-
-    For every value a of A the rates are conditional probabilities: selection
-    rate P(R=+ | A=a), PPV P(Y=+ | A=a, R=+), NPV P(Y=- | A=a, R=-), FPR
-    P(R=+ | A=a, Y=-) and FNR P(R=- | A=a, Y=+). Each is an exact ratio of
-    cell weights, undefined when its conditioning weight is 0. On
-    ``to_joint(g)`` the verdict equals ``evaluate_measure(g, ...)``. No command
-    runs it; it stays for acceptance criterion 8 and the README's two routes.
-    """
-    if set(j.names) != {"A", "Y", "R"}:
-        raise InputError(f"joint must have variables A, Y, R; got {j.names}")
-    if not set(j.domain("Y")) == set(j.domain("R")) == {POS, NEG}:
-        raise InputError(f"Y and R must be binary over {POS!r} and {NEG!r}")
-    slot = {(LABEL[y], LABEL[r]): i for i, (y, r) in enumerate(CELLS)}
-    a_at, y_at, r_at = map(j.index, ("A", "Y", "R"))
-    cells = {a: [0, 0, 0, 0] for a in j.domain("A")}  # tp, fp, fn, tn
-    for key, weight in j.table.items():
-        cells[key[a_at]][slot[key[y_at], key[r_at]]] += weight
-    return _cell_verdict(measure, cells, eps)

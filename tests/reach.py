@@ -54,7 +54,6 @@ LIBRARY_ONLY = (
     "conservativeness.group_multipliers",
     "distributions.FiniteJoint.__new__",
     "distributions.check_ci_property",
-    "measures.measure_via_distribution",
 )
 
 

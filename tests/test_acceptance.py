@@ -13,6 +13,8 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 from builders import export_csv, random_scored_dataset, synthesize_dataset
+from output_checker import verdict
+from table_scopes import STATEMENTS
 
 from fairaudit.adversary import lipschitz_violations, reservoir_attack, swap_attack
 from fairaudit.cli import main
@@ -31,7 +33,7 @@ from fairaudit.conservativeness import (
     check_proportional_preservation,
     find_break,
 )
-from fairaudit.distributions import EPS_DEFAULT, check_ci_property
+from fairaudit.distributions import EPS_DEFAULT, check_ci_property, ci_deviation
 from fairaudit.generators import (
     random_chain_instance,
     random_ci_instance,
@@ -47,11 +49,10 @@ from fairaudit.measures import (
     MEASURES,
     evaluate_measure,
     independence,
-    measure_via_distribution,
     separation,
     sufficiency,
 )
-from fairaudit.report import build_report
+from fairaudit.report import build_report, members, render
 
 BEFORE = GroupedConfusion(
     {"p": ConfusionMatrix(10, 2, 3, 11), "q": ConfusionMatrix(20, 4, 6, 22)}
@@ -286,7 +287,7 @@ def _sparse_grouped(rng: random.Random) -> GroupedConfusion:
     return GroupedConfusion(matrices)
 
 
-def test_criterion_8_path_equivalence():
+def test_criterion_8_verdicts_are_what_their_rates_say():
     start = time.perf_counter()
     rng = random.Random(8088)
     tables = [_random_defined_grouped(rng) for _ in range(500)]
@@ -297,21 +298,29 @@ def test_criterion_8_path_equivalence():
             {"p": ConfusionMatrix(2, 1, 1, 2), "q": ConfusionMatrix(*(4 * [10**8]))}
         )
     )
-    not_comparable = 0
+    checked = not_comparable = 0
     for g in tables:
+        matrices = {group: tuple(m) for group, m in g.matrices.items()}
         j = to_joint(g)
         for measure in MEASURES:
-            for eps in (0.0, EPS_DEFAULT, 0.05):
-                verdict = evaluate_measure(g, measure, eps)
-                assert measure_via_distribution(j, measure, eps) == verdict, (g, measure)
-            not_comparable += verdict.holds is None
+            verdicts = [evaluate_measure(g, measure, eps) for eps in (0.0, EPS_DEFAULT, 0.05)]
+            for v in verdicts:
+                printed = json.loads(render(members(v)))
+                assert printed == verdict(measure, matrices, v.eps), (g, measure, v.eps)
+                checked += 1
+            holds = verdicts[0].holds  # at eps 0
+            if holds is None:
+                not_comparable += 1
+            else:
+                assert holds == (ci_deviation(j, *STATEMENTS[measure]) == 0), (g, measure)
     assert not_comparable > 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _passed(
         8,
-        f"confusion and distribution routes gave equal verdicts on {len(tables)}/"
-        f"{len(tables)} tables ({not_comparable} not comparable)",
+        f"{checked} verdicts on {len(tables)} tables are what their rates say, and at eps 0 "
+        f"each comparable one holds iff its CI statement's deviation is 0 "
+        f"({not_comparable} table-measure pairs not comparable)",
         elapsed,
     )
 

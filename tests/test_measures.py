@@ -1,4 +1,4 @@
-"""Tests for the three group-fairness measures, both evaluation routes."""
+"""Tests for the three group-fairness measures and the cell kernel they share."""
 
 import itertools
 import random
@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, to_joint
-from fairaudit.distributions import FiniteJoint
+from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.errors import InputError, PreconditionError
 from fairaudit.generators import random_positive_grouped
 from fairaudit.measures import (
@@ -20,7 +19,6 @@ from fairaudit.measures import (
     cells_hold,
     evaluate_measure,
     independence,
-    measure_via_distribution,
     separation,
     sufficiency,
 )
@@ -134,122 +132,63 @@ class TestSeparation:
         assert verdict.holds is True
 
 
-class TestMeasureViaDistribution:
-    def test_before_joint_matches_confusion_route(self):
-        g = GroupedConfusion(BEFORE)
-        j = to_joint(g)
-        for measure in MEASURES:
-            dist = measure_via_distribution(j, measure)
-            assert dist == evaluate_measure(g, measure)
-            assert dist.holds is True
+class TestVerdictFacts:
+    """Verdicts pinned on tables built to show one fact each."""
 
-    def test_after_joint_matches_confusion_route(self):
-        g = GroupedConfusion(AFTER)
-        j = to_joint(g)
+    def test_before_tables_hold_and_after_tables_fail(self):
         for measure in MEASURES:
-            dist = measure_via_distribution(j, measure)
-            assert dist == evaluate_measure(g, measure)
-            assert dist.holds is False
+            assert evaluate_measure(GroupedConfusion(BEFORE), measure).holds is True
+            assert evaluate_measure(GroupedConfusion(AFTER), measure).holds is False
 
-    def test_routes_agree_on_four_hundred_million_records(self):
+    def test_four_hundred_million_records(self):
         # A tiny group beside a huge one: a mass-weighted deviation would be
         # 6.25e-10 here, but the rate gaps are 1/6.
         big = 10**8
         g = GroupedConfusion(
             {"p": ConfusionMatrix(2, 1, 1, 2), "q": ConfusionMatrix(big, big, big, big)}
         )
-        j = to_joint(g)
         for measure in (SUFFICIENCY, SEPARATION):
-            dist = measure_via_distribution(j, measure)
-            assert dist == evaluate_measure(g, measure)
-            assert dist.holds is False
-            assert dist.disparity == Fraction(1, 6)
-        dist = measure_via_distribution(j, INDEPENDENCE)
-        assert dist == evaluate_measure(g, INDEPENDENCE)
-        assert dist.holds is True
-        assert dist.disparity == 0 and isinstance(dist.disparity, Fraction)
+            verdict = evaluate_measure(g, measure)
+            assert verdict.holds is False
+            assert verdict.disparity == Fraction(1, 6)
+        verdict = independence(g)
+        assert verdict.holds is True
+        assert verdict.disparity == 0 and isinstance(verdict.disparity, Fraction)
 
-    def test_undefined_rate_not_comparable_on_both_routes(self):
+    def test_undefined_rate_not_comparable(self):
         g = GroupedConfusion(
             {"p": ConfusionMatrix(0, 0, 1, 1), "q": ConfusionMatrix(1, 1, 1, 1)}
         )
-        dist = measure_via_distribution(to_joint(g), SUFFICIENCY)
-        assert dist == sufficiency(g)
-        assert dist.holds is None
-        assert dist.component_gaps == {"ppv_gap": None, "npv_gap": 0}
+        verdict = sufficiency(g)
+        assert verdict.holds is None and verdict.disparity is None
+        assert verdict.component_gaps == {"ppv_gap": None, "npv_gap": 0}
 
-    def test_single_group_rejected_on_both_routes(self):
+    def test_single_group_rejected_by_every_measure(self):
         g = GroupedConfusion({"p": ConfusionMatrix(1, 1, 1, 1)})
-        with pytest.raises(PreconditionError, match="two groups"):
-            measure_via_distribution(to_joint(g), INDEPENDENCE)
-
-    def test_product_joint_satisfies_all_measures(self):
-        # A independent of (Y, R) by construction.
-        pa = {"p": 2, "q": 3}
-        pyr = {("+", "+"): 3, ("-", "+"): 2, ("+", "-"): 1, ("-", "-"): 4}
-        table = {
-            (a, y, r): pa[a] * pyr[(y, r)]
-            for a in pa
-            for (y, r) in pyr
-        }
-        j = FiniteJoint(
-            variables=(("A", ("p", "q")), ("Y", ("+", "-")), ("R", ("+", "-"))),
-            table=table,
-        )
         for measure in MEASURES:
-            assert measure_via_distribution(j, measure).holds is True
+            with pytest.raises(PreconditionError, match="two groups"):
+                evaluate_measure(g, measure)
+
+    def test_product_table_satisfies_all_measures(self):
+        # A independent of (Y, R) by construction: each group's cells are one
+        # (Y, R) table scaled by the group's weight.
+        cells = ConfusionMatrix(3, 2, 1, 4)
+        g = GroupedConfusion({"p": cells.scaled(2), "q": cells.scaled(3)})
+        for measure in MEASURES:
+            assert evaluate_measure(g, measure).holds is True
 
     def test_correlated_group_and_prediction_fails_independence(self):
-        table = {
-            ("p", "+", "+"): 1,
-            ("q", "+", "-"): 1,
-        }
-        j = FiniteJoint(
-            variables=(("A", ("p", "q")), ("Y", ("+", "-")), ("R", ("+", "-"))),
-            table=table,
+        g = GroupedConfusion(
+            {"p": ConfusionMatrix(1, 0, 0, 0), "q": ConfusionMatrix(0, 0, 1, 0)}
         )
-        assert measure_via_distribution(j, INDEPENDENCE).holds is False
-
-    def test_wrong_variable_set_rejected(self):
-        j = FiniteJoint(
-            variables=(("A", ("p", "q")), ("Y", ("+", "-"))),
-            table={("p", "+"): 1},
-        )
-        with pytest.raises(InputError, match="A, Y, R"):
-            measure_via_distribution(j, INDEPENDENCE)
-
-    def test_nonbinary_prediction_rejected(self):
-        j = FiniteJoint(
-            variables=(("A", ("p", "q")), ("Y", ("+", "-")), ("R", ("1", "2", "3"))),
-            table={("p", "+", "1"): 1},
-        )
-        with pytest.raises(InputError, match="binary"):
-            measure_via_distribution(j, SEPARATION)
-
-    def test_labels_other_than_pos_and_neg_rejected(self):
-        j = FiniteJoint(
-            variables=(("A", ("p", "q")), ("Y", ("1", "0")), ("R", ("+", "-"))),
-            table={("p", "1", "+"): 1},
-        )
-        with pytest.raises(InputError, match="binary"):
-            measure_via_distribution(j, SUFFICIENCY)
+        assert independence(g).holds is False
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(InputError, match="unknown measure"):
             evaluate_measure(GroupedConfusion(BEFORE), "parity")
-        with pytest.raises(InputError, match="unknown measure"):
-            measure_via_distribution(to_joint(GroupedConfusion(BEFORE)), "parity")
 
 
 class TestInvariances:
-    def test_path_equivalence_sample(self):
-        rng = random.Random(41)
-        for _ in range(60):
-            g = random_positive_grouped(rng)
-            j = to_joint(g)
-            for measure in MEASURES:
-                assert measure_via_distribution(j, measure) == evaluate_measure(g, measure)
-
     def test_scaling_invariance(self):
         rng = random.Random(43)
         for _ in range(25):

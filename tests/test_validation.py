@@ -19,7 +19,7 @@ import pytest
 
 from fairaudit import cli
 from fairaudit.adversary import ReservoirPlan, reservoir_attack
-from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record, to_joint
+from fairaudit.confusion import ConfusionMatrix, Dataset, GroupedConfusion, Record
 from fairaudit.conservativeness import (
     check_joint_independence_iff,
     find_break,
@@ -36,7 +36,6 @@ from fairaudit.errors import InputError, PreconditionError
 from fairaudit.measures import (
     evaluate_measure,
     independence,
-    measure_via_distribution,
     separation,
     sufficiency,
 )
@@ -181,9 +180,6 @@ ONE_GROUP_CHECKS: dict[str, Callable[[], Any]] = {
     "sufficiency": lambda: sufficiency(ONE_GROUP),
     "separation": lambda: separation(ONE_GROUP),
     "evaluate_measure": lambda: evaluate_measure(ONE_GROUP, "separation"),
-    "measure_via_distribution": lambda: measure_via_distribution(
-        to_joint(ONE_GROUP), "sufficiency"
-    ),
     "perfect_predictor_holds": lambda: perfect_predictor_holds(ONE_PERFECT_GROUP),
     "check_joint_independence_iff": lambda: check_joint_independence_iff(ONE_GROUP),
     "find_break": lambda: find_break(ONE_GROUP, 0.05, 2),

@@ -4,15 +4,15 @@
 ``measures._rate_verdict`` and ``measures._max_pairwise_gap`` as they were
 when every rate was a ``Fraction``, kept verbatim apart from the names. The
 oracle rates are the textbook ratios of a group's cells, also as
-``Fraction``s. Both routes now hand ``_rate_verdict`` each rate as an
-integer ``(part, whole)`` pair and compare by cross-multiplication; on every
-table and every eps, inf and nan included, each route must return a
-``MeasureVerdict`` equal to the oracle's.
+``Fraction``s. ``evaluate_measure`` now takes each rate as an integer
+``(part, whole)`` pair and compares by cross-multiplication; on every table
+and every eps, inf and nan included, it must return a ``MeasureVerdict``
+equal to the oracle's.
 
 The tables are the seeded and hypothesis draws of ``test_jsonable`` (2-4
-groups, cells 0-5, so undefined rates occur) and the route-agreement tables
-of ``test_acceptance`` (all rates defined, sparse, and a few records beside
-10^7-10^9 times as many), plus hand-made ties.
+groups, cells 0-5, so undefined rates occur) and the tables of acceptance
+criterion 8 (all rates defined, sparse, and a few records beside 10^7-10^9
+times as many), plus hand-made ties.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis import given
 from test_acceptance import _random_defined_grouped, _sparse_grouped, _tiny_in_huge_grouped
 from test_jsonable import SEEDS, proportional_table, random_table, tables
 
-from fairaudit.confusion import ConfusionMatrix, GroupedConfusion, to_joint
+from fairaudit.confusion import ConfusionMatrix, GroupedConfusion
 from fairaudit.distributions import EPS_DEFAULT
 from fairaudit.errors import PreconditionError
 from fairaudit.measures import (
@@ -35,7 +35,6 @@ from fairaudit.measures import (
     MEASURES,
     MeasureVerdict,
     evaluate_measure,
-    measure_via_distribution,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,8 +68,6 @@ def oracle_rate_verdict(
 ) -> MeasureVerdict:
     """Evaluate a measure from per-group rates keyed by gap label, e.g.
     ``{"ppv_gap": {"p": Fraction(5, 6), "q": Fraction(5, 6)}, ...}``.
-
-    Both routes end here, so they agree whenever they feed it equal rates.
     """
     groups = tuple(next(iter(rates.values())))
     if len(groups) < 2:
@@ -124,17 +121,15 @@ def fields(v: MeasureVerdict) -> list:
 
 
 def assert_matches_oracle(g: GroupedConfusion, eps_values=FIXED_EPS) -> None:
-    """Both routes equal the oracle at each eps and at the float of each gap."""
+    """The verdicts equal the oracle's at each eps and at the float of each gap."""
     for m in g.matrices.values():
         for rate in ("ppv", "npv", "fpr", "fnr"):
             assert getattr(m, rate) == ORACLE_RATES[rate](m)
-    j = to_joint(g)
     for measure in MEASURES:
         gaps = oracle_verdict(g, measure, 0.0).component_gaps.values()
         for eps in (*eps_values, *(float(gap) for gap in gaps if gap is not None)):
             expected = fields(oracle_verdict(g, measure, eps))
             assert fields(evaluate_measure(g, measure, eps)) == expected, (g, measure, eps)
-            assert fields(measure_via_distribution(j, measure, eps)) == expected, (g, measure)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -149,7 +144,7 @@ def test_hypothesis_tables(g: GroupedConfusion) -> None:
     assert_matches_oracle(g)
 
 
-def test_route_agreement_tables() -> None:
+def test_criterion_8_tables() -> None:
     rng = random.Random(8088)
     draws = [_random_defined_grouped(rng) for _ in range(100)]
     draws += [_tiny_in_huge_grouped(rng) for _ in range(50)]
