@@ -223,7 +223,8 @@ def to_joint(g: GroupedConfusion) -> FiniteJoint:
 
     Each cell holds its integer count and the denominator is the grand
     total, so every mass, deviation and conditional rate on the joint is an
-    exact ``Fraction``.
+    exact ``Fraction``. No command builds it; it stays for the README's fact
+    that each measure is its CI statement.
     """
     table = {
         (group, LABEL[y], LABEL[r]): count

@@ -2,7 +2,9 @@
 
 A perfect predictor (no false cells) always satisfies sufficiency and
 separation, and on strictly positive tables the two hold together exactly
-when the group variable is independent of the joint label/prediction pair.
+when the group variable is independent of the joint label/prediction pair,
+which :func:`joint_deviation` decides on the counts in ``block_deviation``, the
+deviation phase that ``distributions.ci_deviation`` ends in too.
 Neither guarantee survives accuracy increments: :func:`find_break` searches
 for error-reducing shifts that raise accuracy in every group yet break
 sufficiency or separation, and :func:`check_proportional_preservation`
@@ -16,8 +18,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .confusion import ConfusionMatrix, GroupedConfusion, is_positive, to_joint
-from .distributions import EPS_DEFAULT, ci_deviation, within
+from .confusion import ConfusionMatrix, GroupedConfusion, is_positive
+from .distributions import EPS_DEFAULT, block_deviation, within
 from .errors import InputError, PreconditionError
 from .measures import (  # independence stays bound for perfbench/replay.py
     SEPARATION,
@@ -127,6 +129,13 @@ def perfect_predictor_holds(g: GroupedConfusion, eps: float = EPS_DEFAULT) -> bo
 # ---------------------------------------------------------------------------
 
 
+def joint_deviation(matrices: Iterable[Sequence[int]]) -> tuple[int, int]:
+    """``ci_deviation(to_joint(g), "A", ("Y", "R"))`` unreduced, on the groups'
+    cells: ``block_deviation`` of one block with a row of four per group."""
+    cells = list(itertools.chain.from_iterable(matrices))
+    return block_deviation(cells, len(cells) // 4, 4)
+
+
 def check_joint_independence_iff(
     g: GroupedConfusion, eps: float = EPS_DEFAULT
 ) -> JointIndependenceVerdict:
@@ -134,8 +143,8 @@ def check_joint_independence_iff(
     hold together iff A is independent of the joint (Y, R) pair.
 
     Sufficiency and separation are decided by ``cells_hold`` on the cells'
-    integer gaps, and independence by the exact ``ci_deviation`` of A from the
-    fused (Y, R) variable on the count joint of ``g``: nothing is rounded.
+    integer gaps, and independence by the exact :func:`joint_deviation` of A
+    from the fused (Y, R) variable on the counts of ``g``: nothing is rounded.
     """
     if not is_positive(g):
         raise PreconditionError(
@@ -143,13 +152,13 @@ def check_joint_independence_iff(
         )
     require_two_groups(g.groups)
     suff_and_sep = all(cells_hold(m, g.matrices.values(), eps) for m in (SUFFICIENCY, SEPARATION))
-    deviation = ci_deviation(to_joint(g), "A", ("Y", "R"))
-    joint_independent = within(deviation.numerator, deviation.denominator, eps)
+    part, whole = joint_deviation(g.matrices.values())
+    joint_independent = within(part, whole, eps)
     return JointIndependenceVerdict(
         suff_and_sep=suff_and_sep,
         joint_independent=joint_independent,
         equivalent=suff_and_sep == joint_independent,
-        ci_deviation=deviation,
+        ci_deviation=Fraction(part, whole),
     )
 
 

@@ -24,7 +24,8 @@ grid, with a block for every given value of the grid: a call then costs one
 lookup per table cell plus the grid's sums. A larger layout keeps no key
 table: its given values are numbered per call as they first appear, so a call
 costs the table's cells plus ng·|L|·|R| for the ng given values the table
-holds.
+holds. Its deviation phase, :func:`block_deviation`, has a second entry:
+``conservativeness.joint_deviation`` passes it a grouped table's counts.
 
 A joint is checked once, where it enters the library: the public constructor
 checks its variables, keys and weights, while the joints derived from valid
@@ -223,7 +224,7 @@ def _as_names(spec: str | Sequence[str]) -> tuple[str, ...]:
 #: Largest grid, the product of all of a joint's domain sizes, whose layout
 #: keeps a table from every key of the grid to its slot. It covers every layout
 #: check-props builds (the largest, property 2's joint over X, Y, Z and U, has
-#: 3*3*3*2 = 54 cells) and audit's count joints of up to 16 groups, and with
+#: 3*3*3*2 = 54 cells) and the count joints of up to 16 groups, and with
 #: 256 cached layouts the tables hold at most 16,384 keys. A larger layout keeps
 #: none, so the kernel's memory follows the table, not the grid.
 SLOT_TABLE_CELLS = 64
@@ -302,9 +303,15 @@ def _ci_pair(j: FiniteJoint, *sides: str | tuple[str, ...]) -> tuple[int, int]:
         right_slots = map(right_at.__getitem__, map(pick_r, keys))
         for slot, r, weight in zip(slots, right_slots, keys.values()):
             cells[slot + r] += weight
+    return block_deviation(cells, nl, nr)
 
+
+def block_deviation(cells: list[int], nl: int, nr: int) -> tuple[int, int]:
+    """The kernel's ``(worst, total**2)`` on placed ``cells``: consecutive
+    blocks, one per given value, of ``nl`` rows of ``nr`` weights."""
     # A block's column r is its nl cells from slot r by step nr, and the rows
     # of every block come in turn from one zip over the cells: nothing is copied.
+    size = nl * nr
     starts = range(0, len(cells), size)
     p_r = [sum(cells[at : b + size : nr]) for b in starts for at in range(b, b + nr)]
     worst, rows = 0, zip(*[iter(cells)] * nr)
@@ -316,7 +323,7 @@ def _ci_pair(j: FiniteJoint, *sides: str | tuple[str, ...]) -> tuple[int, int]:
                 deviation = abs(w * p_g - p_l * pr)
                 if deviation > worst:  # a given value without mass has all sums 0
                     worst = deviation
-    return worst, sum(p_r) ** 2  # p_r holds each weight once: it sums to j.denominator
+    return worst, sum(p_r) ** 2  # p_r holds each weight once: it sums to the total
 
 
 def ci_deviation(
@@ -327,7 +334,8 @@ def ci_deviation(
 ) -> Fraction:
     """Division-free conditional-independence deviation of ``left`` from
     ``right`` given ``given``: the kernel's integer pair, reduced. Either side
-    may be a set of variables, like one variable over their product domain."""
+    may be a set of variables, like one variable over their product domain.
+    No command calls it; it stays for the README's CI-statement fact."""
     return Fraction(*_ci_pair(j, *map(_as_names, (left, right, given))))
 
 

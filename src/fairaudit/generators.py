@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Sequence
 
-from .confusion import GroupedConfusion, to_joint
-from .distributions import DeterministicMap, FiniteJoint, apply_map, ci_deviation
+from .confusion import GroupedConfusion
+from .conservativeness import joint_deviation
+from .distributions import DeterministicMap, FiniteJoint, apply_map
 # sufficiency and separation stay bound for perfbench/replay.py
 from .measures import SEPARATION, SUFFICIENCY, cell_gaps, separation, sufficiency
 
@@ -212,6 +212,8 @@ def random_nonproportional_grouped(rng: random.Random) -> GroupedConfusion:
             for measure in (SUFFICIENCY, SEPARATION)
             for part, whole, _, _ in cell_gaps(measure, g.matrices.values()).values()
         )
-        if wide and ci_deviation(to_joint(g), "A", ("Y", "R")) > Fraction(1, 1000):
-            return g
+        if wide:
+            part, whole = joint_deviation(g.matrices.values())
+            if 1000 * part > whole:
+                return g
     raise AssertionError("failed to generate a non-proportional instance")

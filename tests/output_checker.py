@@ -1,6 +1,8 @@
-"""Re-derive a printed audit from its matrices, importing nothing from fairaudit.
+"""Re-derive a printed audit from its matrices, and check a printed property
+run's counts, importing nothing from fairaudit.
 
-The checker reads one ``fairaudit audit --format json`` output. Each rate is
+The checker reads one ``fairaudit audit --format json`` or ``fairaudit
+check-props --format json`` output. For an audit, each rate is
 the textbook ratio of a group's cells a=TP, b=FP, c=FN, d=TN, as an exact
 ``Fraction``, and from the printed matrices alone the checker re-derives:
 
@@ -19,11 +21,17 @@ the disparity; the winning component is the first largest gap in the
 measure's own order (ppv before npv, fpr before fnr). :func:`verdict` is
 given the groups in input order and derives the witnesses too.
 
-An audit implies exit code 0 when all three measures hold and 1 otherwise.
-Given a saved output and the exit code the CLI gave it, the script exits 0
-when the output checks and implies that code, and 1 otherwise:
+For a property run, :func:`check_props` checks that each of the eight
+suites ran ``count`` instances and failed on at most that many, that each of
+the five CI suites splits them into vacuous and non-vacuous ones, and that
+``failures_total`` is the sum of the suites' failures.
 
-    python tests/output_checker.py AUDIT.json EXIT_CODE
+An audit implies exit code 0 when all three measures hold and 1 otherwise,
+and a property run 0 when ``failures_total`` is 0 and 1 otherwise. Given a
+saved output and the exit code the CLI gave it, the script exits 0 when the
+output checks and implies that code, and 1 otherwise:
+
+    python tests/output_checker.py OUTPUT.json EXIT_CODE
 """
 
 from __future__ import annotations
@@ -56,6 +64,16 @@ COMPONENTS = {
 AUDIT_KEYS = {
     "all_hold", "conservativeness", "eps", "group_stats", "input", "matrices", "measures", "tool"
 }
+
+#: The keys of every check-props output.
+PROPS_KEYS = {
+    "ci_properties", "count", "eps", "failures_total", "joint_independence",
+    "perfect_predictor", "seed", "tool",
+}
+
+#: The five CI-property suites and the two joint-independence suites, by key.
+CI_SUITES = ("1", "2", "3", "4", "5")
+JOINT_SUITES = ("proportional", "nonproportional")
 
 
 class Mismatch(AssertionError):
@@ -192,16 +210,41 @@ def check_audit(out: dict) -> int:
     return 0 if all_hold else 1
 
 
+def check_props(out: dict) -> int:
+    """Check one parsed check-props output's counts; the exit code it implies."""
+    expect(set(out) == PROPS_KEYS, "keys")
+    ci, joint = out["ci_properties"], out["joint_independence"]
+    expect(sorted(ci) == sorted(CI_SUITES), "ci_properties")
+    expect(sorted(joint) == sorted(JOINT_SUITES), "joint_independence")
+    suites = {
+        **{f"ci_properties {k}": ci[k] for k in CI_SUITES},
+        "perfect_predictor": out["perfect_predictor"],
+        **{f"joint_independence {k}": joint[k] for k in JOINT_SUITES},
+    }
+    for name, suite in suites.items():
+        expect(suite["instances"] == out["count"], f"{name} instances")
+        expect(0 <= suite["failures"] <= suite["instances"], f"{name} failures")
+    for k in CI_SUITES:
+        vacuous, non_vacuous = ci[k]["vacuous"], ci[k]["non_vacuous"]
+        split = min(vacuous, non_vacuous) >= 0 and vacuous + non_vacuous == ci[k]["instances"]
+        expect(split, f"ci_properties {k} vacuous")
+    total = sum(suite["failures"] for suite in suites.values())
+    expect(out["failures_total"] == total, "failures_total")
+    return 0 if total == 0 else 1
+
+
 def main(argv: list[str]) -> int:
     path, code = argv
     with open(path, encoding="utf-8") as f:
         out = json.load(f)
+    props = "ci_properties" in out
     try:
-        implied = check_audit(out)
+        implied = check_props(out) if props else check_audit(out)
     except Mismatch as exc:
-        print(f"{path}: printed {exc} differs from what the matrices imply", file=sys.stderr)
+        print(f"{path}: printed {exc} differs from what the output implies", file=sys.stderr)
         return 1
-    print(f"{path}: {len(out['matrices'])} groups check, implying exit code {implied}; got {code}")
+    checked = "8 suites" if props else f"{len(out['matrices'])} groups"
+    print(f"{path}: {checked} check, implying exit code {implied}; got {code}")
     return 0 if implied == int(code) else 1
 
 

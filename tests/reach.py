@@ -50,10 +50,12 @@ LIBRARY_ONLY = (
     "cli.run",
     "confusion.ConfusionMatrix.scaled",
     "confusion.Dataset.from_records",
+    "confusion.to_joint",
     "conservativeness.check_proportional_preservation",
     "conservativeness.group_multipliers",
     "distributions.FiniteJoint.__new__",
     "distributions.check_ci_property",
+    "distributions.ci_deviation",
 )
 
 

@@ -11,6 +11,12 @@ a sufficiency and a separation verdict to read their ``holds``; the check now
 reads the integer cell gaps through ``cells_hold``. On every table drawn here
 and at every eps, nan and inf included, both must return the same verdict or
 raise the same precondition error with the same message.
+
+``joint_deviation`` hands the groups' counts straight to the kernel's
+deviation phase, with no count joint. It must return the unreduced pair that
+the kernel gives on the count joint, ``_ci_pair(to_joint(g), ("A",), ("Y",
+"R"), ())``, on every positive table of ``POSITIVE_SCOPE`` and on every table
+drawn here: the pair itself, not only its reduced ``Fraction``.
 """
 
 import itertools
@@ -23,11 +29,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from joint_oracle import assert_revalidates
+from table_scopes import Scope
+from table_scopes import tables as scope_tables
 from test_jsonable import SEEDS, proportional_table, random_table, tables
 
 from fairaudit.confusion import NEG, POS, ConfusionMatrix, GroupedConfusion, is_positive, to_joint
-from fairaudit.conservativeness import JointIndependenceVerdict, check_joint_independence_iff
-from fairaudit.distributions import EPS_DEFAULT, ci_deviation, within
+from fairaudit.conservativeness import (
+    JointIndependenceVerdict,
+    check_joint_independence_iff,
+    joint_deviation,
+)
+from fairaudit.distributions import EPS_DEFAULT, _ci_pair, ci_deviation, within
 from fairaudit.errors import PreconditionError
 from fairaudit.generators import (
     random_nonproportional_grouped,
@@ -37,6 +49,9 @@ from fairaudit.generators import (
 from fairaudit.measures import separation, sufficiency
 
 EPS_VALUES = (0.0, 1e-9, 0.05, math.inf, math.nan)
+
+#: Two groups with cells 0..3: 3,321 of its tables are positive.
+POSITIVE_SCOPE = Scope(2, 3)
 
 
 def oracle_joint_independence_deviation(g: GroupedConfusion) -> Fraction:
@@ -99,8 +114,16 @@ def assert_same_verdicts(g: GroupedConfusion) -> None:
             assert type(got.suff_and_sep) is type(got.joint_independent) is bool
 
 
+def assert_kernels_pair(g: GroupedConfusion) -> None:
+    """The count path gives the kernel's own unreduced pair on the count joint."""
+    pair = joint_deviation(g.matrices.values())
+    assert pair == _ci_pair(to_joint(g), ("A",), ("Y", "R"), ()), g
+    assert all(type(value) is int for value in pair)
+
+
 def assert_matches_oracle(g: GroupedConfusion) -> None:
     assert_revalidates(to_joint(g))
+    assert_kernels_pair(g)
     deviation = check_joint_independence_iff(g).ci_deviation
     assert isinstance(deviation, Fraction)
     assert deviation == oracle_joint_independence_deviation(g)
@@ -128,6 +151,13 @@ def test_hypothesis_tables_match_the_oracle(matrices):
     assert_matches_oracle(g)
 
 
+def test_every_positive_table_of_a_scope_gives_the_kernels_pair():
+    positive = [g for g in scope_tables(POSITIVE_SCOPE) if is_positive(g)]
+    assert len(positive) == 3321
+    for g in positive:
+        assert_kernels_pair(g)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_small_cell_tables_match_the_verdict_oracle(seed):
     # Cells 1..5 make equal rates, and so gaps of exactly 0, common.
@@ -140,6 +170,8 @@ def test_small_cell_tables_match_the_verdict_oracle(seed):
 def test_hypothesis_small_cell_tables_match_the_verdict_oracle(g):
     # Cells 0..5: tables with a zero cell must raise the positivity error.
     assert_same_verdicts(g)
+    if is_positive(g):
+        assert_kernels_pair(g)
 
 
 def test_sufficiency_without_separation_matches_the_verdict_oracle():
